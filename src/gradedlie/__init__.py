@@ -7,13 +7,11 @@ transformations, and desk-scale exact cohomology.
 """
 
 from .algebra import (AlgebraError, BiWeight, Element, Generator,
-                      GeneratorTable, h_pullback, make_generator_table,
-                      monomial, monomial_str, multiply, partial_derivative,
-                      weight_component)
+                      GeneratorTable, h_pullback, monomial, monomial_str,
+                      partial_derivative, weight_component)
 from .algebroid import (AlgebroidSpec, SpecError, StructureReport,
-                        build_ce_differential, check_structure_equations,
-                        degree_zero_restriction, is_regular_degree_one,
-                        tower_truncation)
+                        check_structure_equations, degree_zero_restriction,
+                        is_regular_degree_one, tower_truncation)
 from .cohomology import FiniteComplex, betti, build_complex, rank
 from .constructions import (abelian_lie_algebra, adjoint_instance, aff1,
                             algebroid_prolongation, cotangent_prolongation,

@@ -154,10 +154,6 @@ class GeneratorTable:
         return f"GeneratorTable({parts})"
 
 
-def make_generator_table(declarations: Sequence[Tuple[str, str, int, int]]) -> GeneratorTable:
-    return GeneratorTable(declarations)
-
-
 def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     if not a:
         return b
@@ -422,10 +418,6 @@ def monomial(table: GeneratorTable, gens: Iterable[Generator],
     for g in gens:
         out = out * table.gen(g.name, g.index)
     return out
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
 
 
 def weight_component(e: Element, i: int) -> Element:

@@ -199,11 +199,6 @@ class AlgebroidSpec:
         return f"AlgebroidSpec(degree {self.degree}, {self.table!r})"
 
 
-def build_ce_differential(spec: AlgebroidSpec) -> Derivation:
-    """The Chevalley-Eilenberg-de Rham derivation of an AlgebroidSpec."""
-    return spec.d
-
-
 def degree_zero_restriction(spec: AlgebroidSpec) -> AlgebroidSpec:
     """Restrict to the underlying degree-zero algebroid: keep weight-0
     generators, set all positive-weight generators to zero."""

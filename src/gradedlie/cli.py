@@ -8,7 +8,8 @@ Subcommands:
     example NAME [-o FILE]          emit a spec file
 
 Every subcommand accepts --format json for machine-readable output.
-Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
+Exit codes: 0 success, 1 verification failure (including cohomology of a
+spec with d^2 != 0), 2 parse or usage error.
 """
 
 from __future__ import annotations
@@ -69,11 +70,19 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_weight(args, spec: AlgebroidSpec) -> int:
+    """The --weight of a command that needs a positive-weight module."""
+    if spec.degree < 1:
+        raise CliError(f"{args.file} has degree 0; {args.command} needs a spec "
+                       f"of degree >= 1")
+    if not 1 <= args.weight <= spec.degree:
+        raise CliError(f"--weight must be in 1..{spec.degree} for this spec")
+    return args.weight
+
+
 def _cmd_decompose(args) -> int:
     spec = _load(args.file)
-    i = args.weight
-    if not 1 <= i <= spec.degree:
-        raise CliError(f"--weight must be in 1..{spec.degree} for this spec")
+    i = _positive_weight(args, spec)
     dims = {}
     lines = [f"decompose {args.file} weight {i}:"]
     for j in range(i + 1):
@@ -90,9 +99,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_rep(args) -> int:
     spec = _load(args.file)
-    i = args.weight
-    if not 1 <= i <= spec.degree:
-        raise CliError(f"--weight must be in 1..{spec.degree} for this spec")
+    i = _positive_weight(args, spec)
     comp = extract_components(spec, i)
     report = flatness_cascade(comp)
     from .algebra import monomial_str
@@ -124,6 +131,15 @@ def _cmd_cohomology(args) -> int:
     i = args.weight
     if not 0 <= i <= spec.degree:
         raise CliError(f"--weight must be in 0..{spec.degree} for this spec")
+    if args.cap < 0:
+        raise CliError(f"--cap must be >= 0, got {args.cap}")
+    homological = is_homological(spec.d)
+    if not homological.ok:
+        residuals = {f"d^2 {label}": str(r) for label, r in homological.residuals.items()}
+        lines = [f"cohomology {args.file} weight {i}: FAIL (d^2 != 0)"]
+        lines += [f"  residual {label}: {r}" for label, r in sorted(residuals.items())]
+        _emit(args, {"status": "fail", "residuals": residuals}, lines)
+        return 1
     try:
         complex_ = build_complex(spec, i, cap=args.cap)
         numbers = betti(complex_)

@@ -1,5 +1,9 @@
 """Desk-scale cohomology: exact Betti numbers over Q on finite sector bases.
 
+The differentials are stored column-sparse, one {row: coefficient} dict per
+basis monomial of the domain sector, as built by
+`weight_modules.differential_columns`.
+
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as
 truncated, never claimed exact.
@@ -9,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from .algebra import Element, MonomialKey
+from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
-from .derivations import apply
-from .weight_modules import CapClosureError, sector_basis
+from .weight_modules import Column, differential_columns, sector_basis
 
 
 @dataclass
@@ -22,8 +25,8 @@ class FiniteComplex:
     spec: AlgebroidSpec
     i: int
     sector_bases: List[List[MonomialKey]]
-    matrices: List[List[List[Fraction]]]   # matrices[j] maps sector j -> j+1
-    cap: Optional[int]                     # None when the base is a point
+    matrices: List[List[Column]]   # matrices[j] maps sector j -> j+1, by columns
+    cap: Optional[int]             # None when the base is a point
     exact: bool
 
     @property
@@ -31,23 +34,16 @@ class FiniteComplex:
         return [len(b) for b in self.sector_bases]
 
     def is_closed(self) -> bool:
-        """Consecutive products vanish."""
-        for j in range(len(self.matrices) - 1):
-            if not _is_zero_product(self.matrices[j + 1], self.matrices[j]):
-                return False
+        """Consecutive differentials compose to zero."""
+        for first, second in zip(self.matrices, self.matrices[1:]):
+            for column in first:
+                image: Dict[int, Fraction] = {}
+                for k, a in column.items():
+                    for row, b in second[k].items():
+                        image[row] = image.get(row, 0) + a * b
+                if any(image.values()):
+                    return False
         return True
-
-
-def _is_zero_product(a, b) -> bool:
-    if not a or not b:
-        return True
-    rows_a, cols_a = len(a), len(a[0]) if a else 0
-    for r in range(rows_a):
-        for c in range(len(b[0]) if b else 0):
-            s = sum(a[r][k] * b[k][c] for k in range(len(b)))
-            if s != 0:
-                return False
-    return True
 
 
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
@@ -60,65 +56,41 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     bases = [sector_basis(spec, i, j, cap) for j in range(jmax + 2)]
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
-    matrices = []
-    for j in range(len(bases) - 1):
-        index = {k: n for n, k in enumerate(bases[j + 1])}
-        m = [[Fraction(0)] * len(bases[j]) for _ in bases[j + 1]]
-        for col, key in enumerate(bases[j]):
-            image = apply(spec.d, Element(table, {key: Fraction(1)}))
-            for k, c in image.terms.items():
-                row = index.get(k)
-                if row is None:
-                    from .algebra import monomial_str
-                    raise CapClosureError(
-                        f"cap {cap} does not close the weight-{i} complex: "
-                        f"d({monomial_str(table, key)}) leaves the truncated span")
-                m[row][col] += c
-        matrices.append(m)
+    matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
+                for j in range(len(bases) - 1)]
     # the top sector maps to zero
-    matrices.append([])
-    return FiniteComplex(spec, i, bases, matrices[:len(bases)], None if point else cap,
-                         exact=point)
+    matrices.append([{} for _ in bases[-1]])
+    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point)
 
 
-def rank(matrix: List[List[Fraction]]) -> int:
-    """Exact rank by fraction-free (Bareiss-style) elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if m[rr][c] != 0:
-                pivot = rr
+def rank(columns: List[Column]) -> int:
+    """Exact rank over Q of a column-sparse matrix.
+
+    Gaussian elimination with Fraction division: each column is reduced
+    against the pivot columns found so far, keyed by their largest row, and
+    becomes a new pivot column if anything is left."""
+    pivots: Dict[int, Column] = {}
+    for column in columns:
+        col = {r: Fraction(c) for r, c in column.items() if c}
+        while col:
+            row = max(col)
+            pivot = pivots.get(row)
+            if pivot is None:
+                pivots[row] = col
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for rr in range(r + 1, rows):
-            if m[rr][c] != 0:
-                f = m[rr][c] / pv
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+            f = col[row] / pivot[row]
+            for r, c in pivot.items():
+                v = col.get(r, 0) - f * c
+                if v:
+                    col[r] = v
+                else:
+                    col.pop(r, None)
+    return len(pivots)
 
 
 def betti(c: FiniteComplex) -> List[int]:
     """dim ker d_j minus rank d_(j-1), per sector."""
     if not c.is_closed():
         raise ValueError("complex is not closed (consecutive products nonzero)")
-    dims = c.dims
-    ranks = []
-    for j in range(len(dims)):
-        mat = c.matrices[j] if j < len(c.matrices) else []
-        ranks.append(rank(mat))
-    out = []
-    for j in range(len(dims)):
-        incoming = ranks[j - 1] if j > 0 else 0
-        out.append(dims[j] - ranks[j] - incoming)
-    return out
+    ranks = [rank(m) for m in c.matrices]
+    return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import Element, Generator, GeneratorTable, MonomialKey
+from .algebra import Element, Generator, GeneratorTable, MonomialKey, monomial_str
 from .algebroid import AlgebroidSpec
 from .derivations import apply
 
@@ -46,7 +46,6 @@ class WeightModuleBasis:
         return [Element(table, {k: Fraction(1)}) for k in self.keys]
 
     def labels(self) -> List[str]:
-        from .algebra import monomial_str
         table = _table(self.spec)
         return [monomial_str(table, k) for k in self.keys]
 
@@ -188,6 +187,33 @@ def subcomplex_check(spec: AlgebroidSpec, i: int, base_degree_cap: int = 2) -> b
     return True
 
 
+Column = Dict[int, Fraction]
+
+
+def differential_columns(spec: AlgebroidSpec, domain: Sequence[MonomialKey],
+                         codomain: Sequence[MonomialKey], cap: int) -> List[Column]:
+    """Column-sparse matrix of d_E from the span of `domain` to the span of
+    `codomain`: one {codomain row: coefficient} dict per domain monomial,
+    nonzero entries only.
+
+    Raises CapClosureError when an image term is not in `codomain` (the
+    truncated span at base-degree cap `cap` does not close)."""
+    table = spec.table
+    index = {k: n for n, k in enumerate(codomain)}
+    columns: List[Column] = []
+    for key in domain:
+        column: Column = {}
+        for k, c in apply(spec.d, Element(table, {key: Fraction(1)})).terms.items():
+            row = index.get(k)
+            if row is None:
+                raise CapClosureError(
+                    f"base degree cap {cap} does not close the complex: "
+                    f"d({monomial_str(table, key)}) contains {monomial_str(table, k)}")
+            column[row] = c
+        columns.append(column)
+    return columns
+
+
 @dataclass
 class SectorMatrix:
     """The induced differential from the (i, j) sector to the (i, j+1) sector."""
@@ -195,7 +221,7 @@ class SectorMatrix:
     j: int
     domain: List[MonomialKey]
     codomain: List[MonomialKey]
-    entries: List[List[Fraction]]   # entries[row][col], rows indexed by codomain
+    columns: List[Column]   # columns[col] = {codomain row: coefficient}
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -208,22 +234,10 @@ def induced_differential_matrix(spec: AlgebroidSpec, i: int, j: int,
 
     Raises CapClosureError when an image term has base degree beyond the cap
     (the truncated span does not close)."""
-    table = spec.table
     domain = sector_basis(spec, i, j, base_degree_cap)
     codomain = sector_basis(spec, i, j + 1, base_degree_cap)
-    index = {k: n for n, k in enumerate(codomain)}
-    entries = [[Fraction(0)] * len(domain) for _ in codomain]
-    for col, key in enumerate(domain):
-        image = apply(spec.d, Element(table, {key: Fraction(1)}))
-        for k, c in image.terms.items():
-            row = index.get(k)
-            if row is None:
-                from .algebra import monomial_str
-                raise CapClosureError(
-                    f"base degree cap {base_degree_cap} does not close the complex: "
-                    f"d({monomial_str(table, key)}) contains {monomial_str(table, k)}")
-            entries[row][col] += c
-    return SectorMatrix(i, j, domain, codomain, entries)
+    return SectorMatrix(i, j, domain, codomain,
+                        differential_columns(spec, domain, codomain, base_degree_cap))
 
 
 def _projector_by_extraction(e: Element, k: int) -> Element:

@@ -152,6 +152,15 @@ def _count_even(evens, idx, weight):
     return total
 
 
+def to_dense(columns, rows):
+    """Dense rows x len(columns) matrix of a column-sparse one."""
+    dense = [[Fraction(0)] * len(columns) for _ in range(rows)]
+    for col, column in enumerate(columns):
+        for row, c in column.items():
+            dense[row][col] = c
+    return dense
+
+
 def brute_force_rank(matrix):
     """Rank by enumerating square minors with permutation-expansion
     determinants.  Only for small matrices."""

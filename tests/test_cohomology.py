@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from gradedlie.constructions import (abelian_lie_algebra, aff1, sl2,
                                      tangent_algebroid, weighted_lie_algebra)
 from gradedlie.weight_modules import CapClosureError
 
-from conftest import brute_force_rank, unipotent_twist
+from conftest import brute_force_rank, to_dense, unipotent_twist
 
 
 def test_rank_against_brute_force_random():
@@ -17,9 +19,9 @@ def test_rank_against_brute_force_random():
     for _ in range(50):
         rows = rng.randint(0, 4)
         cols = rng.randint(0, 4)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-             for _ in range(rows)]
-        assert rank(m) == brute_force_rank(m)
+        columns = [{r: Fraction(c) for r in range(rows)
+                    if (c := rng.randint(-3, 3))} for _ in range(cols)]
+        assert rank(columns) == brute_force_rank(to_dense(columns, rows))
 
 
 def test_betti_abelian_plane():
@@ -37,6 +39,26 @@ def test_betti_aff1():
 def test_betti_sl2():
     c = build_complex(sl2(), 0)
     assert betti(c) == [1, 0, 0, 1]
+
+
+def test_betti_gl3():
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, with E_ij -> xi[3(i-1)+j]
+    from gradedlie.algebra import GeneratorTable
+    table = GeneratorTable([("xi", "odd_fiber", 0, 9)])
+    e = lambda i, j: ("xi", 3 * (i - 1) + j)
+    bracket = {}
+    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
+        if (i, j) >= (k, l):
+            continue
+        if j == k:
+            bracket[(e(i, j), e(k, l), e(i, l))] = 1
+        if l == i:
+            bracket[(e(i, j), e(k, l), e(k, j))] = -1
+    c = build_complex(weighted_lie_algebra(table, {}, bracket), 0)
+    assert c.exact
+    assert c.dims == [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
+    # H(gl3) = Lambda(e1, e3, e5): Poincare polynomial (1+t)(1+t^3)(1+t^5)
+    assert betti(c) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
 
 
 def test_betti_invariant_under_twist():
@@ -59,6 +81,16 @@ def test_truncated_tangent_line():
 def test_complex_is_closed():
     for spec in [aff1(), sl2(), abelian_lie_algebra(3)]:
         assert build_complex(spec, 0).is_closed()
+
+
+def test_complex_not_closed_when_d_squared_nonzero():
+    from gradedlie.dsl import parse, to_algebroid_spec
+    text = (pathlib.Path(__file__).parent.parent / "specs" / "broken.spec").read_text()
+    c = build_complex(to_algebroid_spec(parse(text)), 0)
+    assert c.dims == [1, 3, 3, 1]
+    assert not c.is_closed()
+    with pytest.raises(ValueError):
+        betti(c)
 
 
 def test_weighted_lie_algebra_exact_sectors():

@@ -8,7 +8,7 @@ from gradedlie.derivations import is_homological
 from gradedlie.dsl import (DslError, parse, parse_expression, print_document,
                            to_algebroid_spec)
 
-DATA = pathlib.Path(__file__).parent / "data"
+DATA = pathlib.Path(__file__).parent.parent / "specs"
 
 
 def spec_text(name):
@@ -153,6 +153,40 @@ def test_cli_cohomology_cap_error(capsys):
                            "--weight", "2")
     assert code == 2
     assert "cap" in err
+
+
+def test_cli_cohomology_not_homological(capsys):
+    code, out, _ = _run(capsys, "cohomology", str(DATA / "broken.spec"),
+                        "--weight", "0", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload) == {"status", "residuals"}
+    assert payload["status"] == "fail"
+    assert payload["residuals"]
+    assert all(label.startswith("d^2 ") for label in payload["residuals"])
+    code, out, _ = _run(capsys, "cohomology", str(DATA / "broken.spec"),
+                        "--weight", "0")
+    assert code == 1
+    assert "FAIL" in out
+    assert "  residual d^2 " in out
+
+
+def test_cli_cohomology_negative_cap(capsys):
+    for path in ("sl2.spec", "adjoint.spec"):
+        code, out, err = _run(capsys, "cohomology", str(DATA / path),
+                              "--weight", "0", "--cap", "-1")
+        assert code == 2
+        assert "--cap" in err
+        assert out == ""
+
+
+def test_cli_degree_zero_needs_positive_degree(capsys):
+    for command in ("decompose", "rep"):
+        code, _out, err = _run(capsys, command, str(DATA / "sl2.spec"),
+                               "--weight", "1")
+        assert code == 2
+        assert "degree 0" in err
+        assert "degree >= 1" in err
 
 
 def test_cli_example_round_trip(tmp_path, capsys):

@@ -13,7 +13,7 @@ from gradedlie.weight_modules import (CapClosureError, dim_w,
                                       induced_differential_matrix,
                                       sector_basis, subcomplex_check, w_basis)
 
-from conftest import brute_force_w_dim, random_chart, random_element
+from conftest import brute_force_w_dim, random_chart, random_element, to_dense
 
 
 def test_e3_dimensions():
@@ -82,13 +82,12 @@ def test_induced_matrix_squares_to_zero():
     spec = tangent_graded_bundle([("x", 0, 1), ("z", 1, 2), ("u", 2, 1)])
     m0 = induced_differential_matrix(spec, 2, 0, base_degree_cap=3)
     m1 = induced_differential_matrix(spec, 2, 1, base_degree_cap=3)
-    rows = len(m1.entries)
-    cols = len(m0.entries[0]) if m0.entries else 0
-    for r in range(rows):
-        for c in range(cols):
-            s = sum(m1.entries[r][k] * m0.entries[k][c]
-                    for k in range(len(m0.entries)))
-            assert s == 0
+    a = to_dense(m1.columns, len(m1.codomain))
+    b = to_dense(m0.columns, len(m0.codomain))
+    assert a and b
+    for r in range(len(a)):
+        for c in range(len(m0.domain)):
+            assert sum(a[r][k] * b[k][c] for k in range(len(b))) == 0
 
 
 def test_matrix_columns_match_direct_application():
@@ -97,10 +96,8 @@ def test_matrix_columns_match_direct_application():
     for col, key in enumerate(m.domain):
         image = apply(spec.d, Element(spec.table, {key: Fraction(1)}))
         rebuilt = spec.table.zero()
-        for row, ck in enumerate(m.codomain):
-            c = m.entries[row][col]
-            if c:
-                rebuilt = rebuilt + Element(spec.table, {ck: c})
+        for row, c in m.columns[col].items():
+            rebuilt = rebuilt + Element(spec.table, {m.codomain[row]: c})
         assert rebuilt == image
 
 
