@@ -7,15 +7,14 @@ transformations, and desk-scale exact cohomology.
 """
 
 from .algebra import (AlgebraError, BiWeight, Element, Generator,
-                      GeneratorTable, h_pullback, monomial, monomial_str,
-                      partial_derivative, weight_component)
+                      GeneratorTable, monomial_str)
 from .algebroid import (AlgebroidSpec, SpecError, StructureReport,
                         check_structure_equations, degree_zero_restriction,
                         is_regular_degree_one, tower_truncation)
 from .cohomology import FiniteComplex, betti, build_complex, rank
-from .constructions import (abelian_lie_algebra, adjoint_instance, aff1,
-                            algebroid_prolongation, cotangent_prolongation,
-                            e3_chart, e7_instance, shipped_specs, sl2,
+from .constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
+                            aff1, algebroid_prolongation,
+                            cotangent_prolongation, e3_chart, e7_instance, sl2,
                             tangent_algebroid, tangent_graded_bundle,
                             weighted_lie_algebra)
 from .derivations import (Derivation, DerivationError, HomologicalReport,

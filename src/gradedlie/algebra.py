@@ -57,6 +57,7 @@ OddPart = Tuple[int, ...]
 MonomialKey = Tuple[EvenPart, OddPart]
 
 Scalar = Union[int, Fraction]
+GenRef = Union[Generator, str, Tuple[str, int]]
 
 
 class GeneratorTable:
@@ -101,6 +102,14 @@ class GeneratorTable:
             return self._by_name[(name, index)]
         except KeyError:
             raise AlgebraError(f"unknown generator {name}[{index}]") from None
+
+    def resolve(self, ref: GenRef) -> Generator:
+        """A generator given as a Generator, a name (index 1) or (name, index)."""
+        if isinstance(ref, Generator):
+            return ref
+        if isinstance(ref, str):
+            return self.generator(ref)
+        return self.generator(*ref)
 
     def generators(self, kind: Optional[str] = None) -> Tuple[Generator, ...]:
         if kind is None:
@@ -279,8 +288,13 @@ class Element:
         if n < 0:
             raise AlgebraError("negative powers are not defined")
         out = self.table.one()
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other) -> bool:
@@ -409,24 +423,3 @@ def monomial_str(table: GeneratorTable, key: MonomialKey) -> str:
     for p in odd:
         factors.append(str(table.gens[p]))
     return "*".join(factors) if factors else "1"
-
-
-def monomial(table: GeneratorTable, gens: Iterable[Generator],
-             coefficient: Scalar = 1) -> Element:
-    """Product of the given generators, in the given order, times a scalar."""
-    out = table.scalar(coefficient)
-    for g in gens:
-        out = out * table.gen(g.name, g.index)
-    return out
-
-
-def weight_component(e: Element, i: int) -> Element:
-    return e.weight_component(i)
-
-
-def h_pullback(e: Element, t: Scalar) -> Element:
-    return e.h_pullback(t)
-
-
-def partial_derivative(e: Element, g: Generator) -> Element:
-    return e.partial_derivative(g)

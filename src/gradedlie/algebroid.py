@@ -13,25 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .algebra import AlgebraError, Element, Generator, GeneratorTable
+from .algebra import Element, GenRef, Generator, GeneratorTable
 from .derivations import Derivation, apply, is_homological, make_derivation
 
 
 class SpecError(ValueError):
     pass
-
-
-GenRef = Union[Generator, str, Tuple[str, int]]
-
-
-def _resolve(table: GeneratorTable, ref: GenRef) -> Generator:
-    if isinstance(ref, Generator):
-        return ref
-    if isinstance(ref, str):
-        return table.generator(ref)
-    return table.generator(*ref)
 
 
 class AlgebroidSpec:
@@ -57,14 +46,13 @@ class AlgebroidSpec:
 
     @classmethod
     def from_tables(cls, table: GeneratorTable,
-                    anchor: Mapping, bracket: Mapping,
-                    lint: bool = False) -> "AlgebroidSpec":
+                    anchor: Mapping, bracket: Mapping) -> "AlgebroidSpec":
         """Spec from structure-function tables.
 
         anchor: (even ref, odd ref) -> polynomial coefficient Q_I^A, so that
             d X^A = sum_I Y^I Q_I^A.  Coefficients must be bi-homogeneous of
             weight (w(A) - w(I), 0); entries whose slot weight is negative
-            are dropped (reported when lint=True, collected either way).
+            are dropped and listed in `dropped_terms`.
         bracket: (odd I, odd J, odd K) -> Q_IJ^K, either triangle; the
             antisymmetric extension is normalised at ingestion and
             inconsistent double entries are an error.
@@ -72,8 +60,8 @@ class AlgebroidSpec:
         dropped: List[str] = []
         anchor_norm: Dict[Tuple[int, int], Element] = {}
         for (a_ref, i_ref), val in anchor.items():
-            A = _resolve(table, a_ref)
-            I = _resolve(table, i_ref)
+            A = table.resolve(a_ref)
+            I = table.resolve(i_ref)
             if A.form_degree != 0 or I.form_degree != 1:
                 raise SpecError(f"anchor entry ({A}, {I}) must pair an even with an odd generator")
             q = val if isinstance(val, Element) else table.scalar(val)
@@ -92,9 +80,9 @@ class AlgebroidSpec:
 
         bracket_norm: Dict[Tuple[int, int, int], Element] = {}
         for (i_ref, j_ref, k_ref), val in bracket.items():
-            I = _resolve(table, i_ref)
-            J = _resolve(table, j_ref)
-            K = _resolve(table, k_ref)
+            I = table.resolve(i_ref)
+            J = table.resolve(j_ref)
+            K = table.resolve(k_ref)
             if not (I.form_degree == J.form_degree == K.form_degree == 1):
                 raise SpecError(f"bracket entry ({I}, {J}, {K}) must involve odd generators only")
             if I.position == J.position:
@@ -120,10 +108,6 @@ class AlgebroidSpec:
                         f"inconsistent double entry for bracket ({I}, {J}, {K})")
             else:
                 bracket_norm[key] = q
-        if lint and dropped:
-            import warnings
-            for msg in dropped:
-                warnings.warn(f"dropped out-of-range structure term: {msg}")
 
         action: Dict[Generator, Element] = {}
         for A in table.even_generators():
@@ -153,8 +137,8 @@ class AlgebroidSpec:
 
     def anchor_coeff(self, I: GenRef, A: GenRef) -> Element:
         """Q_I^A: the coefficient of Y^I in d X^A."""
-        I = _resolve(self.table, I)
-        A = _resolve(self.table, A)
+        I = self.table.resolve(I)
+        A = self.table.resolve(A)
         out: Dict = {}
         for (even, odd), c in self.d.value(A).terms.items():
             if odd == (I.position,):
@@ -163,9 +147,9 @@ class AlgebroidSpec:
 
     def bracket_coeff(self, I: GenRef, J: GenRef, K: GenRef) -> Element:
         """Q_IJ^K with [s_I, s_J] = sum Q_IJ^K s_K (antisymmetric in I, J)."""
-        I = _resolve(self.table, I)
-        J = _resolve(self.table, J)
-        K = _resolve(self.table, K)
+        I = self.table.resolve(I)
+        J = self.table.resolve(J)
+        K = self.table.resolve(K)
         if I.position == J.position:
             return self.table.zero()
         sign = 1

@@ -9,7 +9,7 @@ Subcommands:
 
 Every subcommand accepts --format json for machine-readable output.
 Exit codes: 0 success, 1 verification failure (including cohomology of a
-spec with d^2 != 0), 2 parse or usage error.
+spec with d^2 != 0), 2 parse, usage or file error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .cohomology import betti, build_complex
 from .derivations import is_homological
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
-from .weight_modules import CapClosureError, dim_w, w_basis
+from .weight_modules import CapClosureError, w_basis
 
 
 class CliError(Exception):
@@ -38,6 +38,9 @@ def _load(path: str) -> AlgebroidSpec:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not valid UTF-8 "
+                       f"({exc.reason} at byte {exc.start})")
     try:
         return to_algebroid_spec(parse(text))
     except DslError as exc:
@@ -87,8 +90,7 @@ def _cmd_decompose(args) -> int:
     lines = [f"decompose {args.file} weight {i}:"]
     for j in range(i + 1):
         basis = w_basis(spec, i, j)
-        n = dim_w(spec, i, j)
-        assert n == len(basis)
+        n = len(basis)
         dims[f"({i},{j})"] = n
         labels = ", ".join(basis.labels()) or "-"
         lines.append(f"  W^({i},{j}) dim {n}: {labels}")
@@ -154,31 +156,19 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-_EXAMPLES = {
-    "adjoint": constructions.adjoint_instance,
-    "e7": constructions.e7_instance,
-    "aff1": constructions.aff1,
-    "sl2": constructions.sl2,
-    "abelian2": lambda: constructions.abelian_lie_algebra(2),
-    "tangent2": lambda: constructions.tangent_algebroid(2),
-    "tangent-graded": lambda: constructions.tangent_graded_bundle(
-        [("x", 0, 2), ("z", 1, 3), ("u", 2, 1)]),
-    "prolongation": lambda: constructions.algebroid_prolongation(
-        constructions.action_aff1_line(), [("z", 1, 1)]),
-    "weighted-lie-algebra": constructions.aff1,
-}
-
-
 def _cmd_example(args) -> int:
-    maker = _EXAMPLES.get(args.name)
+    maker = constructions.EXAMPLES.get(args.name)
     if maker is None:
-        known = ", ".join(sorted(_EXAMPLES))
+        known = ", ".join(sorted(constructions.EXAMPLES))
         raise CliError(f"unknown example {args.name!r} (known: {known})")
     spec = maker()
     text = print_document(document_from_spec(args.name.replace("-", "_"), spec))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror}")
         payload = {"status": "ok", "path": args.output}
         lines = [f"wrote {args.output}"]
     else:

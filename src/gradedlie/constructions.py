@@ -7,7 +7,7 @@ used throughout the test-suite and the CLI.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraError, Element, Generator, GeneratorTable
 from .algebroid import AlgebroidSpec, SpecError
@@ -223,14 +223,15 @@ def adjoint_instance() -> AlgebroidSpec:
     return cotangent_prolongation(action_aff1_line())
 
 
-def shipped_specs() -> Dict[str, AlgebroidSpec]:
-    """The example specs exercised by the acceptance suite."""
-    return {
-        "abelian2": abelian_lie_algebra(2),
-        "aff1": aff1(),
-        "sl2": sl2(),
-        "tangent2": tangent_algebroid(2),
-        "adjoint": adjoint_instance(),
-        "e7": e7_instance(),
-        "tangent_graded": tangent_graded_bundle([("x", 0, 2), ("z", 1, 3), ("u", 2, 1)]),
-    }
+# The canned examples by name (as `gradedlie example NAME` takes it), each a
+# zero-argument constructor.
+EXAMPLES: Dict[str, Callable[[], AlgebroidSpec]] = {
+    "abelian2": lambda: abelian_lie_algebra(2),
+    "adjoint": adjoint_instance,
+    "aff1": aff1,
+    "e7": e7_instance,
+    "prolongation": lambda: algebroid_prolongation(action_aff1_line(), [("z", 1, 1)]),
+    "sl2": sl2,
+    "tangent-graded": lambda: tangent_graded_bundle([("x", 0, 2), ("z", 1, 3), ("u", 2, 1)]),
+    "tangent2": lambda: tangent_algebroid(2),
+}

@@ -59,12 +59,7 @@ def make_derivation(table: GeneratorTable, bi_degree: Tuple[int, int],
     a, b = bi_degree
     resolved: Dict[int, Element] = {}
     for key, val in action.items():
-        if isinstance(key, Generator):
-            g = key
-        elif isinstance(key, str):
-            g = table.generator(key)
-        else:
-            g = table.generator(*key)
+        g = table.resolve(key)
         if val.table != table:
             raise DerivationError(f"value for {g} lives over a different table")
         resolved[g.position] = val

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from .algebra import Element, GeneratorTable, MonomialKey, monomial_str
 from .algebroid import AlgebroidSpec
-from .derivations import apply
+from .derivations import Derivation, apply
 from .weight_modules import w_basis
 
 
@@ -46,12 +46,47 @@ def split_by_y_count(table: GeneratorTable, e: Element) -> Dict[int, Element]:
     return {p: Element(table, terms) for p, terms in parts.items()}
 
 
+def _summed_blocks(blocks: Dict[int, Dict[MonomialKey, Element]]) -> Dict[MonomialKey, Element]:
+    """Per W-basis key, the sum of its blocks over all p."""
+    summed: Dict[MonomialKey, Element] = {}
+    for blk in blocks.values():
+        for key, v in blk.items():
+            summed[key] = summed[key] + v if key in summed else v
+    return summed
+
+
+def _extend(table: GeneratorTable, summed: Dict[MonomialKey, Element], e: Element,
+            d: Optional[Derivation] = None) -> Element:
+    """Extend an operator given on W-basis monomials to the module.
+
+    Without `d` the extension is module-linear, a.w -> a.op(w).  With the
+    derivation `d` it is the odd Leibniz extension
+    a.w -> d(a).w + (-1)^|a| a.op(w)."""
+    out = table.zero()
+    for key, coeff in e.terms.items():
+        a_key, w_key = _split_key(table, key)
+        a_elem = Element(table, {a_key: Fraction(1)})
+        if d is not None:
+            out = out + (apply(d, a_elem) * Element(table, {w_key: Fraction(1)})) * coeff
+            coeff = coeff * (-1) ** len(a_key[1])
+        if w_key in summed:
+            out = out + (a_elem * summed[w_key]) * coeff
+    return out
+
+
 @dataclass
 class SuperconnectionComponents:
+    """The blocks D_p of the weight-i module operator on the W-basis keys.
+    Their per-key sum is taken once, at construction: to change a block,
+    build a new object."""
+
     spec: AlgebroidSpec
     i: int
     blocks: Dict[int, Dict[MonomialKey, Element]]
     basis_keys: List[MonomialKey] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._summed = _summed_blocks(self.blocks)
 
     def component(self, p: int, key: MonomialKey) -> Element:
         return self.blocks.get(p, {}).get(key, self.spec.table.zero())
@@ -62,10 +97,7 @@ class SuperconnectionComponents:
 
     def total(self, e: Element) -> Element:
         """The reassembled operator sum_p D_p on a module element."""
-        return _apply_blocks(self, None, e)
-
-    def apply_component(self, p: int, e: Element) -> Element:
-        return _apply_blocks(self, p, e)
+        return _extend(self.spec.table, self._summed, e, self.spec.d)
 
 
 def _module_basis_keys(spec: AlgebroidSpec, i: int) -> List[MonomialKey]:
@@ -83,36 +115,11 @@ def extract_components(spec: AlgebroidSpec, i: int) -> SuperconnectionComponents
     table = spec.table
     keys = _module_basis_keys(spec, i)
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
-    max_p = len([g for g in table.odd_generators() if g.h_weight == 0]) + 1
-    for p in range(max_p + 1):
-        blocks[p] = {}
     for key in keys:
         image = apply(spec.d, Element(table, {key: Fraction(1)}))
         for p, part in split_by_y_count(table, image).items():
             blocks.setdefault(p, {})[key] = part
     return SuperconnectionComponents(spec, i, blocks, keys)
-
-
-def _apply_blocks(c: SuperconnectionComponents, p, e: Element) -> Element:
-    """Extend block p (or the full operator when p is None) from the W-basis
-    to the module by the Leibniz rule."""
-    table = c.spec.table
-    out = table.zero()
-    for key, coeff in e.terms.items():
-        a_key, w_key = _split_key(table, key)
-        a_elem = Element(table, {a_key: Fraction(1)})
-        w_elem = Element(table, {w_key: Fraction(1)})
-        sign = (-1) ** len(a_key[1])
-        if p is None or p == 1:
-            out = out + (apply(c.spec.d, a_elem) * w_elem) * coeff
-        if p is None:
-            dw = table.zero()
-            for blk in c.blocks.values():
-                dw = dw + blk.get(w_key, table.zero())
-        else:
-            dw = c.blocks.get(p, {}).get(w_key, table.zero())
-        out = out + (a_elem * dw) * (coeff * sign)
-    return out
 
 
 @dataclass
@@ -125,21 +132,16 @@ class CascadeReport:
 
 
 def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
-    """Check sum_{a+b=p} D_a D_b = 0 on every W-basis monomial, per level p."""
+    """Check sum_{a+b=p} D_a D_b = 0 on every W-basis monomial, per level p.
+
+    D_a raises the y-count by exactly a, so level p is the y-count-p part
+    of D(D(m))."""
     table = c.spec.table
-    degrees = sorted(p for p, blk in c.blocks.items() if blk)
-    max_p = (max(degrees) if degrees else 0) * 2
     residuals: Dict[int, Dict[str, Element]] = {}
     for key in c.basis_keys:
-        for p in range(max_p + 1):
-            r = table.zero()
-            for a in range(p + 1):
-                b = p - a
-                db = c.blocks.get(b, {}).get(key)
-                if db is not None and not db.is_zero():
-                    r = r + c.apply_component(a, db)
-            if not r.is_zero():
-                residuals.setdefault(p, {})[monomial_str(table, key)] = r
+        m = Element(table, {key: Fraction(1)})
+        for p, r in split_by_y_count(table, c.total(c.total(m))).items():
+            residuals.setdefault(p, {})[monomial_str(table, key)] = r
     return CascadeReport(not residuals, residuals)
 
 
@@ -167,19 +169,11 @@ class GaugeTransformation:
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} has terms "
                         f"with a different A-form degree")
+        self._summed = _summed_blocks(self.blocks)
 
     def _raise_once(self, e: Element) -> Element:
         """The strictly raising part N = phi - id, extended module-linearly."""
-        table = self.spec.table
-        out = table.zero()
-        for key, coeff in e.terms.items():
-            a_key, w_key = _split_key(table, key)
-            a_elem = Element(table, {a_key: Fraction(1)})
-            for blk in self.blocks.values():
-                v = blk.get(w_key)
-                if v is not None and not v.is_zero():
-                    out = out + (a_elem * v) * coeff
-        return out
+        return _extend(self.spec.table, self._summed, e)
 
     def apply_to(self, e: Element) -> Element:
         return e + self._raise_once(e)

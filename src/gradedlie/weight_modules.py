@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Element, Generator, GeneratorTable, MonomialKey, monomial_str
@@ -240,38 +240,8 @@ def induced_differential_matrix(spec: AlgebroidSpec, i: int, j: int,
                         differential_columns(spec, domain, codomain, base_degree_cap))
 
 
-def _projector_by_extraction(e: Element, k: int) -> Element:
-    return e.weight_component(k)
-
-
-def _projector_by_derivative(e: Element, k: int) -> Element:
-    """(1/k!) d^k/dt^k at t=0 of the pullback h_t^* e, computed formally.
-
-    h_t^* e = sum_w t^w e_w; the k-th t-derivative at 0 keeps the w = k term
-    with coefficient k!."""
-    table = e.table
-    out: Dict = {}
-    for key, c in e.terms.items():
-        w = table.key_bi_weight(key).h_weight
-        if w < k:
-            continue
-        coeff = Fraction(1)
-        for n in range(k):          # falling factorial w(w-1)...(w-k+1)
-            coeff *= (w - n)
-        if w > k:                    # t^(w-k) evaluated at t = 0
-            continue
-        out[key] = c * coeff / factorial(k)
-    return Element(table, out)
-
-
 def homogenization_projector(e: Element, k: int) -> Element:
-    """Weight-k homogenization projector, computed along both routes
-    (formal t-derivative of the pullback, and direct weight extraction),
-    which must agree."""
+    """Weight-k homogenization projector: the terms of h-weight exactly k."""
     if k < 0:
         raise ValueError("projector weight must be non-negative")
-    a = _projector_by_derivative(e, k)
-    b = _projector_by_extraction(e, k)
-    if a != b:
-        raise AssertionError("projector implementations disagree")
-    return a
+    return e.weight_component(k)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -150,6 +151,40 @@ def _count_even(evens, idx, weight):
     for e in range(weight // w + 1):
         total += _count_even(evens, idx + 1, weight - e * w)
     return total
+
+
+def projector_by_derivative(e, k):
+    """Oracle for the weight-k homogenization projector: (1/k!) d^k/dt^k at
+    t=0 of the pullback h_t^* e, computed formally.
+
+    h_t^* e = sum_w t^w e_w; the k-th t-derivative at 0 keeps the w = k term
+    with coefficient k!."""
+    table = e.table
+    out = {}
+    for key, c in e.terms.items():
+        w = table.key_bi_weight(key).h_weight
+        if w < k:
+            continue
+        coeff = Fraction(1)
+        for n in range(k):          # falling factorial w(w-1)...(w-k+1)
+            coeff *= (w - n)
+        if w > k:                    # t^(w-k) evaluated at t = 0
+            continue
+        out[key] = c * coeff / factorial(k)
+    return Element(table, out)
+
+
+def mutate_coefficient(rng, spec):
+    """Perturb one coefficient of one differential assignment."""
+    table = spec.table
+    targets = [g for g in table.gens if spec.d.value(g).terms]
+    g = rng.choice(targets)
+    v = spec.d.value(g)
+    key = rng.choice(sorted(v.terms))
+    delta = Element(table, {key: Fraction(rng.choice([1, 2, 3]))})
+    action = {h: spec.d.value(h) for h in table.gens}
+    action[g] = v + delta
+    return AlgebroidSpec(table, make_derivation(table, (0, 1), action))
 
 
 def to_dense(columns, rows):

@@ -8,15 +8,17 @@ from gradedlie.algebroid import (AlgebroidSpec, SpecError,
                                  degree_zero_restriction,
                                  is_regular_degree_one, tower_truncation)
 from gradedlie.derivations import is_homological
-from gradedlie.constructions import (action_aff1_line, adjoint_instance, aff1,
-                                     e7_instance, shipped_specs, sl2)
+from gradedlie.constructions import (EXAMPLES, action_aff1_line,
+                                     adjoint_instance, aff1, e7_instance, sl2)
 
 from conftest import random_degree0_tables, unipotent_twist
 
 
 def test_shipped_specs_homological():
-    for name, spec in shipped_specs().items():
+    for name, make in EXAMPLES.items():
+        spec = make()
         assert is_homological(spec.d).ok, name
+        assert check_structure_equations(spec).passed, name
 
 
 def test_structure_equations_on_valid_tables():

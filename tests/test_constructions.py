@@ -8,11 +8,11 @@ from gradedlie.algebroid import (AlgebroidSpec, SpecError,
                                  check_structure_equations,
                                  degree_zero_restriction)
 from gradedlie.derivations import is_homological
-from gradedlie.constructions import (abelian_lie_algebra, action_aff1_line,
-                                     adjoint_instance, aff1,
+from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra,
+                                     action_aff1_line, adjoint_instance, aff1,
                                      algebroid_prolongation,
                                      cotangent_prolongation, e7_instance,
-                                     shipped_specs, sl2, tangent_algebroid,
+                                     sl2, tangent_algebroid,
                                      tangent_graded_bundle,
                                      weighted_lie_algebra)
 
@@ -162,6 +162,5 @@ def test_weighted_lie_algebra_smallest_nonabelian():
 
 
 def test_shipped_specs_complete():
-    names = set(shipped_specs())
-    assert {"abelian2", "aff1", "sl2", "tangent2", "adjoint", "e7",
-            "tangent_graded"} <= names
+    assert sorted(EXAMPLES) == ["abelian2", "adjoint", "aff1", "e7", "prolongation",
+                                "sl2", "tangent-graded", "tangent2"]

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from gradedlie.cli import run
+from gradedlie.constructions import EXAMPLES
 from gradedlie.derivations import is_homological
 from gradedlie.dsl import (DslError, parse, parse_expression, print_document,
                            to_algebroid_spec)
@@ -190,20 +191,30 @@ def test_cli_degree_zero_needs_positive_degree(capsys):
 
 
 def test_cli_example_round_trip(tmp_path, capsys):
-    out_file = tmp_path / "gen.spec"
-    code, out, _ = _run(capsys, "example", "adjoint", "-o", str(out_file),
-                        "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload) == {"status", "path"}
-    code, out, _ = _run(capsys, "check", str(out_file))
-    assert code == 0
+    for name in EXAMPLES:
+        out_file = tmp_path / f"{name}.spec"
+        code, out, _ = _run(capsys, "example", name, "-o", str(out_file),
+                            "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"status", "path"}
+        code, out, _ = _run(capsys, "check", str(out_file))
+        assert code == 0, name
 
 
 def test_cli_example_unknown(capsys):
-    code, _out, err = _run(capsys, "example", "nope")
+    for name in ("nope", "weighted-lie-algebra"):
+        code, _out, err = _run(capsys, "example", name)
+        assert code == 2
+        assert "unknown example" in err
+
+
+def test_cli_example_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.spec"
+    code, out, err = _run(capsys, "example", "adjoint", "-o", str(target))
     assert code == 2
-    assert "unknown example" in err
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
@@ -217,6 +228,15 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 def test_cli_missing_file_exit_2(capsys):
     code, _out, _err = _run(capsys, "check", "no_such_file.spec")
     assert code == 2
+
+
+def test_cli_non_utf8_file_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.spec"
+    bad.write_bytes(b"algebroid caf\xe9 degree 0\nodd xi weight 0 dim 1\n")
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: not valid UTF-8")
 
 
 def test_cli_usage_error_exit_2(capsys):

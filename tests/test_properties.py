@@ -1,0 +1,48 @@
+"""Property tests: the DSL print/parse round trip, and the structure
+equations against d^2 = 0 on twisted specs.  Derandomized and bounded, so
+every run draws the same examples."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
+from gradedlie.constructions import EXAMPLES, action_aff1_line, aff1, e3_chart, sl2
+from gradedlie.derivations import is_homological
+from gradedlie.dsl import (document_from_spec, parse, parse_expression,
+                           print_document, to_algebroid_spec)
+
+from conftest import (mutate_coefficient, random_degree0_tables, random_element,
+                      unipotent_twist)
+
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+RANDOMS = st.randoms(use_true_random=False)
+
+
+@BOUNDED
+@given(RANDOMS)
+def test_element_print_parse_round_trip(rng):
+    table = e3_chart()
+    e = random_element(rng, table, terms=rng.randint(0, 5), max_exp=3)
+    assert parse_expression(table, str(e)) == e
+
+
+@settings(BOUNDED, max_examples=30)
+@given(RANDOMS, st.sampled_from(sorted(EXAMPLES)), st.booleans())
+def test_spec_print_parse_round_trip(rng, name, from_tables):
+    if from_tables:
+        spec = AlgebroidSpec.from_tables(*random_degree0_tables(rng))
+    else:
+        spec = EXAMPLES[name]()
+    text = print_document(document_from_spec(name.replace("-", "_"), spec))
+    doc = parse(text)
+    assert print_document(doc) == text
+    assert to_algebroid_spec(doc) == spec
+
+
+@settings(BOUNDED, max_examples=30)
+@given(RANDOMS, st.sampled_from([aff1, sl2, action_aff1_line]), st.booleans())
+def test_structure_equations_iff_homological_on_twists(rng, make, mutate):
+    spec = unipotent_twist(rng, make())
+    if mutate:
+        spec = mutate_coefficient(rng, spec)
+    assert check_structure_equations(spec).passed == is_homological(spec.d).ok

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from gradedlie.algebra import Element
+from gradedlie.algebra import Element, GeneratorTable, monomial_str
+from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.derivations import apply
 from gradedlie.constructions import adjoint_instance, e7_instance
 from gradedlie.superconnection import (GaugeError, GaugeTransformation,
-                                       apply_gauge, compose_gauges,
-                                       extract_components, flatness_cascade,
-                                       identity_gauge, split_by_y_count)
+                                       SuperconnectionComponents, apply_gauge,
+                                       compose_gauges, extract_components,
+                                       flatness_cascade, identity_gauge,
+                                       split_by_y_count)
 from gradedlie.weight_modules import w_basis
 
 from conftest import random_coeff
@@ -68,6 +70,89 @@ def test_flatness_cascade_examples():
             comp = extract_components(spec, i)
             report = flatness_cascade(comp)
             assert report.passed, report.residuals
+
+
+def block_apply(c, a, e):
+    """D_a on a module element, straight from block a: on a term base*w
+    (base of weight zero, w a W-monomial) it gives
+    [a = 1] d(base)*w + (-1)^|base| base*D_a(w)."""
+    table = c.spec.table
+    zero_weight = lambda pos: table.gens[pos].h_weight == 0
+    out = table.zero()
+    for (even, odd), coeff in e.terms.items():
+        base_key = (tuple(f for f in even if zero_weight(f[0])),
+                    tuple(pos for pos in odd if zero_weight(pos)))
+        w_key = (tuple(f for f in even if not zero_weight(f[0])),
+                 tuple(pos for pos in odd if not zero_weight(pos)))
+        base = Element(table, {base_key: Fraction(1)})
+        if a == 1:
+            out = out + apply(c.spec.d, base) * Element(table, {w_key: Fraction(1)}) * coeff
+        out = out + base * c.component(a, w_key) * (coeff * (-1) ** len(base_key[1]))
+    return out
+
+
+def cascade_oracle(c):
+    """Per level p, sum_{a+b=p} D_a D_b on each W-basis monomial, where it
+    is nonzero.  D_b(m) = block b of m; levels run up to 2 max(p) + 1, which
+    bounds both a + b and the d-part 1 + b."""
+    table = c.spec.table
+    residuals = {}
+    for key in c.basis_keys:
+        for p in range(2 * max(c.blocks) + 2):
+            r = table.zero()
+            for a in range(p + 1):
+                r = r + block_apply(c, a, c.component(p - a, key))
+            if not r.is_zero():
+                residuals.setdefault(p, {})[monomial_str(table, key)] = r
+    return residuals
+
+
+def perturbed(rng, c):
+    """The components with some block values changed: one term's coefficient
+    shifted, or that term times a base generator added.  Either keeps the
+    bi-weight and the y-count of the block."""
+    table = c.spec.table
+    base = table.base_generators()
+    blocks = {}
+    for p, blk in c.blocks.items():
+        blocks[p] = dict(blk)
+        for key, v in blk.items():
+            if not v.terms or rng.random() < 0.5:
+                continue
+            term = Element(table, {rng.choice(sorted(v.terms)): Fraction(1)})
+            if base and rng.random() < 0.5:
+                term = term * table.gen(base[0].name, base[0].index)
+            blocks[p][key] = v + term * rng.choice([-2, -1, 1, 3])
+    return SuperconnectionComponents(c.spec, c.i, blocks, list(c.basis_keys))
+
+
+def test_cascade_residuals_match_per_level_oracle():
+    rng = random.Random(54)
+    failing = 0
+    for spec, i in [(e7_instance(), 1), (e7_instance(), 2), (adjoint_instance(), 1)]:
+        comp = extract_components(spec, i)
+        cases = [comp, apply_gauge(comp, random_gauge(rng, spec, i))]
+        cases += [perturbed(rng, comp) for _ in range(4)]
+        for c in cases:
+            report = flatness_cascade(c)
+            oracle = cascade_oracle(c)
+            assert report.residuals == oracle
+            assert report.passed == (not oracle)
+            failing += not report.passed
+    assert failing >= 10
+
+
+def test_cascade_sees_level_above_twice_top_block():
+    """Only D_0 is nonzero, yet d(x) in D_1 leaves a level-1 residual."""
+    table = GeneratorTable([("x", "base", 0, 1), ("z", "even_fiber", 1, 1),
+                            ("y", "odd_fiber", 0, 1), ("w", "odd_fiber", 1, 1)])
+    spec = AlgebroidSpec.from_differential(table, {
+        ("x", 1): table.gen("y"), ("z", 1): table.gen("x") * table.gen("w")})
+    comp = extract_components(spec, 1)
+    assert comp.degrees() == [0]
+    report = flatness_cascade(comp)
+    assert report.residuals == cascade_oracle(comp) == {
+        1: {"z[1]": table.gen("y") * table.gen("w")}}
 
 
 def test_component_degrees():

@@ -6,14 +6,14 @@ import pytest
 from gradedlie.algebra import Element
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.derivations import apply
-from gradedlie.constructions import (e3_chart, e7_instance, shipped_specs,
-                                     tangent_graded_bundle)
+from gradedlie.constructions import e3_chart, e7_instance, tangent_graded_bundle
 from gradedlie.weight_modules import (CapClosureError, dim_w,
                                       homogenization_projector,
                                       induced_differential_matrix,
                                       sector_basis, subcomplex_check, w_basis)
 
-from conftest import brute_force_w_dim, random_chart, random_element, to_dense
+from conftest import (brute_force_w_dim, projector_by_derivative, random_chart,
+                      random_element, to_dense)
 
 
 def test_e3_dimensions():
@@ -114,6 +114,7 @@ def test_projector_laws_random():
     for _ in range(50):
         e = random_element(rng, t)
         parts = [homogenization_projector(e, k) for k in range(20)]
+        assert parts == [projector_by_derivative(e, k) for k in range(20)]
         total = t.zero()
         for k, p in enumerate(parts):
             total = total + p
@@ -132,4 +133,4 @@ def test_projector_commutes_with_differential():
         for k in range(6):
             lhs = homogenization_projector(apply(spec.d, e), k)
             rhs = apply(spec.d, homogenization_projector(e, k))
-            assert lhs == rhs
+            assert lhs == rhs == projector_by_derivative(apply(spec.d, e), k)
