@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class AlgebraError(ValueError):
@@ -153,6 +153,8 @@ class GeneratorTable:
         return self.scalar(1)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, GeneratorTable) and sorted(self.blocks) == sorted(other.blocks)
 
     def __hash__(self) -> int:
@@ -195,7 +197,28 @@ def _merge_odd(a: OddPart, b: OddPart) -> Optional[Tuple[OddPart, int]]:
             j += 1
     merged.extend(a[i:])
     merged.extend(b[j:])
-    return tuple(merged), (-1) ** inversions
+    return tuple(merged), -1 if inversions & 1 else 1
+
+
+def _mul_into(acc: dict, coeff: Fraction, mono: MonomialKey,
+              terms: Mapping[MonomialKey, Fraction], mono_first: bool = True) -> None:
+    """Add coeff * (mono * terms), or coeff * (terms * mono) when not
+    `mono_first`, into the dict `acc` of monomial keys to coefficients.
+
+    One Fraction product per term; entries may cancel to zero in `acc`, which
+    the Element built from it drops."""
+    me, mo = mono
+    for (e, o), c in terms.items():
+        m = _merge_odd(mo, o) if mono_first else _merge_odd(o, mo)
+        if m is None:
+            continue
+        odd, sign = m
+        key = (_merge_even(me, e), odd)
+        v = coeff * c
+        if sign < 0:
+            v = -v
+        old = acc.get(key)
+        acc[key] = v if old is None else old + v
 
 
 class Element:
@@ -215,13 +238,6 @@ class Element:
     def bi_weights(self) -> set:
         return {self.table.key_bi_weight(k) for k in self.terms}
 
-    def homogeneous_bi_weight(self) -> Optional[BiWeight]:
-        """The common bi-weight of all terms, or None if mixed or zero."""
-        ws = self.bi_weights()
-        if len(ws) == 1:
-            return ws.pop()
-        return None
-
     def is_bihomogeneous(self, bw: Tuple[int, int]) -> bool:
         return all(self.table.key_bi_weight(k) == tuple(bw) for k in self.terms)
 
@@ -232,9 +248,6 @@ class Element:
             d = sum(e for p, e in even if self.table.gens[p].kind == "base")
             best = max(best, d)
         return best
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(((), ()), Fraction(0))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -271,14 +284,8 @@ class Element:
             return Element(self.table, {k: v * c for k, v in self.terms.items()})
         self._check(other)
         terms: dict = {}
-        for (ea, oa), ca in self.terms.items():
-            for (eb, ob), cb in other.terms.items():
-                m = _merge_odd(oa, ob)
-                if m is None:
-                    continue
-                odd, sign = m
-                key = (_merge_even(ea, eb), odd)
-                terms[key] = terms.get(key, Fraction(0)) + sign * ca * cb
+        for key, c in self.terms.items():
+            _mul_into(terms, c, key, other.terms)
         return Element(self.table, terms)
 
     def __rmul__(self, other: Scalar) -> "Element":
@@ -313,14 +320,6 @@ class Element:
             k: c for k, c in self.terms.items()
             if self.table.key_bi_weight(k).h_weight == i})
 
-    def form_component(self, j: int) -> "Element":
-        return Element(self.table, {
-            k: c for k, c in self.terms.items()
-            if len(k[1]) == j})
-
-    def max_h_weight(self) -> int:
-        return max((self.table.key_bi_weight(k).h_weight for k in self.terms), default=0)
-
     def h_pullback(self, t: Scalar) -> "Element":
         """Scale every term of h-weight w by t**w."""
         t = Fraction(t)
@@ -348,14 +347,6 @@ class Element:
                     key = (even, odd[:k] + odd[k + 1:])
                     terms[key] = terms.get(key, Fraction(0)) + c * (-1) ** k
         return Element(self.table, terms)
-
-    def substitute_zero(self, gens: Iterable[Generator]) -> "Element":
-        """Set the given generators to zero (drop every term containing them)."""
-        positions = {g.position for g in gens}
-        return Element(self.table, {
-            (even, odd): c for (even, odd), c in self.terms.items()
-            if not (any(p in positions for p, _ in even)
-                    or any(p in positions for p in odd))})
 
     def map_to(self, table: GeneratorTable) -> "Element":
         """Translate onto a sub-table by (name, index); missing generators become 0."""

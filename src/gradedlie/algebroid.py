@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .algebra import Element, GenRef, Generator, GeneratorTable
+from .algebra import Element, GenRef, Generator, GeneratorTable, _mul_into
 from .derivations import Derivation, apply, is_homological, make_derivation
 
 
@@ -243,6 +243,11 @@ def check_structure_equations(spec: AlgebroidSpec) -> StructureReport:
                 if not r.is_zero():
                     residuals["antisymmetry"][f"({I},{J})->{K}"] = r
 
+    def add_product(acc: dict, x: Element, y: Element, negate: bool = False) -> None:
+        """acc += x * y, or acc -= x * y when `negate`."""
+        for key, c in x.terms.items():
+            _mul_into(acc, -c if negate else c, key, y.terms)
+
     # rho([s_I, s_J]) = [rho(s_I), rho(s_J)] on each even coordinate
     for I in odds:
         for J in odds:
@@ -250,15 +255,20 @@ def check_structure_equations(spec: AlgebroidSpec) -> StructureReport:
                 continue
             for A in evens:
                 checked["anchor"] += 1
-                r = table.zero()
+                acc: dict = {}
                 for B in evens:
-                    r = r + anchor[(I.position, B.position)] \
-                        * anchor[(J.position, A.position)].partial_derivative(B)
-                    r = r - anchor[(J.position, B.position)] \
-                        * anchor[(I.position, A.position)].partial_derivative(B)
+                    q = anchor[(I.position, B.position)]
+                    if q.terms:
+                        add_product(acc, q, anchor[(J.position, A.position)].partial_derivative(B))
+                    q = anchor[(J.position, B.position)]
+                    if q.terms:
+                        add_product(acc, q, anchor[(I.position, A.position)].partial_derivative(B),
+                                    negate=True)
                 for K in odds:
-                    r = r - bracket[(I.position, J.position, K.position)] \
-                        * anchor[(K.position, A.position)]
+                    q = bracket[(I.position, J.position, K.position)]
+                    if q.terms:
+                        add_product(acc, q, anchor[(K.position, A.position)], negate=True)
+                r = Element(table, acc)
                 if not r.is_zero():
                     residuals["anchor"][f"({I},{J})->{A}"] = r
 
@@ -269,18 +279,23 @@ def check_structure_equations(spec: AlgebroidSpec) -> StructureReport:
                 triple = (odds[a], odds[b], odds[c])
                 for K in odds:
                     checked["jacobi"] += 1
-                    r = table.zero()
+                    acc = {}
                     for n in range(3):
                         P = triple[n]
                         Q = triple[(n + 1) % 3]
                         R = triple[(n + 2) % 3]
                         qr = bracket[(Q.position, R.position, K.position)]
-                        for B in evens:
-                            r = r + anchor[(P.position, B.position)] \
-                                * qr.partial_derivative(B)
+                        if qr.terms:
+                            for B in evens:
+                                q = anchor[(P.position, B.position)]
+                                if q.terms:
+                                    add_product(acc, q, qr.partial_derivative(B))
                         for M in odds:
-                            r = r - bracket[(P.position, M.position, K.position)] \
-                                * bracket[(Q.position, R.position, M.position)]
+                            q = bracket[(P.position, M.position, K.position)]
+                            if q.terms:
+                                add_product(acc, q, bracket[(Q.position, R.position, M.position)],
+                                            negate=True)
+                    r = Element(table, acc)
                     if not r.is_zero():
                         residuals["jacobi"][f"({triple[0]},{triple[1]},{triple[2]})->{K}"] = r
 

@@ -15,6 +15,7 @@ spec with d^2 != 0), 2 parse, usage or file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional
@@ -25,7 +26,7 @@ from .cohomology import betti, build_complex
 from .derivations import is_homological
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
-from .weight_modules import CapClosureError, w_basis
+from .weight_modules import BasisSizeError, CapClosureError, w_basis
 
 
 class CliError(Exception):
@@ -178,7 +179,10 @@ def _cmd_example(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact symbolic checks for weighted Lie algebroid specs.")
@@ -231,7 +235,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliError, SpecError, DslError, CapClosureError) as exc:
+    except (CliError, SpecError, DslError, CapClosureError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-from .algebra import AlgebraError, Element, Generator, GeneratorTable
+from .algebra import Element, Generator, GeneratorTable, _mul_into
 
 
 class DerivationError(ValueError):
@@ -74,38 +73,32 @@ def make_derivation(table: GeneratorTable, bi_degree: Tuple[int, int],
 
 
 def apply(D: Derivation, e: Element) -> Element:
-    """Leibniz extension: D(uv) = D(u)v + (-1)^(b_D * |u|) u D(v)."""
+    """Leibniz extension: D(uv) = D(u)v + (-1)^(b_D * |u|) u D(v).
+
+    On a monomial this is the sum over its factors g of D(g) times the
+    monomial with g removed.  An even factor g^n gives n D(g) g^(n-1).  For
+    the odd factor with k odd factors before it, the Leibniz sign
+    (-1)^(b_D k) and the sign of moving D(g), of form degree 1 + b_D, to the
+    front give (-1)^k together."""
     if D.table != e.table:
         raise DerivationError("derivation and element over different tables")
-    table = e.table
-    b = D.bi_degree[1]
-    out = table.zero()
+    action = D.action
+    out: dict = {}
     for (even, odd), c in e.terms.items():
-        # factors in canonical order: evens first (no internal signs), then odds
-        factors = list(even) + [(p, None) for p in odd]
-        prefix_fd = 0
-        for n, (p, exp) in enumerate(factors):
-            g = table.gens[p]
-            dv = D.action.get(p)
-            if dv is not None and not dv.is_zero():
-                sign = (-1) ** (b * prefix_fd)
-                prefix = _partial_monomial(table, factors[:n])
-                suffix = _partial_monomial(table, factors[n + 1:])
-                if exp is None:          # odd factor
-                    middle = dv
-                else:                     # even factor g^exp
-                    middle = dv * exp
-                    if exp > 1:
-                        middle = middle * _partial_monomial(table, [(p, exp - 1)])
-                out = out + (prefix * middle * suffix) * (c * sign)
-            prefix_fd += g.form_degree
-    return out
-
-
-def _partial_monomial(table: GeneratorTable, factors) -> Element:
-    even = tuple(sorted((p, e) for p, e in factors if e is not None))
-    odd = tuple(sorted(p for p, e in factors if e is None))
-    return Element(table, {(even, odd): Fraction(1)})
+        for n, (p, exp) in enumerate(even):
+            dv = action.get(p)
+            if dv is None or not dv.terms:
+                continue
+            rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
+            _mul_into(out, c * exp if exp > 1 else c, (rest, odd), dv.terms,
+                      mono_first=False)
+        for k, p in enumerate(odd):
+            dv = action.get(p)
+            if dv is None or not dv.terms:
+                continue
+            _mul_into(out, -c if k & 1 else c, (even, odd[:k] + odd[k + 1:]), dv.terms,
+                      mono_first=False)
+    return Element(e.table, out)
 
 
 def graded_commutator(D1: Derivation, D2: Derivation) -> Derivation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import Element, GeneratorTable, MonomialKey, monomial_str
+from .algebra import Element, GeneratorTable, MonomialKey, _mul_into, monomial_str
 from .algebroid import AlgebroidSpec
 from .derivations import Derivation, apply
 from .weight_modules import w_basis
@@ -61,17 +61,23 @@ def _extend(table: GeneratorTable, summed: Dict[MonomialKey, Element], e: Elemen
 
     Without `d` the extension is module-linear, a.w -> a.op(w).  With the
     derivation `d` it is the odd Leibniz extension
-    a.w -> d(a).w + (-1)^|a| a.op(w)."""
-    out = table.zero()
+    a.w -> d(a).w + (-1)^|a| a.op(w); d(a) is computed once per
+    weight-zero key a within the call."""
+    out: dict = {}
+    d_of: Dict[MonomialKey, dict] = {}
     for key, coeff in e.terms.items():
         a_key, w_key = _split_key(table, key)
-        a_elem = Element(table, {a_key: Fraction(1)})
         if d is not None:
-            out = out + (apply(d, a_elem) * Element(table, {w_key: Fraction(1)})) * coeff
-            coeff = coeff * (-1) ** len(a_key[1])
-        if w_key in summed:
-            out = out + (a_elem * summed[w_key]) * coeff
-    return out
+            da = d_of.get(a_key)
+            if da is None:
+                da = d_of[a_key] = apply(d, Element(table, {a_key: Fraction(1)})).terms
+            _mul_into(out, coeff, w_key, da, mono_first=False)
+            if len(a_key[1]) & 1:
+                coeff = -coeff
+        op_w = summed.get(w_key)
+        if op_w is not None:
+            _mul_into(out, coeff, a_key, op_w.terms)
+    return Element(table, out)
 
 
 @dataclass

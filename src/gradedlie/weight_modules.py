@@ -24,6 +24,21 @@ class CapClosureError(RuntimeError):
     """The base-polynomial degree cap does not close the complex."""
 
 
+class BasisSizeError(ValueError):
+    """A requested basis has more monomials than MAX_BASIS_SIZE."""
+
+
+# Bases are listed eagerly, so a larger one is refused after counting it.
+# The limit is several times the largest sector of gl(4) (12 870 monomials).
+MAX_BASIS_SIZE = 50_000
+
+
+def _check_size(label: str, size: int) -> None:
+    if size > MAX_BASIS_SIZE:
+        raise BasisSizeError(f"{label} has {size} basis monomials, above the limit "
+                             f"of {MAX_BASIS_SIZE}")
+
+
 SpecOrTable = Union[AlgebroidSpec, GeneratorTable]
 
 
@@ -82,6 +97,7 @@ def w_basis(spec: SpecOrTable, i: int, j: int) -> WeightModuleBasis:
     total bi-weight (i, j)."""
     if i < 1:
         raise ValueError("w_basis requires weight i >= 1")
+    _check_size(f"W^({i},{j})", dim_w(spec, i, j))
     table = _table(spec)
     evens = _positive_even(table)
     odds = _positive_odd(table)
@@ -146,10 +162,20 @@ def _base_monomials(table: GeneratorTable, cap: int):
     return out
 
 
+def sector_size(spec: SpecOrTable, i: int, j: int, cap: int) -> int:
+    """The number of monomials in `sector_basis(spec, i, j, cap)`, counted
+    without listing them."""
+    table = _table(spec)
+    ys = sum(1 for g in table.odd_generators() if g.h_weight == 0)
+    base = comb(len(table.base_generators()) + max(cap, 0), max(cap, 0))
+    return base * sum(comb(ys, q) * dim_w(spec, i, j - q) for q in range(min(j, ys) + 1))
+
+
 def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKey]:
     """Monomial basis of the (i, j) sector of the weight-i subcomplex:
     base polynomials of degree <= cap, times exterior products of weight-0
     odd generators, times W^(i, .) monomials."""
+    _check_size(f"sector ({i},{j}) at base degree cap {cap}", sector_size(spec, i, j, cap))
     table = _table(spec)
     ys = tuple(g for g in table.odd_generators() if g.h_weight == 0)
     keys: List[MonomialKey] = []

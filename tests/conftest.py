@@ -7,6 +7,7 @@ import pytest
 from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.derivations import make_derivation
+from gradedlie.weight_modules import sector_basis
 
 
 @pytest.fixture
@@ -172,6 +173,56 @@ def projector_by_derivative(e, k):
             continue
         out[key] = c * coeff / factorial(k)
     return Element(table, out)
+
+
+def apply_by_factors(D, e):
+    """Oracle for the Leibniz extension D(uv) = D(u)v + (-1)^(b_D |u|) u D(v),
+    by Element arithmetic: each factor of each monomial, in canonical order,
+    contributes prefix * D(factor) * suffix with the sign of D passing the
+    prefix."""
+    table = e.table
+    b = D.bi_degree[1]
+    out = table.zero()
+    for (even, odd), c in e.terms.items():
+        factors = list(even) + [(p, None) for p in odd]
+        prefix_fd = 0
+        for n, (p, exp) in enumerate(factors):
+            dv = D.action.get(p)
+            if dv is not None and not dv.is_zero():
+                sign = -1 if b * prefix_fd % 2 else 1
+                prefix = _factor_monomial(table, factors[:n])
+                suffix = _factor_monomial(table, factors[n + 1:])
+                if exp is None:          # odd factor
+                    middle = dv
+                else:                     # even factor g^exp
+                    middle = dv * exp
+                    if exp > 1:
+                        middle = middle * _factor_monomial(table, [(p, exp - 1)])
+                out = out + (prefix * middle * suffix) * (c * sign)
+            prefix_fd += table.gens[p].form_degree
+    return out
+
+
+def _factor_monomial(table, factors):
+    even = tuple(sorted((p, e) for p, e in factors if e is not None))
+    odd = tuple(sorted(p for p, e in factors if e is None))
+    return Element(table, {(even, odd): Fraction(1)})
+
+
+def random_derivation(rng, table, bi_degree, cap=2):
+    """Random derivation of the given bi-degree: each generator's value is a
+    random combination of the monomials of its shifted bi-weight (base
+    degree <= cap)."""
+    a, b = bi_degree
+    action = {}
+    for g in table.gens:
+        i, j = g.h_weight + a, g.form_degree + b
+        if i < 0 or j < 0 or rng.random() < 0.3:
+            continue
+        keys = sector_basis(table, i, j, cap)
+        chosen = rng.sample(keys, min(len(keys), rng.randint(1, 4)))
+        action[g] = Element(table, {k: random_coeff(rng, zero_bias=0.0) for k in chosen})
+    return make_derivation(table, bi_degree, action)
 
 
 def mutate_coefficient(rng, spec):

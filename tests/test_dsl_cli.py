@@ -190,6 +190,42 @@ def test_cli_degree_zero_needs_positive_degree(capsys):
         assert "degree >= 1" in err
 
 
+def test_cli_runs_in_a_row_are_independent(capsys):
+    """The parser is built once per process; flags of one request must not
+    leak into the next."""
+    e7 = str(DATA / "e7.spec")
+    code, out, _ = _run(capsys, "cohomology", e7, "--weight", "0", "--cap", "2",
+                        "--format", "json")
+    assert code == 0
+    capped = json.loads(out)["betti"]
+    code, out, _ = _run(capsys, "cohomology", e7, "--weight", "0")
+    assert code == 0
+    assert out.splitlines() == [f"cohomology {e7} weight 0 (truncated at base degree 4):",
+                                "  betti [1, 6, 5]"]
+    assert capped != [1, 6, 5]
+    code, out, _ = _run(capsys, "decompose", e7, "--weight", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"status": "ok", "dims": {"(1,0)": 3, "(1,1)": 2}}
+
+
+def test_cli_too_large_basis_exit_2(tmp_path, capsys):
+    """Refused after counting: the first sector above the limit is named."""
+    wide = tmp_path / "wide.spec"
+    wide.write_text("algebroid wide degree 0\nodd y weight 0 dim 40\n")
+    code, out, err = _run(capsys, "cohomology", str(wide), "--weight", "0")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: sector (0,4) at base degree cap 4 has 91390 basis monomials, "
+                   "above the limit of 50000\n")
+    tall = tmp_path / "tall.spec"
+    tall.write_text("algebroid tall degree 6\neven s weight 1 dim 40\n"
+                    "even z weight 6 dim 1\n")
+    code, out, err = _run(capsys, "decompose", str(tall), "--weight", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: W^(6,0) has 8145061 basis monomials")
+
+
 def test_cli_example_round_trip(tmp_path, capsys):
     for name in EXAMPLES:
         out_file = tmp_path / f"{name}.spec"

@@ -1,17 +1,21 @@
-"""Property tests: the DSL print/parse round trip, and the structure
-equations against d^2 = 0 on twisted specs.  Derandomized and bounded, so
-every run draws the same examples."""
+"""Property tests: the DSL print/parse round trip, the structure equations
+against d^2 = 0 on twisted specs, and the product kernel (Leibniz apply
+against its factor-by-factor oracle, associativity and graded
+commutativity).  Derandomized and bounded, so every run draws the same
+examples."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedlie.algebra import Element
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.constructions import EXAMPLES, action_aff1_line, aff1, e3_chart, sl2
-from gradedlie.derivations import is_homological
+from gradedlie.derivations import apply, is_homological
 from gradedlie.dsl import (document_from_spec, parse, parse_expression,
                            print_document, to_algebroid_spec)
 
-from conftest import (mutate_coefficient, random_degree0_tables, random_element,
+from conftest import (apply_by_factors, mutate_coefficient, random_chart,
+                      random_degree0_tables, random_derivation, random_element,
                       unipotent_twist)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -46,3 +50,32 @@ def test_structure_equations_iff_homological_on_twists(rng, make, mutate):
     if mutate:
         spec = mutate_coefficient(rng, spec)
     assert check_structure_equations(spec).passed == is_homological(spec.d).ok
+
+
+@settings(BOUNDED, max_examples=60)
+@given(RANDOMS, st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1, 2]))
+def test_apply_matches_factor_oracle(rng, weight_shift, form_shift):
+    table = random_chart(rng)
+    D = random_derivation(rng, table, (weight_shift, form_shift))
+    for _ in range(3):
+        e = random_element(rng, table, terms=rng.randint(0, 4))
+        assert apply(D, e) == apply_by_factors(D, e)
+
+
+def _parity_parts(e):
+    """The even and odd form-degree parts of e."""
+    parts = ({}, {})
+    for key, c in e.terms.items():
+        parts[len(key[1]) % 2][key] = c
+    return [Element(e.table, part) for part in parts]
+
+
+@BOUNDED
+@given(RANDOMS)
+def test_product_associative_and_graded_commutative(rng):
+    table = random_chart(rng)
+    x, y, z = (random_element(rng, table, terms=rng.randint(0, 4)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    for p, xp in enumerate(_parity_parts(x)):
+        for q, yq in enumerate(_parity_parts(y)):
+            assert xp * yq == yq * xp * (-1) ** (p * q)

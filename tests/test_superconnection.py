@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie.algebra import Element, GeneratorTable, monomial_str
 from gradedlie.algebroid import AlgebroidSpec
@@ -12,7 +14,7 @@ from gradedlie.superconnection import (GaugeError, GaugeTransformation,
                                        compose_gauges, extract_components,
                                        flatness_cascade, identity_gauge,
                                        split_by_y_count)
-from gradedlie.weight_modules import w_basis
+from gradedlie.weight_modules import sector_basis, w_basis
 
 from conftest import random_coeff
 
@@ -89,6 +91,35 @@ def block_apply(c, a, e):
             out = out + apply(c.spec.d, base) * Element(table, {w_key: Fraction(1)}) * coeff
         out = out + base * c.component(a, w_key) * (coeff * (-1) ** len(base_key[1]))
     return out
+
+
+def total_by_terms(c, e):
+    """sum_p D_p on a module element, term by term through block_apply."""
+    out = c.spec.table.zero()
+    for a in set(c.blocks) | {1}:
+        out = out + block_apply(c, a, e)
+    return out
+
+
+def module_element(rng, spec, i):
+    """Random element of the weight-i module: a few monomials (base degree
+    <= 2) times random coefficients."""
+    keys = [k for j in range(len(spec.table.odd_generators()) + 1)
+            for k in sector_basis(spec, i, j, 2)]
+    chosen = rng.sample(keys, rng.randint(1, 5))
+    return Element(spec.table, {k: random_coeff(rng, zero_bias=0.0) for k in chosen})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.randoms(use_true_random=False), st.sampled_from([1, 2]), st.booleans())
+def test_total_matches_termwise_extension(rng, i, gauged):
+    spec = e7_instance()
+    comp = extract_components(spec, i)
+    if gauged:
+        comp = apply_gauge(comp, random_gauge(rng, spec, i))
+    for _ in range(3):
+        e = module_element(rng, spec, i)
+        assert comp.total(e) == total_by_terms(comp, e)
 
 
 def cascade_oracle(c):

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from gradedlie.algebra import Element
+from gradedlie import weight_modules
+from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.derivations import apply
-from gradedlie.constructions import e3_chart, e7_instance, tangent_graded_bundle
-from gradedlie.weight_modules import (CapClosureError, dim_w,
+from gradedlie.constructions import EXAMPLES, e3_chart, e7_instance, tangent_graded_bundle
+from gradedlie.weight_modules import (BasisSizeError, CapClosureError, dim_w,
                                       homogenization_projector,
                                       induced_differential_matrix,
-                                      sector_basis, subcomplex_check, w_basis)
+                                      sector_basis, sector_size, subcomplex_check,
+                                      w_basis)
 
 from conftest import (brute_force_w_dim, projector_by_derivative, random_chart,
                       random_element, to_dense)
@@ -44,6 +47,36 @@ def test_dim_matches_basis_and_brute_force_random():
                 n = dim_w(c, i, j)
                 assert n == len(w_basis(c, i, j))
                 assert n == brute_force_w_dim(c, i, j)
+
+
+def test_sector_size_matches_enumeration():
+    for name, make in sorted(EXAMPLES.items()):
+        spec = make()
+        for i in range(spec.degree + 1):
+            for j in range(len(spec.table.odd_generators()) + 2):
+                for cap in range(3):
+                    assert sector_size(spec, i, j, cap) == len(sector_basis(spec, i, j, cap)), \
+                        (name, i, j, cap)
+
+
+def test_basis_size_guard_counts_before_listing(monkeypatch):
+    def no_listing(*_args):
+        raise AssertionError("a basis above the limit was listed")
+    monkeypatch.setattr(weight_modules, "combinations", no_listing)
+    monkeypatch.setattr(weight_modules, "_even_multisets", no_listing)
+    wide = GeneratorTable([("y", "odd_fiber", 0, 40)])
+    sizes = [sector_size(wide, 0, j, 4) for j in range(41)]
+    assert sizes == [comb(40, j) for j in range(41)]
+    assert sum(sizes) == 2 ** 40
+    with pytest.raises(BasisSizeError) as err:
+        sector_basis(wide, 0, 20, 4)
+    assert str(err.value) == ("sector (0,20) at base degree cap 4 has 137846528820 "
+                              "basis monomials, above the limit of 50000")
+    tall = GeneratorTable([("s", "even_fiber", 1, 40), ("z", "even_fiber", 6, 1)])
+    assert dim_w(tall, 6, 0) == comb(45, 6) + 1
+    with pytest.raises(BasisSizeError) as err:
+        w_basis(tall, 6, 0)
+    assert str(err.value).startswith("W^(6,0) has 8145061 basis monomials")
 
 
 def test_basis_keys_positive_weight_only():
