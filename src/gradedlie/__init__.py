@@ -10,7 +10,7 @@ from .algebra import (AlgebraError, BiWeight, Element, Generator,
                       GeneratorTable, monomial_str)
 from .algebroid import (AlgebroidSpec, SpecError, StructureReport,
                         check_structure_equations, degree_zero_restriction,
-                        is_regular_degree_one, tower_truncation)
+                        tower_truncation)
 from .cohomology import FiniteComplex, betti, build_complex, rank
 from .constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
                             aff1, algebroid_prolongation,

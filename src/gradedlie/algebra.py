@@ -91,6 +91,13 @@ class GeneratorTable:
             Generator(name, i, w, fd, kind, pos)
             for pos, (name, i, w, fd, kind) in enumerate(gens))
         self.blocks: Tuple[Tuple[str, str, int, int], ...] = tuple(blocks)
+        # Weight-zero generators lead each parity in the global order, so the
+        # weight-zero factors of a monomial are those at positions below these
+        # two cuts: one in the even part (base), one in the odd part.
+        self.zero_cuts: Tuple[int, int] = (
+            sum(1 for g in self.gens if g.kind == "base"),
+            next((g.position for g in self.gens if g.form_degree and g.h_weight),
+                 len(self.gens)))
         self._by_name = {(g.name, g.index): g for g in self.gens}
 
     @property
@@ -241,14 +248,6 @@ class Element:
     def is_bihomogeneous(self, bw: Tuple[int, int]) -> bool:
         return all(self.table.key_bi_weight(k) == tuple(bw) for k in self.terms)
 
-    def base_degree(self) -> int:
-        """Highest total exponent of base generators over all terms (0 if zero)."""
-        best = 0
-        for (even, _odd) in self.terms:
-            d = sum(e for p, e in even if self.table.gens[p].kind == "base")
-            best = max(best, d)
-        return best
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Element") -> None:
@@ -319,15 +318,6 @@ class Element:
         return Element(self.table, {
             k: c for k, c in self.terms.items()
             if self.table.key_bi_weight(k).h_weight == i})
-
-    def h_pullback(self, t: Scalar) -> "Element":
-        """Scale every term of h-weight w by t**w."""
-        t = Fraction(t)
-        terms = {}
-        for k, c in self.terms.items():
-            w = self.table.key_bi_weight(k).h_weight
-            terms[k] = c * t ** w
-        return Element(self.table, terms)
 
     def partial_derivative(self, g: Generator) -> "Element":
         """Graded left derivative with respect to a single generator."""

@@ -196,11 +196,6 @@ def tower_truncation(spec: AlgebroidSpec, i: int) -> AlgebroidSpec:
     return spec.restricted(i)
 
 
-def is_regular_degree_one(spec: AlgebroidSpec) -> bool:
-    """Degree 1 is exactly the regular (vector bundle) case in this chart model."""
-    return spec.degree == 1
-
-
 @dataclass
 class StructureReport:
     passed: bool

@@ -7,17 +7,33 @@ basis monomial of the domain sector, as built by
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as
 truncated, never claimed exact.
+
+Torus reduction.  Over a point, call a weight-zero odd generator X diagonal
+when L_X(g) = i_X(d g) is a scalar multiple of g for every generator g, with
+some scalar nonzero (i_X is the derivative by X; on gl(n) the E_ii qualify,
+on sl(2) h).  L_X = d i_X + i_X d then acts on each monomial by the sum of
+its factors' scalars.  When d^2 = 0, L_X commutes with d and is
+null-homotopic, so every block of monomials on which some diagonal X has a
+nonzero weight is acyclic (Chevalley-Eilenberg 1948; Hochschild-Serre 1953).
+`build_complex` then lists only the joint weight-zero block, which has the
+same Betti numbers, and names the X's it used in `FiniteComplex.torus`.
+Over a base, with no diagonal X, or with d^2 != 0 it builds the full
+complex and `torus` is empty.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
-from .weight_modules import Column, differential_columns, sector_basis
+from .derivations import is_homological
+from .weight_modules import (Column, Torus, TorusBlock, differential_columns,
+                             sector_basis, sector_size)
 
 
 @dataclass
@@ -28,39 +44,68 @@ class FiniteComplex:
     matrices: List[List[Column]]   # matrices[j] maps sector j -> j+1, by columns
     cap: Optional[int]             # None when the base is a point
     exact: bool
+    torus: Tuple[str, ...] = ()    # the diagonal X's of the torus reduction
 
     @property
     def dims(self) -> List[int]:
         return [len(b) for b in self.sector_bases]
 
-    def is_closed(self) -> bool:
-        """Consecutive differentials compose to zero."""
-        for first, second in zip(self.matrices, self.matrices[1:]):
-            for column in first:
-                image: Dict[int, Fraction] = {}
-                for k, a in column.items():
-                    for row, b in second[k].items():
-                        image[row] = image.get(row, 0) + a * b
-                if any(image.values()):
-                    return False
-        return True
+
+def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
+    """The diagonal weight-zero odd generators X (see the module docstring),
+    and per generator position its weight under each, scaled per X to
+    integers.
+
+    i_X(d g) is read off the terms of d g that contain X: each gives one
+    term of i_X(d g), and no two give the same one."""
+    table = spec.table
+    odd_cut = table.zero_cuts[1]
+    # X -> {g: the coefficient of g in i_X(d g)}, while no other term was seen
+    scalars = {X.position: {} for X in table.odd_generators() if not X.h_weight}
+    for g in table.gens:
+        unit = ((), (g.position,)) if g.form_degree else (((g.position, 1),), ())
+        for (even, odd), c in spec.d.value(g).terms.items():
+            for k, p in enumerate(odd[:bisect_left(odd, odd_cut)]):
+                found = scalars.get(p)
+                if found is None:
+                    continue
+                if (even, odd[:k] + odd[k + 1:]) == unit:
+                    found[g.position] = -c if k & 1 else c
+                else:
+                    del scalars[p]
+    labels = []
+    weights = []
+    for p, found in scalars.items():
+        if found:
+            scale = lcm(*(c.denominator for c in found.values()))
+            weights.append({q: int(c * scale) for q, c in found.items()})
+            labels.append(str(table.gens[p]))
+    return tuple(labels), {g.position: tuple(w.get(g.position, 0) for w in weights)
+                           for g in table.gens}
 
 
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     """Assemble the sector bases of the weight-i subcomplex and the induced
-    differential matrices.  Raises CapClosureError when the cap is too small
-    over a nontrivial base."""
+    differential matrices: the joint weight-zero block of the torus
+    reduction when it applies, the full complex otherwise.  Raises
+    CapClosureError when the cap is too small over a nontrivial base."""
     table = spec.table
     point = not table.base_generators()
-    jmax = len(table.odd_generators())  # beyond this every sector is empty
-    bases = [sector_basis(spec, i, j, cap) for j in range(jmax + 2)]
-    while len(bases) > 1 and not bases[-1]:
-        bases.pop()
+    labels, weights = _torus(spec) if point else ((), {})
+    if labels and not is_homological(spec.d).ok:
+        labels = ()
+    block = TorusBlock(spec, i, weights) if labels else None
+    # the full sectors set the length, so the Betti list keeps its zeros
+    sizes = [sector_size(spec, i, j, cap) for j in range(len(table.odd_generators()) + 1)]
+    top = max((j for j, n in enumerate(sizes) if n), default=0)
+    bases = [block.basis(j) if block else sector_basis(spec, i, j, cap)
+             for j in range(top + 1)]
     matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
                 for j in range(len(bases) - 1)]
     # the top sector maps to zero
     matrices.append([{} for _ in bases[-1]])
-    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point)
+    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point,
+                         torus=labels)
 
 
 def rank(columns: List[Column]) -> int:
@@ -90,7 +135,8 @@ def rank(columns: List[Column]) -> int:
 
 def betti(c: FiniteComplex) -> List[int]:
     """dim ker d_j minus rank d_(j-1), per sector."""
-    if not c.is_closed():
-        raise ValueError("complex is not closed (consecutive products nonzero)")
+    # differential_columns refuses a span that d leaves, so d^2 = 0 closes it
+    if not is_homological(c.spec.d).ok:
+        raise ValueError("complex is not closed (d^2 != 0)")
     ranks = [rank(m) for m in c.matrices]
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

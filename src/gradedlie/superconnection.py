@@ -10,6 +10,7 @@ D_p(w . m) = [p = 1] d_A(w) . m + (-1)^|w| w . D_p(m).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -25,18 +26,17 @@ class GaugeError(ValueError):
 
 
 def _y_count(table: GeneratorTable, key: MonomialKey) -> int:
-    return sum(1 for p in key[1] if table.gens[p].h_weight == 0)
+    return bisect_left(key[1], table.zero_cuts[1])
 
 
 def _split_key(table: GeneratorTable, key: MonomialKey):
     """Split a monomial into its weight-zero part (base evens and y's) and
-    its positive-weight part (the W-monomial)."""
+    its positive-weight part (the W-monomial), at the table's cuts."""
     even, odd = key
-    a_even = tuple((p, e) for p, e in even if table.gens[p].h_weight == 0)
-    w_even = tuple((p, e) for p, e in even if table.gens[p].h_weight > 0)
-    a_odd = tuple(p for p in odd if table.gens[p].h_weight == 0)
-    w_odd = tuple(p for p in odd if table.gens[p].h_weight > 0)
-    return (a_even, a_odd), (w_even, w_odd)
+    even_cut, odd_cut = table.zero_cuts
+    e = bisect_left(even, (even_cut,))
+    o = bisect_left(odd, odd_cut)
+    return (even[:e], odd[:o]), (even[e:], odd[o:])
 
 
 def split_by_y_count(table: GeneratorTable, e: Element) -> Dict[int, Element]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import Element, Generator, GeneratorTable, MonomialKey, monomial_str
 from .algebroid import AlgebroidSpec
@@ -198,6 +198,96 @@ def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKe
                     keys.append((even, odd))
     keys.sort()
     return keys
+
+
+Torus = Mapping[int, Tuple[int, ...]]   # generator position -> integer weights
+
+
+class TorusBlock:
+    """The monomials of the weight-i subcomplex over a point on which every
+    torus weight vanishes, sector by sector.
+
+    `torus` gives each generator's integer weight under each of r commuting
+    operators (missing positions weigh zero); a monomial weighs the sum of
+    its factors' weights.  A dynamic programme over the generators, in
+    global order, records for each suffix of them the (h-weight, form
+    degree, torus weight) totals it can reach and in how many ways, so a
+    sector of the block is counted before it is listed, and listed without
+    visiting a monomial outside it."""
+
+    def __init__(self, spec: SpecOrTable, i: int, torus: Torus):
+        table = _table(spec)
+        if table.base_generators():
+            raise ValueError("torus blocks are defined over a point only")
+        zero = (0,) * len(next(iter(torus.values()), ()))
+        # per generator that fits in weight i, per exponent, its contribution
+        # (h-weight, form degree, torus weights)
+        factors = []
+        for g in table.gens:
+            if g.h_weight <= i:
+                top = 1 if g.form_degree else i // g.h_weight
+                t = torus.get(g.position, zero)
+                factors.append((g, [(e, (e * g.h_weight, e * g.form_degree)
+                                     + tuple(e * x for x in t)) for e in range(top + 1)]))
+        # A vector is stored as one integer, its digits in base B, so sums of
+        # vectors are sums of ints.  m bounds i and every digit of every
+        # partial sum, so a target minus a partial sum has digits in
+        # [-2m, 2m], where B = 4m + 1 keeps the code one-to-one.  Digit 0 is
+        # the h-weight, digit 1 the form degree.
+        self._m = m = max([i] + [sum(max(abs(v[c]) for _e, v in opts) for _g, opts in factors)
+                                 for c in range(2 + len(zero))])
+        self._base = base = 4 * m + 1
+        self._factors = [(g, [(e, self._code(v)) for e, v in opts]) for g, opts in factors]
+        self.i = i
+        reach: Dict[int, int] = {0: 1}
+        self._reach = [reach]
+        for _g, options in reversed(self._factors):
+            nxt: Dict[int, int] = {}
+            for state, n in reach.items():
+                for _e, v in options:
+                    s = state + v
+                    if (s + 2 * m) % base <= i + 2 * m:   # h-weight at most i
+                        nxt[s] = nxt.get(s, 0) + n
+            reach = nxt
+            self._reach.append(reach)
+        self._reach.reverse()   # _reach[k]: the totals of factors k, k+1, ...
+
+    def _code(self, vector: Sequence[int]) -> int:
+        return sum(x * self._base ** c for c, x in enumerate(vector))
+
+    def size(self, j: int) -> int:
+        """The number of block monomials in sector (i, j)."""
+        if not 0 <= j <= self._m:   # m bounds the form degree of a monomial
+            return 0
+        return self._reach[0].get(self._code((self.i, j)), 0)
+
+    def basis(self, j: int) -> List[MonomialKey]:
+        """The block monomials of sector (i, j), sorted as `sector_basis`
+        sorts them; refused above MAX_BASIS_SIZE after counting them."""
+        _check_size(f"torus block of sector ({self.i},{j})", self.size(j))
+        keys: List[MonomialKey] = []
+        if self.size(j):
+            self._walk(0, self._code((self.i, j)), [], [], keys)
+        keys.sort()
+        return keys
+
+    def _walk(self, k: int, need: int, even: list, odd: list,
+              keys: List[MonomialKey]) -> None:
+        if k == len(self._factors):
+            keys.append((tuple(even), tuple(odd)))
+            return
+        g, options = self._factors[k]
+        reach = self._reach[k + 1]
+        for e, v in options:
+            if need - v not in reach:
+                continue
+            if e and g.form_degree:
+                odd.append(g.position)
+            elif e:
+                even.append((g.position, e))
+            self._walk(k + 1, need - v, even, odd, keys)
+            if e:
+                (odd if g.form_degree else even).pop()
 
 
 def subcomplex_check(spec: AlgebroidSpec, i: int, base_degree_cap: int = 2) -> bool:

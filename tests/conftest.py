@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -6,8 +7,9 @@ import pytest
 
 from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
+from gradedlie.cohomology import FiniteComplex
 from gradedlie.derivations import make_derivation
-from gradedlie.weight_modules import sector_basis
+from gradedlie.weight_modules import differential_columns, sector_basis
 
 
 @pytest.fixture
@@ -175,6 +177,13 @@ def projector_by_derivative(e, k):
     return Element(table, out)
 
 
+def h_pullback(e, t):
+    """Scale every term of h-weight w by t**w."""
+    t = Fraction(t)
+    return Element(e.table, {k: c * t ** e.table.key_bi_weight(k).h_weight
+                             for k, c in e.terms.items()})
+
+
 def apply_by_factors(D, e):
     """Oracle for the Leibniz extension D(uv) = D(u)v + (-1)^(b_D |u|) u D(v),
     by Element arithmetic: each factor of each monomial, in canonical order,
@@ -291,3 +300,58 @@ def random_chart(rng, degree=None, max_dim=3):
     if not any(kind == "even_fiber" and w == k for _n, kind, w, _d in decls):
         decls.append((f"z{k}", "even_fiber", k, 1))
     return GeneratorTable(decls)
+
+
+def full_complex(spec, i, cap=4):
+    """Oracle for `build_complex` without the torus reduction: every
+    monomial of every sector of the weight-i subcomplex, trailing empty
+    sectors dropped."""
+    point = not spec.table.base_generators()
+    bases = [sector_basis(spec, i, j, cap) for j in range(len(spec.table.odd_generators()) + 2)]
+    while len(bases) > 1 and not bases[-1]:
+        bases.pop()
+    matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
+                for j in range(len(bases) - 1)]
+    matrices.append([{} for _ in bases[-1]])
+    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point)
+
+
+def is_closed(c):
+    """Oracle for closure: consecutive differentials of a FiniteComplex
+    compose to zero."""
+    for first, second in zip(c.matrices, c.matrices[1:]):
+        for column in first:
+            image = {}
+            for k, a in column.items():
+                for row, b in second[k].items():
+                    image[row] = image.get(row, 0) + a * b
+            if any(image.values()):
+                return False
+    return True
+
+
+def gl_spec(n, perm=None):
+    """gl(n) over a point, [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, with
+    E_ij dual to xi[perm[n(i-1)+j-1]] (the identity labelling by default)."""
+    from gradedlie.constructions import weighted_lie_algebra
+    perm = perm or list(range(1, n * n + 1))
+    table = GeneratorTable([("xi", "odd_fiber", 0, n * n)])
+    e = lambda i, j: ("xi", perm[n * (i - 1) + j - 1])
+    bracket = {}
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        if (i, j) >= (k, l):
+            continue
+        if j == k:
+            bracket[(e(i, j), e(k, l), e(i, l))] = 1
+        if l == i:
+            bracket[(e(i, j), e(k, l), e(k, j))] = -1
+    return weighted_lie_algebra(table, {}, bracket)
+
+
+def poincare_betti(degrees):
+    """Coefficients of prod (1 + t^d) over `degrees`."""
+    coeffs = [1]
+    for d in degrees:
+        coeffs = [a + (coeffs[n - d] if n >= d else 0)
+                  for n, a in enumerate(coeffs + [0] * d)]
+    return coeffs

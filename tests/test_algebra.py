@@ -6,7 +6,7 @@ import pytest
 from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable
 from gradedlie.constructions import e3_chart
 
-from conftest import random_element
+from conftest import h_pullback, random_element
 
 
 @pytest.fixture
@@ -106,17 +106,17 @@ def test_h_pullback_is_algebra_map(chart):
     for _ in range(20):
         a = random_element(rng, chart)
         b = random_element(rng, chart)
-        assert (a * b).h_pullback(t) == a.h_pullback(t) * b.h_pullback(t)
-        assert (a + b).h_pullback(t) == a.h_pullback(t) + b.h_pullback(t)
+        assert h_pullback(a * b, t) == h_pullback(a, t) * h_pullback(b, t)
+        assert h_pullback(a + b, t) == h_pullback(a, t) + h_pullback(b, t)
 
 
 def test_h_pullback_scales_by_weight(chart):
     z1, w1 = chart.gen("z", 1), chart.gen("w", 1)
     u1 = chart.gen("u", 1)
     t = Fraction(2)
-    assert (z1 * w1).h_pullback(t) == 4 * z1 * w1
-    assert u1.h_pullback(t) == 4 * u1
-    assert chart.gen("x", 1).h_pullback(t) == chart.gen("x", 1)
+    assert h_pullback(z1 * w1, t) == 4 * z1 * w1
+    assert h_pullback(u1, t) == 4 * u1
+    assert h_pullback(chart.gen("x", 1), t) == chart.gen("x", 1)
 
 
 def test_partial_derivative(chart):

@@ -5,8 +5,7 @@ import pytest
 from gradedlie.algebra import GeneratorTable
 from gradedlie.algebroid import (AlgebroidSpec, SpecError,
                                  check_structure_equations,
-                                 degree_zero_restriction,
-                                 is_regular_degree_one, tower_truncation)
+                                 degree_zero_restriction, tower_truncation)
 from gradedlie.derivations import is_homological
 from gradedlie.constructions import (EXAMPLES, action_aff1_line,
                                      adjoint_instance, aff1, e7_instance, sl2)
@@ -104,11 +103,6 @@ def test_tower_truncation():
     assert tower_truncation(spec, 2).table == spec.table
     with pytest.raises(SpecError):
         tower_truncation(spec, 3)
-
-
-def test_regular_degree_one():
-    assert is_regular_degree_one(adjoint_instance())
-    assert not is_regular_degree_one(e7_instance())
 
 
 def test_anchor_weight_validation():

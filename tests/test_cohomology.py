@@ -1,4 +1,3 @@
-import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -6,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from gradedlie.algebroid import AlgebroidSpec
-from gradedlie.cohomology import betti, build_complex, rank
-from gradedlie.constructions import (abelian_lie_algebra, aff1, sl2,
-                                     tangent_algebroid, weighted_lie_algebra)
-from gradedlie.weight_modules import CapClosureError
+from gradedlie.cohomology import _torus, betti, build_complex, rank
+from gradedlie.constructions import (abelian_lie_algebra, adjoint_instance, aff1,
+                                     algebroid_prolongation, sl2,
+                                     tangent_algebroid)
+from gradedlie.dsl import parse, to_algebroid_spec
 
-from conftest import brute_force_rank, to_dense, unipotent_twist
+from conftest import (brute_force_rank, full_complex, gl_spec, is_closed,
+                      poincare_betti, to_dense, unipotent_twist)
+
+BROKEN = pathlib.Path(__file__).parent.parent / "specs" / "broken.spec"
 
 
 def test_rank_against_brute_force_random():
@@ -42,23 +45,91 @@ def test_betti_sl2():
 
 
 def test_betti_gl3():
-    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, with E_ij -> xi[3(i-1)+j]
-    from gradedlie.algebra import GeneratorTable
-    table = GeneratorTable([("xi", "odd_fiber", 0, 9)])
-    e = lambda i, j: ("xi", 3 * (i - 1) + j)
-    bracket = {}
-    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-        if (i, j) >= (k, l):
-            continue
-        if j == k:
-            bracket[(e(i, j), e(k, l), e(i, l))] = 1
-        if l == i:
-            bracket[(e(i, j), e(k, l), e(k, j))] = -1
-    c = build_complex(weighted_lie_algebra(table, {}, bracket), 0)
+    spec = gl_spec(3)
+    assert full_complex(spec, 0).dims == [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
+    c = build_complex(spec, 0)
     assert c.exact
-    assert c.dims == [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
+    # the diagonal E_11, E_22, E_33 cut each sector to its weight-zero block
+    assert c.torus == ("xi[1]", "xi[5]", "xi[9]")
+    assert c.dims == [1, 3, 6, 12, 18, 18, 12, 6, 3, 1]
     # H(gl3) = Lambda(e1, e3, e5): Poincare polynomial (1+t)(1+t^3)(1+t^5)
-    assert betti(c) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+    assert betti(c) == poincare_betti([1, 3, 5]) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+
+
+def test_betti_gl4_closed_form():
+    c = build_complex(gl_spec(4), 0)
+    assert c.torus == ("xi[1]", "xi[6]", "xi[11]", "xi[16]")
+    assert sum(c.dims) == 2432 and max(c.dims) == 426
+    assert betti(c) == poincare_betti([1, 3, 5, 7])
+
+
+def test_torus_detection_matches_definition():
+    """X is diagonal when every i_X(d g) = partial_derivative(d g, X) is a
+    multiple of g, not all zero; its weights are those multiples, scaled."""
+    rng = random.Random(18)
+    specs = [gl_spec(3, rng.sample(range(1, 10), 9)), sl2(), aff1(), abelian_lie_algebra(2),
+             algebroid_prolongation(sl2(), [("z", 1, 1), ("u", 2, 1)]),
+             to_algebroid_spec(parse(BROKEN.read_text()))]
+    specs += [unipotent_twist(rng, make()) for make in (sl2, aff1) for _ in range(4)]
+    for spec in specs:
+        table = spec.table
+        labels, weights = _torus(spec)
+        found = []
+        for X in table.odd_generators():
+            if X.h_weight:
+                continue
+            scalars = []
+            for g in table.gens:
+                lx = spec.d.value(g).partial_derivative(X)
+                unit = table.gen(g.name, g.index)
+                scalar = next(iter(lx.terms.values()), 0)
+                scalars.append(scalar if lx == unit * scalar else None)
+            if None not in scalars and any(scalars):
+                column = [weights[g.position][len(found)] for g in table.gens]
+                ratio = next(Fraction(w, c) for w, c in zip(column, scalars) if c)
+                assert ratio > 0 and column == [ratio * c for c in scalars]
+                found.append(str(X))
+        assert labels == tuple(found)
+
+
+def test_torus_reduction_keeps_betti():
+    """The joint weight-zero block has the Betti numbers of the full complex."""
+    rng = random.Random(17)
+    perms = [rng.sample(range(1, 10), 9) for _ in range(3)]
+    cases = [(gl_spec(3, perm), 0, 3) for perm in perms]
+    cases += [(sl2(), 0, 1), (aff1(), 0, 1), (abelian_lie_algebra(2), 0, 0)]
+    prolonged = algebroid_prolongation(sl2(), [("z", 1, 1), ("u", 2, 1)])
+    cases += [(prolonged, 1, 1), (prolonged, 2, 1)]
+    for spec, i, rank_t in cases:
+        c = build_complex(spec, i)
+        assert len(c.torus) == rank_t
+        assert betti(c) == betti(full_complex(spec, i))
+    # an unchanged d keeps its diagonal generator; a twisted one has none
+    for make in (sl2, aff1):
+        rng = random.Random(62)
+        fallbacks = 0
+        for _ in range(8):
+            spec = unipotent_twist(rng, make())
+            c = build_complex(spec, 0)
+            assert betti(c) == betti(full_complex(spec, 0))
+            if spec.d != make().d:
+                assert c.torus == ()
+                assert c.dims == full_complex(spec, 0).dims
+                fallbacks += 1
+        assert fallbacks
+
+
+def test_torus_reduction_fallbacks():
+    # d^2 != 0: the full complex, and betti refuses it
+    broken = to_algebroid_spec(parse(BROKEN.read_text()))
+    c = build_complex(broken, 0)
+    assert c.torus == ()
+    assert c.dims == full_complex(broken, 0).dims == [1, 3, 3, 1]
+    # over a base: the full, truncated complex
+    c = build_complex(adjoint_instance(), 0)
+    assert c.torus == () and c.cap == 4
+    assert c.dims == full_complex(adjoint_instance(), 0).dims
+    assert betti(c) == betti(full_complex(adjoint_instance(), 0)) == [1, 1, 0]
 
 
 def test_betti_invariant_under_twist():
@@ -79,16 +150,15 @@ def test_truncated_tangent_line():
 
 
 def test_complex_is_closed():
-    for spec in [aff1(), sl2(), abelian_lie_algebra(3)]:
-        assert build_complex(spec, 0).is_closed()
+    for spec in [aff1(), sl2(), abelian_lie_algebra(3), gl_spec(3)]:
+        assert is_closed(build_complex(spec, 0))
+        assert is_closed(full_complex(spec, 0))
 
 
 def test_complex_not_closed_when_d_squared_nonzero():
-    from gradedlie.dsl import parse, to_algebroid_spec
-    text = (pathlib.Path(__file__).parent.parent / "specs" / "broken.spec").read_text()
-    c = build_complex(to_algebroid_spec(parse(text)), 0)
+    c = build_complex(to_algebroid_spec(parse(BROKEN.read_text())), 0)
     assert c.dims == [1, 3, 3, 1]
-    assert not c.is_closed()
+    assert not is_closed(c)
     with pytest.raises(ValueError):
         betti(c)
 

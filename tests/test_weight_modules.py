@@ -7,16 +7,18 @@ import pytest
 from gradedlie import weight_modules
 from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
+from gradedlie.cohomology import _torus, build_complex
 from gradedlie.derivations import apply
-from gradedlie.constructions import EXAMPLES, e3_chart, e7_instance, tangent_graded_bundle
-from gradedlie.weight_modules import (BasisSizeError, CapClosureError, dim_w,
-                                      homogenization_projector,
+from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
+                                     e7_instance, sl2, tangent_graded_bundle)
+from gradedlie.weight_modules import (BasisSizeError, CapClosureError, TorusBlock,
+                                      dim_w, homogenization_projector,
                                       induced_differential_matrix,
                                       sector_basis, sector_size, subcomplex_check,
                                       w_basis)
 
-from conftest import (brute_force_w_dim, projector_by_derivative, random_chart,
-                      random_element, to_dense)
+from conftest import (brute_force_w_dim, gl_spec, projector_by_derivative,
+                      random_chart, random_element, to_dense)
 
 
 def test_e3_dimensions():
@@ -77,6 +79,49 @@ def test_basis_size_guard_counts_before_listing(monkeypatch):
     with pytest.raises(BasisSizeError) as err:
         w_basis(tall, 6, 0)
     assert str(err.value).startswith("W^(6,0) has 8145061 basis monomials")
+
+
+def test_torus_block_count_listing_and_filter_agree():
+    """Per sector: the block's count, its listing, and the full sector
+    filtered by torus weight are the same."""
+    prolonged = algebroid_prolongation(sl2(), [("z", 1, 1), ("u", 2, 1)])
+    for spec, weights in [(gl_spec(3), [0]), (gl_spec(4), [0]), (prolonged, [1, 2])]:
+        labels, torus = _torus(spec)
+        assert labels
+        for i in weights:
+            block = TorusBlock(spec, i, torus)
+            for j in range(len(spec.table.odd_generators()) + 2):
+                keys = block.basis(j)
+                filtered = [k for k in sector_basis(spec, i, j, 0)
+                            if not any(_torus_weight(torus, k))]
+                assert block.size(j) == len(keys)
+                assert keys == filtered
+
+
+def _torus_weight(torus, key):
+    even, odd = key
+    factors = [(p, e) for p, e in even] + [(p, 1) for p in odd]
+    r = len(next(iter(torus.values())))
+    return [sum(e * torus[p][n] for p, e in factors) for n in range(r)]
+
+
+def test_torus_block_guard_counts_the_block(monkeypatch):
+    def no_listing(*_args):
+        raise AssertionError("a block above the limit was listed")
+    spec = gl_spec(4)
+    # the largest full sector has 12 870 monomials, its block 426
+    monkeypatch.setattr(weight_modules, "MAX_BASIS_SIZE", 426)
+    assert max(build_complex(spec, 0).dims) == 426
+    monkeypatch.setattr(weight_modules, "MAX_BASIS_SIZE", 425)
+    with pytest.raises(BasisSizeError):
+        build_complex(spec, 0)
+    monkeypatch.setattr(TorusBlock, "_walk", no_listing)
+    block = TorusBlock(spec, 0, _torus(spec)[1])
+    assert block.size(8) == 426
+    with pytest.raises(BasisSizeError) as err:
+        block.basis(8)
+    assert str(err.value) == ("torus block of sector (0,8) has 426 basis monomials, "
+                              "above the limit of 425")
 
 
 def test_basis_keys_positive_weight_only():
