@@ -230,13 +230,14 @@ class TorusBlock:
                 factors.append((g, [(e, (e * g.h_weight, e * g.form_degree)
                                      + tuple(e * x for x in t)) for e in range(top + 1)]))
         # A vector is stored as one integer, its digits in base B, so sums of
-        # vectors are sums of ints.  m bounds i and every digit of every
-        # partial sum, so a target minus a partial sum has digits in
-        # [-2m, 2m], where B = 4m + 1 keeps the code one-to-one.  Digit 0 is
-        # the h-weight, digit 1 the form degree.
+        # vectors are sums of ints.  m bounds i and every digit of every sum
+        # of contributions, so the vectors compared below differ by digits
+        # in [-2m, 2m], which B = 2m + 1 tells apart.  Digit 0 is the
+        # h-weight, never negative, so it is the code mod B; digit 1 is the
+        # form degree.
         self._m = m = max([i] + [sum(max(abs(v[c]) for _e, v in opts) for _g, opts in factors)
                                  for c in range(2 + len(zero))])
-        self._base = base = 4 * m + 1
+        self._base = base = 2 * m + 1
         self._factors = [(g, [(e, self._code(v)) for e, v in opts]) for g, opts in factors]
         self.i = i
         reach: Dict[int, int] = {0: 1}
@@ -246,7 +247,7 @@ class TorusBlock:
             for state, n in reach.items():
                 for _e, v in options:
                     s = state + v
-                    if (s + 2 * m) % base <= i + 2 * m:   # h-weight at most i
+                    if s % base <= i:   # h-weight at most i
                         nxt[s] = nxt.get(s, 0) + n
             reach = nxt
             self._reach.append(reach)

@@ -120,8 +120,10 @@ def test_torus_reduction_keeps_betti():
 
 
 def test_torus_reduction_fallbacks():
-    # d^2 != 0: the full complex, and betti refuses it
+    # d^2 != 0: the full complex, and betti refuses it; xi[3] is diagonal,
+    # so only the d^2 check keeps the reduction off
     broken = to_algebroid_spec(parse(BROKEN.read_text()))
+    assert _torus(broken)[0] == ("xi[3]",)
     c = build_complex(broken, 0)
     assert c.torus == ()
     assert c.dims == full_complex(broken, 0).dims == [1, 3, 3, 1]

@@ -98,6 +98,29 @@ def test_torus_block_count_listing_and_filter_agree():
                 assert keys == filtered
 
 
+def test_torus_block_random_weights():
+    """The enumerator against the filtered sector on random charts over a
+    point, with random integer weights (not only those of a torus)."""
+    rng = random.Random(19)
+    for _ in range(25):
+        decls = [("y", "odd_fiber", 0, rng.randint(1, 4))]
+        for w in (1, 2):
+            if rng.random() < 0.7:
+                decls.append((f"z{w}", "even_fiber", w, rng.randint(1, 2)))
+            if rng.random() < 0.7:
+                decls.append((f"w{w}", "odd_fiber", w, rng.randint(1, 2)))
+        table = GeneratorTable(decls)
+        r = rng.randint(1, 2)
+        torus = {g.position: tuple(rng.randint(-4, 4) for _ in range(r)) for g in table.gens}
+        for i in range(4):
+            block = TorusBlock(table, i, torus)
+            for j in range(len(table.odd_generators()) + 2):
+                keys = block.basis(j)
+                assert block.size(j) == len(keys)
+                assert keys == [k for k in sector_basis(table, i, j, 0)
+                                if not any(_torus_weight(torus, k))]
+
+
 def _torus_weight(torus, key):
     even, odd = key
     factors = [(p, e) for p, e in even] + [(p, 1) for p in odd]
