@@ -3,7 +3,10 @@
 Generators carry a bi-weight (h_weight, form_degree): the first component is
 the weight under the homogeneity action, the second the cohomological degree.
 Single generators have form degree 0 (even) or 1 (odd); odd generators
-anticommute and square to zero.  Coefficients are exact rationals.
+anticommute and square to zero.  Coefficients are exact rationals, stored as
+`int` unless a rational actually enters (a non-integral `Fraction` or a
+division): int products are far cheaper than `Fraction` ones, and `str`,
+`==` and `hash` agree between `n` and `Fraction(n)`.
 
 Sign convention: Koszul, with odd factors stored in the global generator
 order and the sign normalised on insertion.  The global order is
@@ -145,10 +148,10 @@ class GeneratorTable:
             key: MonomialKey = ((), (g.position,))
         else:
             key = (((g.position, 1),), ())
-        return Element(self, {key: Fraction(1)})
+        return Element(self, {key: 1})
 
     def scalar(self, value: Scalar) -> "Element":
-        c = Fraction(value)
+        c = _coefficient(value)
         if c == 0:
             return Element(self, {})
         return Element(self, {((), ()): c})
@@ -172,6 +175,14 @@ class GeneratorTable:
         return f"GeneratorTable({parts})"
 
 
+def _coefficient(value: Scalar) -> Scalar:
+    """The exact coefficient of `value`: an int when it is integral."""
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     if not a:
         return b
@@ -183,18 +194,13 @@ def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     return tuple(sorted(acc.items()))
 
 
-def _merge_odd(a: OddPart, b: OddPart) -> Optional[Tuple[OddPart, int]]:
-    """Merge two sorted odd tuples; returns (merged, sign) or None on a repeat."""
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
+def _merge_odd(a: OddPart, b: OddPart) -> Tuple[OddPart, int]:
+    """Merge two sorted odd tuples with no common factor; returns (merged,
+    sign), the sign of the shuffle."""
     merged = []
     inversions = 0
     i = j = 0
     while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
         if a[i] < b[j]:
             merged.append(a[i])
             i += 1
@@ -207,19 +213,34 @@ def _merge_odd(a: OddPart, b: OddPart) -> Optional[Tuple[OddPart, int]]:
     return tuple(merged), -1 if inversions & 1 else 1
 
 
-def _mul_into(acc: dict, coeff: Fraction, mono: MonomialKey,
-              terms: Mapping[MonomialKey, Fraction], mono_first: bool = True) -> None:
+def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
+              terms: Mapping[MonomialKey, Scalar], mono_first: bool = True) -> None:
     """Add coeff * (mono * terms), or coeff * (terms * mono) when not
     `mono_first`, into the dict `acc` of monomial keys to coefficients.
 
-    One Fraction product per term; entries may cancel to zero in `acc`, which
-    the Element built from it drops."""
+    One coefficient product per term, an int product when both are ints;
+    entries may cancel to zero in `acc`, which the Element built from it
+    drops.  The odd parts of `mono` and a term merge without a loop when
+    they share a factor (the product is zero) or when one lies wholly
+    before the other (concatenation, sign (-1)^(len * len) if reversed)."""
     me, mo = mono
+    seen = frozenset(mo)
     for (e, o), c in terms.items():
-        m = _merge_odd(mo, o) if mono_first else _merge_odd(o, mo)
-        if m is None:
+        if not o or not mo:
+            odd = o or mo
+            sign = 1
+        elif not seen.isdisjoint(o):
             continue
-        odd, sign = m
+        else:
+            a, b = (mo, o) if mono_first else (o, mo)
+            if a[-1] < b[0]:
+                odd = a + b
+                sign = 1
+            elif b[-1] < a[0]:
+                odd = b + a
+                sign = -1 if len(a) & len(b) & 1 else 1
+            else:
+                odd, sign = _merge_odd(a, b)
         key = (_merge_even(me, e), odd)
         v = coeff * c
         if sign < 0:
@@ -260,7 +281,7 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return Element(self.table, terms)
 
     def __radd__(self, other: Scalar) -> "Element":
@@ -279,7 +300,7 @@ class Element:
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coefficient(other)
             return Element(self.table, {k: v * c for k, v in self.terms.items()})
         self._check(other)
         terms: dict = {}
@@ -329,13 +350,13 @@ class Element:
                     if p == pos:
                         rest = even[:n] + (((p, e - 1),) if e > 1 else ()) + even[n + 1:]
                         key = (tuple(sorted(rest)), odd)
-                        terms[key] = terms.get(key, Fraction(0)) + c * e
+                        terms[key] = terms.get(key, 0) + c * e
                         break
             else:
                 if pos in odd:
                     k = odd.index(pos)
                     key = (even, odd[:k] + odd[k + 1:])
-                    terms[key] = terms.get(key, Fraction(0)) + c * (-1) ** k
+                    terms[key] = terms.get(key, 0) + c * (-1) ** k
         return Element(self.table, terms)
 
     def map_to(self, table: GeneratorTable) -> "Element":
@@ -364,7 +385,7 @@ class Element:
                 continue
             # positions in a sub-table preserve relative order, so no sign
             key = (tuple(sorted(new_even)), tuple(sorted(new_odd)))
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return Element(table, terms)
 
     # -- printing --------------------------------------------------------

@@ -12,7 +12,6 @@ and the tables are recovered by reading off coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import Element, GenRef, Generator, GeneratorTable, _mul_into

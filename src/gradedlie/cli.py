@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
 from . import constructions
 from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
-from .cohomology import betti, build_complex
+from .cohomology import _betti, _build_complex
 from .derivations import is_homological
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
@@ -144,8 +145,9 @@ def _cmd_cohomology(args) -> int:
         _emit(args, {"status": "fail", "residuals": residuals}, lines)
         return 1
     try:
-        complex_ = build_complex(spec, i, cap=args.cap)
-        numbers = betti(complex_)
+        # d^2 = 0 is evaluated once per request, above
+        complex_ = _build_complex(spec, i, args.cap, homological=True)
+        numbers = _betti(complex_)
     except CapClosureError as exc:
         raise CliError(str(exc))
     truncated = complex_.cap is not None
@@ -241,7 +243,15 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull, so that the flush at interpreter exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

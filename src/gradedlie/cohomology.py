@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import MonomialKey
@@ -89,10 +88,18 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     differential matrices: the joint weight-zero block of the torus
     reduction when it applies, the full complex otherwise.  Raises
     CapClosureError when the cap is too small over a nontrivial base."""
+    return _build_complex(spec, i, cap, None)
+
+
+def _build_complex(spec: AlgebroidSpec, i: int, cap: int,
+                   homological: Optional[bool]) -> FiniteComplex:
+    """`build_complex`, given `is_homological(spec.d).ok` when the caller
+    has evaluated it, or None to evaluate it here when the reduction needs
+    it."""
     table = spec.table
     point = not table.base_generators()
     labels, weights = _torus(spec) if point else ((), {})
-    if labels and not is_homological(spec.d).ok:
+    if labels and not (is_homological(spec.d).ok if homological is None else homological):
         labels = ()
     block = TorusBlock(spec, i, weights) if labels else None
     # the full sectors set the length, so the Betti list keeps its zeros
@@ -108,28 +115,52 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
                          torus=labels)
 
 
+def _integral(column: Column) -> Column:
+    """The nonzero entries of a column, scaled to integers by the lcm of
+    their denominators when any is not an int (a nonzero scale keeps the
+    rank)."""
+    col = {r: c for r, c in column.items() if c}
+    if all(type(c) is int for c in col.values()):
+        return col
+    scale = lcm(*(c.denominator for c in col.values()))
+    return {r: int(c * scale) for r, c in col.items()}
+
+
 def rank(columns: List[Column]) -> int:
     """Exact rank over Q of a column-sparse matrix.
 
-    Gaussian elimination with Fraction division: each column is reduced
-    against the pivot columns found so far, keyed by their largest row, and
-    becomes a new pivot column if anything is left."""
+    Fraction-free elimination on integer columns (rational ones are first
+    scaled to integers): each column is reduced against the pivot columns
+    found so far, keyed by their largest row, and becomes a new pivot
+    column if anything is left.  Reducing by a pivot whose entry is p != 1
+    multiplies the column by p / gcd, and the result is divided by the gcd
+    of its entries, which keeps them small."""
     pivots: Dict[int, Column] = {}
     for column in columns:
-        col = {r: Fraction(c) for r, c in column.items() if c}
+        col = _integral(column)
         while col:
             row = max(col)
             pivot = pivots.get(row)
             if pivot is None:
                 pivots[row] = col
                 break
-            f = col[row] / pivot[row]
-            for r, c in pivot.items():
-                v = col.get(r, 0) - f * c
-                if v:
-                    col[r] = v
+            p, c = pivot[row], col[row]
+            g = gcd(p, c) if p > 0 else -gcd(p, c)
+            p //= g
+            c //= g
+            # col <- p * col - c * pivot, with p > 0
+            if p != 1:
+                col = {r: p * v for r, v in col.items()}
+            for r, v in pivot.items():
+                w = col.get(r, 0) - c * v
+                if w:
+                    col[r] = w
                 else:
                     col.pop(r, None)
+            if p != 1 and col:
+                g = gcd(*col.values())
+                if g != 1:
+                    col = {r: v // g for r, v in col.items()}
     return len(pivots)
 
 
@@ -138,5 +169,10 @@ def betti(c: FiniteComplex) -> List[int]:
     # differential_columns refuses a span that d leaves, so d^2 = 0 closes it
     if not is_homological(c.spec.d).ok:
         raise ValueError("complex is not closed (d^2 != 0)")
+    return _betti(c)
+
+
+def _betti(c: FiniteComplex) -> List[int]:
+    """`betti` of a complex whose spec is known to have d^2 = 0."""
     ranks = [rank(m) for m in c.matrices]
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

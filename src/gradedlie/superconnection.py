@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import Element, GeneratorTable, MonomialKey, _mul_into, monomial_str
@@ -70,7 +69,7 @@ def _extend(table: GeneratorTable, summed: Dict[MonomialKey, Element], e: Elemen
         if d is not None:
             da = d_of.get(a_key)
             if da is None:
-                da = d_of[a_key] = apply(d, Element(table, {a_key: Fraction(1)})).terms
+                da = d_of[a_key] = apply(d, Element(table, {a_key: 1})).terms
             _mul_into(out, coeff, w_key, da, mono_first=False)
             if len(a_key[1]) & 1:
                 coeff = -coeff
@@ -122,7 +121,7 @@ def extract_components(spec: AlgebroidSpec, i: int) -> SuperconnectionComponents
     keys = _module_basis_keys(spec, i)
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in keys:
-        image = apply(spec.d, Element(table, {key: Fraction(1)}))
+        image = apply(spec.d, Element(table, {key: 1}))
         for p, part in split_by_y_count(table, image).items():
             blocks.setdefault(p, {})[key] = part
     return SuperconnectionComponents(spec, i, blocks, keys)
@@ -145,7 +144,7 @@ def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
     table = c.spec.table
     residuals: Dict[int, Dict[str, Element]] = {}
     for key in c.basis_keys:
-        m = Element(table, {key: Fraction(1)})
+        m = Element(table, {key: 1})
         for p, r in split_by_y_count(table, c.total(c.total(m))).items():
             residuals.setdefault(p, {})[monomial_str(table, key)] = r
     return CascadeReport(not residuals, residuals)
@@ -207,7 +206,7 @@ def apply_gauge(c: SuperconnectionComponents,
     table = c.spec.table
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in c.basis_keys:
-        m = Element(table, {key: Fraction(1)})
+        m = Element(table, {key: 1})
         image = phi.apply_inverse(c.total(phi.apply_to(m)))
         for p, part in split_by_y_count(table, image).items():
             blocks.setdefault(p, {})[key] = part
@@ -223,7 +222,7 @@ def compose_gauges(phi: GaugeTransformation,
     keys = _module_basis_keys(phi.spec, phi.i)
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in keys:
-        m = Element(table, {key: Fraction(1)})
+        m = Element(table, {key: 1})
         image = phi.apply_to(psi.apply_to(m)) - m
         for p, part in split_by_y_count(table, image).items():
             if p >= 1:

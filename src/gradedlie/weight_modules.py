@@ -10,12 +10,11 @@ of positive form degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import Element, Generator, GeneratorTable, MonomialKey, monomial_str
+from .algebra import Element, Generator, GeneratorTable, MonomialKey, Scalar, monomial_str
 from .algebroid import AlgebroidSpec
 from .derivations import apply
 
@@ -58,7 +57,7 @@ class WeightModuleBasis:
 
     def elements(self) -> List[Element]:
         table = _table(self.spec)
-        return [Element(table, {k: Fraction(1)}) for k in self.keys]
+        return [Element(table, {k: 1}) for k in self.keys]
 
     def labels(self) -> List[str]:
         table = _table(self.spec)
@@ -298,13 +297,13 @@ def subcomplex_check(spec: AlgebroidSpec, i: int, base_degree_cap: int = 2) -> b
     max_j = len(table.odd_generators())
     for j in range(max_j + 1):
         for key in sector_basis(spec, i, j, base_degree_cap):
-            image = apply(spec.d, Element(table, {key: Fraction(1)}))
+            image = apply(spec.d, Element(table, {key: 1}))
             if not (image.is_zero() or image.is_bihomogeneous((i, j + 1))):
                 return False
     return True
 
 
-Column = Dict[int, Fraction]
+Column = Dict[int, Scalar]
 
 
 def differential_columns(spec: AlgebroidSpec, domain: Sequence[MonomialKey],
@@ -320,7 +319,7 @@ def differential_columns(spec: AlgebroidSpec, domain: Sequence[MonomialKey],
     columns: List[Column] = []
     for key in domain:
         column: Column = {}
-        for k, c in apply(spec.d, Element(table, {key: Fraction(1)})).terms.items():
+        for k, c in apply(spec.d, Element(table, {key: 1})).terms.items():
             row = index.get(k)
             if row is None:
                 raise CapClosureError(

@@ -172,6 +172,34 @@ def test_cli_cohomology_not_homological(capsys):
     assert "  residual d^2 " in out
 
 
+def test_cli_cohomology_evaluates_d_squared_once(tmp_path, capsys, monkeypatch):
+    """One d^2 evaluation per request: over a point with the torus
+    reduction (gl(3)), over a base (adjoint) and on a refused spec.  The
+    library's betti still evaluates it itself."""
+    import gradedlie.cli
+    import gradedlie.cohomology
+    from gradedlie.dsl import document_from_spec
+    from conftest import gl_spec
+    calls = []
+
+    def counting(D):
+        calls.append(D)
+        return is_homological(D)
+
+    monkeypatch.setattr(gradedlie.cli, "is_homological", counting)
+    monkeypatch.setattr(gradedlie.cohomology, "is_homological", counting)
+    gl3 = tmp_path / "gl3.spec"
+    gl3.write_text(print_document(document_from_spec("gl3", gl_spec(3))))
+    for path, code in ((gl3, 0), (DATA / "adjoint.spec", 0), (DATA / "broken.spec", 1)):
+        calls.clear()
+        assert _run(capsys, "cohomology", str(path), "--weight", "0")[0] == code
+        assert len(calls) == 1
+    broken = to_algebroid_spec(parse(spec_text("broken.spec")))
+    c = gradedlie.cohomology.build_complex(broken, 0)
+    with pytest.raises(ValueError, match=r"^complex is not closed \(d\^2 != 0\)$"):
+        gradedlie.cohomology.betti(c)
+
+
 def test_cli_cohomology_negative_cap(capsys):
     for path in ("sl2.spec", "adjoint.spec"):
         code, out, err = _run(capsys, "cohomology", str(DATA / path),
@@ -278,3 +306,23 @@ def test_cli_non_utf8_file_exit_2(tmp_path, capsys):
 def test_cli_usage_error_exit_2(capsys):
     assert run([]) == 2
     assert run(["decompose", str(DATA / "e7.spec")]) == 2  # missing --weight
+
+
+def test_cli_closed_stdout_exits_1_without_traceback():
+    """The reader closes stdout before anything is written: the CLI exits 1
+    with nothing on stderr, not with a BrokenPipeError traceback."""
+    import os
+    import subprocess
+    import sys
+    import gradedlie
+    src = str(pathlib.Path(gradedlie.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedlie.cli", "rep", str(DATA / "e7.spec"), "--weight", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
