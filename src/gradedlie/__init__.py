@@ -27,9 +27,8 @@ from .superconnection import (CascadeReport, GaugeError, GaugeTransformation,
                               compose_gauges, extract_components,
                               flatness_cascade, identity_gauge,
                               split_by_y_count)
-from .weight_modules import (BasisSizeError, CapClosureError, SectorMatrix,
-                             WeightModuleBasis, dim_w, homogenization_projector,
-                             induced_differential_matrix, sector_basis,
-                             subcomplex_check, w_basis)
+from .weight_modules import (BasisSizeError, CapClosureError, WeightModuleBasis,
+                             dim_w, homogenization_projector, sector_basis,
+                             w_basis)
 
 __version__ = "0.1.0"

@@ -208,34 +208,22 @@ class StructureReport:
 def check_structure_equations(spec: AlgebroidSpec) -> StructureReport:
     """Evaluate the Lie algebroid structure equations symbolically.
 
-    Three families: antisymmetry of the bracket table (zero by canonical
-    read-off; nontrivial only at table ingestion), anchor-bracket
-    compatibility, and the Jacobi identity.  Together they are equivalent
-    to d_E^2 = 0.
+    Two families: anchor-bracket compatibility and the Jacobi identity.
+    Together they are equivalent to d_E^2 = 0.  (The bracket table is
+    antisymmetric by construction: `bracket_coeff` reads it off d_E, and
+    `from_tables` rejects inconsistent input.)
     """
     table = spec.table
     odds = table.odd_generators()
     evens = table.even_generators()
 
-    residuals: Dict[str, Dict[str, Element]] = {
-        "antisymmetry": {}, "anchor": {}, "jacobi": {}}
-    checked = {"antisymmetry": 0, "anchor": 0, "jacobi": 0}
+    residuals: Dict[str, Dict[str, Element]] = {"anchor": {}, "jacobi": {}}
+    checked = {"anchor": 0, "jacobi": 0}
 
     anchor = {(I.position, A.position): spec.anchor_coeff(I, A)
               for I in odds for A in evens}
     bracket = {(I.position, J.position, K.position): spec.bracket_coeff(I, J, K)
                for I in odds for J in odds for K in odds}
-
-    for I in odds:
-        for J in odds:
-            if I.position >= J.position:
-                continue
-            for K in odds:
-                checked["antisymmetry"] += 1
-                r = (bracket[(I.position, J.position, K.position)]
-                     + bracket[(J.position, I.position, K.position)])
-                if not r.is_zero():
-                    residuals["antisymmetry"][f"({I},{J})->{K}"] = r
 
     def add_product(acc: dict, x: Element, y: Element, negate: bool = False) -> None:
         """acc += x * y, or acc -= x * y when `negate`."""

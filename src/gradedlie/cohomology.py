@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
 from .derivations import is_homological
-from .weight_modules import (Column, Torus, TorusBlock, differential_columns,
-                             sector_basis, sector_size)
+from .weight_modules import Column, Monomials, Torus, differential_columns
 
 
 @dataclass
@@ -101,12 +100,11 @@ def _build_complex(spec: AlgebroidSpec, i: int, cap: int,
     labels, weights = _torus(spec) if point else ((), {})
     if labels and not (is_homological(spec.d).ok if homological is None else homological):
         labels = ()
-    block = TorusBlock(spec, i, weights) if labels else None
     # the full sectors set the length, so the Betti list keeps its zeros
-    sizes = [sector_size(spec, i, j, cap) for j in range(len(table.odd_generators()) + 1)]
-    top = max((j for j, n in enumerate(sizes) if n), default=0)
-    bases = [block.basis(j) if block else sector_basis(spec, i, j, cap)
-             for j in range(top + 1)]
+    full = Monomials(spec, i, cap)
+    top = max((j for j in range(len(table.odd_generators()) + 1) if full.size(j)), default=0)
+    block = Monomials(spec, i, cap, weights) if labels else full
+    bases = [block.basis(j) for j in range(top + 1)]
     matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
                 for j in range(len(bases) - 1)]
     # the top sector maps to zero

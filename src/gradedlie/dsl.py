@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, Element, GeneratorTable
-from .algebroid import AlgebroidSpec, SpecError
-from .derivations import DerivationError, make_derivation
+from .algebroid import AlgebroidSpec
+from .derivations import Derivation, DerivationError, make_derivation
 
 
 RESERVED = {"algebroid", "degree", "base", "even", "odd", "weight", "dim", "d"}
@@ -54,6 +54,10 @@ class Token:
 
 
 _SYMBOLS = "+-*^/()[]="
+
+# Parentheses and unary signs nest the recursive descent; input nested
+# deeper is refused, before it could exhaust the interpreter's stack.
+_MAX_NESTING = 100
 
 
 def tokenize(text: str) -> List[Token]:
@@ -140,6 +144,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -159,6 +164,13 @@ class _Parser:
 
     def expect_int(self) -> int:
         return int(self.expect("INT").text)
+
+    def enter(self, tok: Token) -> None:
+        """Go one nesting level deeper at `tok`; `depth` is decremented by
+        the caller on the way out."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise DslError(f"expression nested more than {_MAX_NESTING} deep", tok.span)
 
     # -- statements -------------------------------------------------------
 
@@ -271,7 +283,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "SYM" and tok.text in "+-":
             self.next()
+            self.enter(tok)
             value = self._unary(table)
+            self.depth -= 1
             return value if tok.text == "+" else -value
         return self._power(table)
 
@@ -308,8 +322,10 @@ class _Parser:
                 raise DslError(f"undeclared identifier {tok.text}[{idx}]", tok.span) from None
         if tok.kind == "SYM" and tok.text == "(":
             self.next()
+            self.enter(tok)
             value = self._expr(table)
             self.expect("SYM", ")")
+            self.depth -= 1
             return value
         raise DslError(f"expected an expression, found {tok.text or 'end of input'!r}",
                        tok.span)
@@ -330,19 +346,17 @@ def print_document(doc: SpecDocument) -> str:
 
 
 def to_algebroid_spec(doc: SpecDocument) -> AlgebroidSpec:
-    action = {}
+    action: Dict[int, Element] = {}
     for a in doc.assignments:
         g = doc.table.generator(*a.target)
         if g.position in action:
             raise DslError(f"duplicate assignment for {g}", a.span)
-        action[g.position] = a.value
-    try:
-        d = make_derivation(doc.table, (0, 1),
-                            {doc.table.gens[p]: v for p, v in action.items()})
-        return AlgebroidSpec(doc.table, d)
-    except (DerivationError, SpecError) as exc:
-        spans = {doc.table.generator(*a.target).position: a.span for a in doc.assignments}
-        raise DslError(str(exc), next(iter(spans.values()), None)) from exc
+        try:
+            # one assignment at a time, so that an error names its line
+            action.update(make_derivation(doc.table, (0, 1), {g: a.value}).action)
+        except DerivationError as exc:
+            raise DslError(str(exc), a.span) from exc
+    return AlgebroidSpec(doc.table, Derivation(doc.table, (0, 1), action))
 
 
 def document_from_spec(name: str, spec: AlgebroidSpec) -> SpecDocument:

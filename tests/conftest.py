@@ -156,6 +156,31 @@ def _count_even(evens, idx, weight):
     return total
 
 
+def brute_force_monomials(table, i, cap=0, torus=None, positive=False):
+    """Oracle for `weight_modules.Monomials`: {form degree j: sorted keys}
+    of the monomials of h-weight i and base degree <= cap, in positive-weight
+    generators only when `positive`, of zero weight under every operator of
+    `torus` (position -> weights; missing positions weigh zero).  Every
+    exponent vector in range is tried by itertools.product and filtered."""
+    gens = [g for g in table.gens if g.h_weight <= i and (g.h_weight or not positive)]
+    ranges = [range(2) if g.form_degree else range(max(cap, 0) + 1) if g.kind == "base"
+              else range(i // g.h_weight + 1) for g in gens]
+    r = len(next(iter(torus.values()), ())) if torus else 0
+    out = {}
+    for exps in itertools.product(*ranges):
+        if sum(e * g.h_weight for g, e in zip(gens, exps)) != i:
+            continue
+        if sum(e for g, e in zip(gens, exps) if g.kind == "base") > cap:
+            continue
+        if any(sum(e * torus.get(g.position, (0,) * r)[n] for g, e in zip(gens, exps))
+               for n in range(r)):
+            continue
+        even = tuple((g.position, e) for g, e in zip(gens, exps) if e and not g.form_degree)
+        odd = tuple(g.position for g, e in zip(gens, exps) if e and g.form_degree)
+        out.setdefault(len(odd), []).append((even, odd))
+    return {j: sorted(keys) for j, keys in out.items()}
+
+
 def projector_by_derivative(e, k):
     """Oracle for the weight-k homogenization projector: (1/k!) d^k/dt^k at
     t=0 of the pullback h_t^* e, computed formally.

@@ -64,6 +64,23 @@ def test_bracket_antisymmetry_normalization():
     assert a.d.value(g1) == b.d.value(g1)
 
 
+def test_bracket_coeff_antisymmetric():
+    """Q_IJ^K = -Q_JI^K and Q_II^K = 0 as read off d_E, on valid, random and
+    twisted specs (check_structure_equations has no antisymmetry family)."""
+    rng = random.Random(37)
+    specs = [make() for make in EXAMPLES.values()]
+    specs += [AlgebroidSpec.from_tables(*random_degree0_tables(rng)) for _ in range(10)]
+    specs += [unipotent_twist(rng, sl2()), unipotent_twist(rng, aff1())]
+    for spec in specs:
+        odds = spec.table.odd_generators()
+        for I in odds:
+            for J in odds:
+                for K in odds:
+                    q = spec.bracket_coeff(I, J, K)
+                    assert q == -spec.bracket_coeff(J, I, K)
+                    assert I != J or q.is_zero()
+
+
 def test_inconsistent_double_entry_rejected():
     table = GeneratorTable([("xi", "odd_fiber", 0, 2)])
     with pytest.raises(SpecError):

@@ -83,6 +83,36 @@ def test_weight_inconsistent_assignment_reports_span():
     assert "line" in str(err.value)
 
 
+def test_assignment_error_names_its_own_line():
+    text = ("algebroid a degree 0\nodd xi weight 0 dim 3\n"
+            "d xi[1] = xi[2]*xi[3]\nd xi[2] = xi[3]*xi[1]\n"
+            "# the third assignment is of form degree 1, not 2\n"
+            "d xi[3] = xi[1]\n")
+    with pytest.raises(DslError) as err:
+        to_algebroid_spec(parse(text))
+    assert str(err.value) == ("value for xi[3] must be bi-homogeneous of bi-weight (0, 2), "
+                              "got weights [BiWeight(h_weight=0, form_degree=1)] "
+                              "(line 6, column 3)")
+    with pytest.raises(DslError) as err:
+        to_algebroid_spec(parse(text.replace("d xi[2] = xi[3]*xi[1]", "d xi[2] = 1")))
+    assert str(err.value).startswith("value for xi[2] must be bi-homogeneous")
+    assert str(err.value).endswith("(line 4, column 3)")
+
+
+def test_nesting_limit():
+    table = parse("algebroid a degree 0\nbase x weight 0 dim 1\n").table
+    x = table.gen("x", 1)
+    assert parse_expression(table, "(" * 100 + "x[1]" + ")" * 100) == x
+    assert parse_expression(table, "-" * 100 + "x[1]") == x
+    assert parse_expression(table, "-(" * 50 + "x[1]" + ")" * 50) == x
+    for text in ("(" * 101 + "x[1]" + ")" * 101, "-" * 101 + "x[1]",
+                 "-(" * 51 + "x[1]" + ")" * 51, "(" * 200 + "x[1]" + ")" * 200,
+                 "-" * 1200 + "x[1]"):
+        with pytest.raises(DslError) as err:
+            parse_expression(table, text)
+        assert "expression nested more than 100 deep (line 1, column" in str(err.value)
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(DslError):
         parse("algebroid a degree 2\nbase x weight 0 dim 1\n"
@@ -326,3 +356,19 @@ def test_cli_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_cli_deep_nesting_exit_2(tmp_path, capsys):
+    """Nesting that would exhaust the recursive descent is a parse error
+    that names the line, not a traceback."""
+    head = "algebroid deep degree 0\nodd xi weight 0 dim 2\n# nested\n"
+    for value in ("(" * 200 + "xi[1]*xi[2]" + ")" * 200, "-" * 1200 + "xi[1]*xi[2]"):
+        path = tmp_path / "deep.spec"
+        path.write_text(head + "d xi[2] = " + value + "\n")
+        for command in (["check"], ["cohomology", "--weight", "0"]):
+            code, out, err = _run(capsys, command[0], str(path), *command[1:])
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {path}: expression nested more than 100 deep "
+                                  "(line 4, column ")
+            assert err.count("\n") == 1

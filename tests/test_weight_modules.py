@@ -11,14 +11,14 @@ from gradedlie.cohomology import _torus, build_complex
 from gradedlie.derivations import apply
 from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
                                      e7_instance, sl2, tangent_graded_bundle)
-from gradedlie.weight_modules import (BasisSizeError, CapClosureError, TorusBlock,
-                                      dim_w, homogenization_projector,
-                                      induced_differential_matrix,
-                                      sector_basis, sector_size, subcomplex_check,
-                                      w_basis)
+from gradedlie.weight_modules import (BasisSizeError, CapClosureError, Monomials,
+                                      differential_columns, dim_w,
+                                      homogenization_projector, sector_basis,
+                                      sector_size, w_basis)
 
-from conftest import (brute_force_w_dim, gl_spec, projector_by_derivative,
-                      random_chart, random_element, to_dense)
+from conftest import (brute_force_monomials, brute_force_w_dim, gl_spec,
+                      projector_by_derivative, random_chart, random_element,
+                      to_dense)
 
 
 def test_e3_dimensions():
@@ -55,17 +55,28 @@ def test_sector_size_matches_enumeration():
     for name, make in sorted(EXAMPLES.items()):
         spec = make()
         for i in range(spec.degree + 1):
-            for j in range(len(spec.table.odd_generators()) + 2):
-                for cap in range(3):
-                    assert sector_size(spec, i, j, cap) == len(sector_basis(spec, i, j, cap)), \
-                        (name, i, j, cap)
+            for cap in range(3):
+                oracle = brute_force_monomials(spec.table, i, cap)
+                for j in range(len(spec.table.odd_generators()) + 2):
+                    keys = sector_basis(spec, i, j, cap)
+                    assert keys == oracle.get(j, []), (name, i, j, cap)
+                    assert sector_size(spec, i, j, cap) == len(keys), (name, i, j, cap)
+
+
+def test_w_basis_matches_enumeration_random():
+    rng = random.Random(23)
+    for _ in range(20):
+        c = random_chart(rng, max_dim=2)
+        for i in range(1, 4):
+            oracle = brute_force_monomials(c, i, positive=True)
+            for j in range(0, i + 2):
+                assert w_basis(c, i, j).keys == oracle.get(j, [])
 
 
 def test_basis_size_guard_counts_before_listing(monkeypatch):
     def no_listing(*_args):
         raise AssertionError("a basis above the limit was listed")
-    monkeypatch.setattr(weight_modules, "combinations", no_listing)
-    monkeypatch.setattr(weight_modules, "_even_multisets", no_listing)
+    monkeypatch.setattr(Monomials, "_walk", no_listing)
     wide = GeneratorTable([("y", "odd_fiber", 0, 40)])
     sizes = [sector_size(wide, 0, j, 4) for j in range(41)]
     assert sizes == [comb(40, j) for j in range(41)]
@@ -82,28 +93,30 @@ def test_basis_size_guard_counts_before_listing(monkeypatch):
 
 
 def test_torus_block_count_listing_and_filter_agree():
-    """Per sector: the block's count, its listing, and the full sector
-    filtered by torus weight are the same."""
+    """Per sector: the block's count, its listing, and every monomial of the
+    sector filtered by torus weight are the same."""
     prolonged = algebroid_prolongation(sl2(), [("z", 1, 1), ("u", 2, 1)])
     for spec, weights in [(gl_spec(3), [0]), (gl_spec(4), [0]), (prolonged, [1, 2])]:
         labels, torus = _torus(spec)
         assert labels
         for i in weights:
-            block = TorusBlock(spec, i, torus)
+            block = Monomials(spec, i, torus=torus)
+            oracle = brute_force_monomials(spec.table, i, torus=torus)
             for j in range(len(spec.table.odd_generators()) + 2):
                 keys = block.basis(j)
-                filtered = [k for k in sector_basis(spec, i, j, 0)
-                            if not any(_torus_weight(torus, k))]
                 assert block.size(j) == len(keys)
-                assert keys == filtered
+                assert keys == oracle.get(j, [])
 
 
 def test_torus_block_random_weights():
-    """The enumerator against the filtered sector on random charts over a
-    point, with random integer weights (not only those of a torus)."""
+    """The enumerator against the filtered enumeration on random charts, over
+    a point and over a base at caps 0..2, with random integer weights (not
+    only those of a torus)."""
     rng = random.Random(19)
     for _ in range(25):
         decls = [("y", "odd_fiber", 0, rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            decls.append(("x", "base", 0, rng.randint(1, 2)))
         for w in (1, 2):
             if rng.random() < 0.7:
                 decls.append((f"z{w}", "even_fiber", w, rng.randint(1, 2)))
@@ -113,19 +126,13 @@ def test_torus_block_random_weights():
         r = rng.randint(1, 2)
         torus = {g.position: tuple(rng.randint(-4, 4) for _ in range(r)) for g in table.gens}
         for i in range(4):
-            block = TorusBlock(table, i, torus)
-            for j in range(len(table.odd_generators()) + 2):
-                keys = block.basis(j)
-                assert block.size(j) == len(keys)
-                assert keys == [k for k in sector_basis(table, i, j, 0)
-                                if not any(_torus_weight(torus, k))]
-
-
-def _torus_weight(torus, key):
-    even, odd = key
-    factors = [(p, e) for p, e in even] + [(p, 1) for p in odd]
-    r = len(next(iter(torus.values())))
-    return [sum(e * torus[p][n] for p, e in factors) for n in range(r)]
+            for cap in range(3) if table.base_generators() else [0]:
+                block = Monomials(table, i, cap, torus)
+                oracle = brute_force_monomials(table, i, cap, torus)
+                for j in range(len(table.odd_generators()) + 2):
+                    keys = block.basis(j)
+                    assert block.size(j) == len(keys)
+                    assert keys == oracle.get(j, [])
 
 
 def test_torus_block_guard_counts_the_block(monkeypatch):
@@ -138,8 +145,8 @@ def test_torus_block_guard_counts_the_block(monkeypatch):
     monkeypatch.setattr(weight_modules, "MAX_BASIS_SIZE", 425)
     with pytest.raises(BasisSizeError):
         build_complex(spec, 0)
-    monkeypatch.setattr(TorusBlock, "_walk", no_listing)
-    block = TorusBlock(spec, 0, _torus(spec)[1])
+    monkeypatch.setattr(Monomials, "_walk", no_listing)
+    block = Monomials(spec, 0, torus=_torus(spec)[1])
     assert block.size(8) == 426
     with pytest.raises(BasisSizeError) as err:
         block.basis(8)
@@ -174,31 +181,43 @@ def test_tangent_graded_bundle_dims():
 
 
 def test_subcomplex_preserved():
+    """d maps sector (i, j) into sector (i, j+1): differential_columns
+    refuses any image term outside the codomain.  d raises the base degree
+    of e7 by at most 1, so the codomain takes cap 3 over a domain at cap 2."""
     spec = e7_instance()
     for i in range(1, 3):
-        assert subcomplex_check(spec, i)
+        for j in range(len(spec.table.odd_generators()) + 1):
+            domain = sector_basis(spec, i, j, 2)
+            differential_columns(spec, domain, sector_basis(spec, i, j + 1, 3), 3)
+
+
+def _sector_matrix(spec, i, j, cap):
+    """(domain, codomain, columns) of d_E from sector (i, j) to (i, j+1)."""
+    domain = sector_basis(spec, i, j, cap)
+    codomain = sector_basis(spec, i, j + 1, cap)
+    return domain, codomain, differential_columns(spec, domain, codomain, cap)
 
 
 def test_induced_matrix_squares_to_zero():
     spec = tangent_graded_bundle([("x", 0, 1), ("z", 1, 2), ("u", 2, 1)])
-    m0 = induced_differential_matrix(spec, 2, 0, base_degree_cap=3)
-    m1 = induced_differential_matrix(spec, 2, 1, base_degree_cap=3)
-    a = to_dense(m1.columns, len(m1.codomain))
-    b = to_dense(m0.columns, len(m0.codomain))
+    dom0, cod0, m0 = _sector_matrix(spec, 2, 0, 3)
+    _dom1, cod1, m1 = _sector_matrix(spec, 2, 1, 3)
+    a = to_dense(m1, len(cod1))
+    b = to_dense(m0, len(cod0))
     assert a and b
     for r in range(len(a)):
-        for c in range(len(m0.domain)):
+        for c in range(len(dom0)):
             assert sum(a[r][k] * b[k][c] for k in range(len(b))) == 0
 
 
 def test_matrix_columns_match_direct_application():
     spec = tangent_graded_bundle([("x", 0, 1), ("z", 1, 2), ("u", 2, 1)])
-    m = induced_differential_matrix(spec, 1, 0, base_degree_cap=3)
-    for col, key in enumerate(m.domain):
+    domain, codomain, columns = _sector_matrix(spec, 1, 0, 3)
+    for col, key in enumerate(domain):
         image = apply(spec.d, Element(spec.table, {key: Fraction(1)}))
         rebuilt = spec.table.zero()
-        for row, c in m.columns[col].items():
-            rebuilt = rebuilt + Element(spec.table, {m.codomain[row]: c})
+        for row, c in columns[col].items():
+            rebuilt = rebuilt + Element(spec.table, {codomain[row]: c})
         assert rebuilt == image
 
 
@@ -206,7 +225,7 @@ def test_cap_closure_error():
     spec = e7_instance()
     # d z[3] contains x[1]*w[1], so no finite base-degree cap closes the span
     with pytest.raises(CapClosureError):
-        induced_differential_matrix(spec, 2, 0, base_degree_cap=4)
+        _sector_matrix(spec, 2, 0, 4)
 
 
 def test_projector_laws_random():
