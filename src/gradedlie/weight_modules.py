@@ -112,12 +112,13 @@ class Monomials:
         self._targets = range(cap + 1)   # the base degrees a monomial may have
         reach: Dict[int, int] = {0: 1}
         self._reach = [reach]
-        for _g, options in reversed(self._factors):
+        for g, options in reversed(self._factors):
+            bounded = g.h_weight or g.kind == "base"   # changes digit 0 or 1
             nxt: Dict[int, int] = {}
             for state, n in reach.items():
                 for _e, v in options:
                     s = state + v
-                    if s % b <= i and s // b % b <= cap:
+                    if not bounded or s % b <= i and s // b % b <= cap:
                         nxt[s] = nxt.get(s, 0) + n
             reach = nxt
             self._reach.append(reach)
@@ -132,7 +133,9 @@ class Monomials:
     def _needs(self, j: int) -> List[int]:
         """The codes of the totals of the sector (i, j) monomials, one per
         base degree they may have."""
-        if self.i < 0 or not 0 <= j <= self._m:   # m bounds the form degree
+        # m bounds the form degree; a negative i has no monomials, and as
+        # digit 0 it would break the codes
+        if self.i < 0 or not 0 <= j <= self._m:
             return []
         return [self._code((self.i, d, j)) for d in self._targets]
 

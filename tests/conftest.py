@@ -161,9 +161,11 @@ def brute_force_monomials(table, i, cap=0, torus=None, positive=False):
     of the monomials of h-weight i and base degree <= cap, in positive-weight
     generators only when `positive`, of zero weight under every operator of
     `torus` (position -> weights; missing positions weigh zero).  Every
-    exponent vector in range is tried by itertools.product and filtered."""
+    exponent vector in range is tried by itertools.product and filtered.
+    A negative cap counts as 0."""
+    cap = max(cap, 0)
     gens = [g for g in table.gens if g.h_weight <= i and (g.h_weight or not positive)]
-    ranges = [range(2) if g.form_degree else range(max(cap, 0) + 1) if g.kind == "base"
+    ranges = [range(2) if g.form_degree else range(cap + 1) if g.kind == "base"
               else range(i // g.h_weight + 1) for g in gens]
     r = len(next(iter(torus.values()), ())) if torus else 0
     out = {}
