@@ -12,10 +12,10 @@ and the tables are recovered by reading off coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .algebra import Element, GenRef, Generator, GeneratorTable, _mul_into
-from .derivations import Derivation, apply, is_homological, make_derivation
+from .derivations import Derivation, make_derivation
 
 
 class SpecError(ValueError):
@@ -25,15 +25,13 @@ class SpecError(ValueError):
 class AlgebroidSpec:
     """A weighted Lie algebroid in a homogeneous chart."""
 
-    def __init__(self, table: GeneratorTable, differential: Derivation,
-                 dropped_terms: Optional[List[str]] = None):
+    def __init__(self, table: GeneratorTable, differential: Derivation):
         if differential.table != table:
             raise SpecError("differential over a different table")
         if differential.bi_degree != (0, 1):
             raise SpecError(f"d_E must have bi-degree (0, 1), got {differential.bi_degree}")
         self.table = table
         self.d = differential
-        self.dropped_terms = dropped_terms or []
 
     # -- constructors ----------------------------------------------------
 
@@ -50,14 +48,16 @@ class AlgebroidSpec:
 
         anchor: (even ref, odd ref) -> polynomial coefficient Q_I^A, so that
             d X^A = sum_I Y^I Q_I^A.  Coefficients must be bi-homogeneous of
-            weight (w(A) - w(I), 0); entries whose slot weight is negative
-            are dropped and listed in `dropped_terms`.
+            weight (w(A) - w(I), 0), so a nonzero entry of negative slot
+            weight is an error; entries for the same pair add up.
         bracket: (odd I, odd J, odd K) -> Q_IJ^K, either triangle; the
             antisymmetric extension is normalised at ingestion and
             inconsistent double entries are an error.
+
+        Each entry goes straight into d_E: Y^I Q_I^A into d X^A, and
+        -Y^I Y^J Q_IJ^K (I before J) into d Y^K.
         """
-        dropped: List[str] = []
-        anchor_norm: Dict[Tuple[int, int], Element] = {}
+        action: Dict[Generator, Element] = {}
         for (a_ref, i_ref), val in anchor.items():
             A = table.resolve(a_ref)
             I = table.resolve(i_ref)
@@ -67,17 +67,13 @@ class AlgebroidSpec:
             if q.is_zero():
                 continue
             slot = A.h_weight - I.h_weight
-            if slot < 0:
-                dropped.append(f"anchor ({A}, {I}): slot weight {slot} < 0")
-                continue
             if not q.is_bihomogeneous((slot, 0)):
                 raise SpecError(
                     f"anchor coefficient for ({A}, {I}) must be bi-homogeneous of "
                     f"bi-weight ({slot}, 0), got weights {sorted(q.bi_weights())}")
-            key = (A.position, I.position)
-            anchor_norm[key] = anchor_norm.get(key, table.zero()) + q
+            action[A] = action.get(A, table.zero()) + table.gen(I.name, I.index) * q
 
-        bracket_norm: Dict[Tuple[int, int, int], Element] = {}
+        seen: Dict[Tuple[int, int, int], Element] = {}
         for (i_ref, j_ref, k_ref), val in bracket.items():
             I = table.resolve(i_ref)
             J = table.resolve(j_ref)
@@ -93,40 +89,21 @@ class AlgebroidSpec:
             if q.is_zero():
                 continue
             slot = K.h_weight - I.h_weight - J.h_weight
-            if slot < 0:
-                dropped.append(f"bracket ({I}, {J}, {K}): slot weight {slot} < 0")
-                continue
             if not q.is_bihomogeneous((slot, 0)):
                 raise SpecError(
                     f"bracket coefficient for ({I}, {J}, {K}) must be bi-homogeneous of "
                     f"bi-weight ({slot}, 0), got weights {sorted(q.bi_weights())}")
             key = (I.position, J.position, K.position)
-            if key in bracket_norm:
-                if bracket_norm[key] != q:
+            if key in seen:
+                if seen[key] != q:
                     raise SpecError(
                         f"inconsistent double entry for bracket ({I}, {J}, {K})")
-            else:
-                bracket_norm[key] = q
+                continue
+            seen[key] = q
+            action[K] = action.get(K, table.zero()) \
+                - table.gen(I.name, I.index) * table.gen(J.name, J.index) * q
 
-        action: Dict[Generator, Element] = {}
-        for A in table.even_generators():
-            v = table.zero()
-            for I in table.odd_generators():
-                q = anchor_norm.get((A.position, I.position))
-                if q is not None:
-                    v = v + table.gen(I.name, I.index) * q
-            action[A] = v
-        for K in table.odd_generators():
-            v = table.zero()
-            for (ip, jp, kp), q in bracket_norm.items():
-                if kp != K.position:
-                    continue
-                gi = table.gens[ip]
-                gj = table.gens[jp]
-                v = v - table.gen(gi.name, gi.index) * table.gen(gj.name, gj.index) * q
-            action[K] = v
-        d = make_derivation(table, (0, 1), action)
-        return cls(table, d, dropped)
+        return cls(table, make_derivation(table, (0, 1), action))
 
     # -- structure-table read-off ---------------------------------------
 

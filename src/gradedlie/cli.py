@@ -27,7 +27,8 @@ from .cohomology import _betti, _build_complex
 from .derivations import is_homological
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
-from .weight_modules import BasisSizeError, CapClosureError, w_basis
+from .weight_modules import (BasisSizeError, CapClosureError, Monomials,
+                             WeightModuleBasis)
 
 
 class CliError(Exception):
@@ -90,8 +91,9 @@ def _cmd_decompose(args) -> int:
     i = _positive_weight(args, spec)
     dims = {}
     lines = [f"decompose {args.file} weight {i}:"]
+    monomials = Monomials(spec, i, positive=True)
     for j in range(i + 1):
-        basis = w_basis(spec, i, j)
+        basis = WeightModuleBasis(i, j, monomials.basis(j), spec)
         n = len(basis)
         dims[f"({i},{j})"] = n
         labels = ", ".join(basis.labels()) or "-"

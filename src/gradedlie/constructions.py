@@ -6,19 +6,25 @@ used throughout the test-suite and the CLI.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import AlgebraError, Element, Generator, GeneratorTable
+from .algebra import Element, GenRef, Generator, GeneratorTable
 from .algebroid import AlgebroidSpec, SpecError
 from .derivations import make_derivation
 
 
 def cotangent_prolongation(a: AlgebroidSpec, fiber_name: str = "z",
                            momentum_name: str = "p") -> AlgebroidSpec:
-    """The cotangent prolongation T*A of a degree-0 algebroid A.
+    """The cotangent prolongation T*A of a degree-0 algebroid A: the
+    cotangent lift of d_A (Grabowski-Urbanski, Ann. Global Anal. Geom. 15,
+    1997).
 
-    Chart (x, y; z of bi-weight (1,0), p of bi-weight (1,1)), with
+    Each generator g of A gets a momentum pi_g of weight 1 and the other
+    parity: y^i gets z_i of bi-weight (1,0), x^a gets p_a of bi-weight
+    (1,1).  With the Hamiltonian H = sum_g d_A(g) pi_g, by graded left
+    derivatives,
+        d g = d_A g,    d z_i = dH/dy^i,    d p_a = -dH/dx^a,
+    that is, in structure functions,
         d z_i = Q_i^a p_a + y^j Q_ji^k z_k,
         d p_a = -y^i dQ_i^b/dx^a p_b - (1/2) y^i y^j dQ_ji^k/dx^a z_k.
     """
@@ -36,46 +42,17 @@ def cotangent_prolongation(a: AlgebroidSpec, fiber_name: str = "z",
         decls.append((momentum_name, "odd_fiber", 1, len(base)))
     table = GeneratorTable(decls)
 
-    def lift(e: Element) -> Element:
-        return e.map_to(table)
-
-    z = [table.gen(fiber_name, i + 1) for i in range(len(odds))]
-    p = [table.gen(momentum_name, n + 1) for n in range(len(base))]
-    y = [table.gen(g.name, g.index) for g in odds]
-
-    action: Dict[Generator, Element] = {}
-    for g in a.table.gens:
-        action[table.generator(g.name, g.index)] = lift(a.d.value(g))
-
-    anchor = [[lift(a.anchor_coeff(odds[i], base[n])) for n in range(len(base))]
-              for i in range(len(odds))]
-    bracket = [[[lift(a.bracket_coeff(odds[i], odds[j], odds[k]))
-                 for k in range(len(odds))]
-                for j in range(len(odds))]
-               for i in range(len(odds))]
-
-    for i in range(len(odds)):
-        v = table.zero()
-        for n in range(len(base)):
-            v = v + anchor[i][n] * p[n]
-        for j in range(len(odds)):
-            for k in range(len(odds)):
-                v = v + y[j] * bracket[j][i][k] * z[k]
-        action[table.generator(fiber_name, i + 1)] = v
-
-    for n, xb in enumerate(base):
-        xg = table.generator(xb.name, xb.index)
-        v = table.zero()
-        for i in range(len(odds)):
-            for m in range(len(base)):
-                v = v - y[i] * anchor[i][m].partial_derivative(xg) * p[m]
-        for i in range(len(odds)):
-            for j in range(len(odds)):
-                for k in range(len(odds)):
-                    v = v - Fraction(1, 2) * y[i] * y[j] \
-                        * bracket[j][i][k].partial_derivative(xg) * z[k]
-        action[table.generator(momentum_name, n + 1)] = v
-
+    momenta = [(g, (fiber_name, n + 1)) for n, g in enumerate(odds)]
+    momenta += [(g, (momentum_name, n + 1)) for n, g in enumerate(base)]
+    action: Dict[GenRef, Element] = {}
+    hamiltonian = table.zero()
+    for g, pi in momenta:
+        dg = a.d.value(g).map_to(table)
+        action[(g.name, g.index)] = dg
+        hamiltonian = hamiltonian + dg * table.gen(*pi)
+    for g, pi in momenta:
+        dh = hamiltonian.partial_derivative(table.generator(g.name, g.index))
+        action[pi] = dh if g.form_degree else -dh
     return AlgebroidSpec(table, make_derivation(table, (0, 1), action))
 
 
@@ -101,7 +78,6 @@ def tangent_graded_bundle(blocks: ChartBlocks) -> AlgebroidSpec:
     for name, w, dim in blocks:
         for i in range(1, dim + 1):
             action[table.generator(name, i)] = table.gen(f"d{name}", i)
-            action[table.generator(f"d{name}", i)] = table.zero()
     return AlgebroidSpec(table, make_derivation(table, (0, 1), action))
 
 
@@ -129,7 +105,6 @@ def algebroid_prolongation(a: AlgebroidSpec, blocks: ChartBlocks) -> AlgebroidSp
     for name, w, dim in blocks:
         for i in range(1, dim + 1):
             action[table.generator(name, i)] = table.gen(f"d{name}", i)
-            action[table.generator(f"d{name}", i)] = table.zero()
     return AlgebroidSpec(table, make_derivation(table, (0, 1), action))
 
 

@@ -182,7 +182,8 @@ class _Parser:
         if name_tok.text in RESERVED:
             raise DslError(f"{name_tok.text!r} is a reserved word", name_tok.span)
         self.expect("IDENT", "degree")
-        degree = self.expect_int()
+        degree_tok = self.expect("INT")
+        degree = int(degree_tok.text)
 
         declarations: List[Declaration] = []
         raw_assignments: List[Tuple[Tuple[str, int], Span]] = []
@@ -217,16 +218,22 @@ class _Parser:
                 raise DslError(f"unexpected token {tok.text!r} "
                                "(expected 'base', 'even', 'odd' or 'd')", tok.span)
 
+        chart = [(d.name, d.kind, d.h_weight, d.dim) for d in declarations]
         try:
-            table = GeneratorTable([(d.name, d.kind, d.h_weight, d.dim)
-                                    for d in declarations])
-        except AlgebraError as exc:
-            span = declarations[0].span if declarations else self.peek().span
-            raise DslError(str(exc), span) from exc
+            table = GeneratorTable(chart)
+        except AlgebraError:
+            # the chart is checked one declaration at a time, so the first
+            # prefix it refuses ends in the declaration at fault
+            for n, decl in enumerate(declarations, 1):
+                try:
+                    GeneratorTable(chart[:n])
+                except AlgebraError as exc:
+                    raise DslError(str(exc), decl.span) from exc
+            raise
         if table.degree != degree:
             raise DslError(
                 f"declared degree {degree} does not match the chart degree {table.degree}",
-                Span(1, 1))
+                degree_tok.span)
 
         assignments: List[Assignment] = []
         declared = {(d.name) for d in declarations}

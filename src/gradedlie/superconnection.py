@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from .algebra import Element, GeneratorTable, MonomialKey, _mul_into, monomial_str
 from .algebroid import AlgebroidSpec
 from .derivations import Derivation, apply
-from .weight_modules import w_basis
+from .weight_modules import Monomials
 
 
 class GaugeError(ValueError):
@@ -106,9 +106,11 @@ class SuperconnectionComponents:
 
 
 def _module_basis_keys(spec: AlgebroidSpec, i: int) -> List[MonomialKey]:
+    """The W^(i, j) monomials for j = 0..i, from one enumerator."""
+    monomials = Monomials(spec, i, positive=True)
     keys: List[MonomialKey] = []
     for j in range(i + 1):
-        keys.extend(w_basis(spec, i, j).keys)
+        keys.extend(monomials.basis(j))
     return keys
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +80,63 @@ def test_bracket_coeff_antisymmetric():
                     q = spec.bracket_coeff(I, J, K)
                     assert q == -spec.bracket_coeff(J, I, K)
                     assert I != J or q.is_zero()
+
+
+def test_from_tables_round_trip():
+    """Random tables, written in either triangle, with some bracket entries
+    in both and some anchor entries split over two refs of one pair, read
+    back through anchor_coeff and bracket_coeff as the normalised input."""
+    rng = random.Random(38)
+    for _ in range(40):
+        table, anchor, bracket = random_degree0_tables(rng)
+        written_anchor = {}
+        for (a_ref, i_ref), q in anchor.items():
+            if rng.random() < 0.3:
+                half = q * Fraction(1, 2)
+                written_anchor[(a_ref, i_ref)] = half
+                written_anchor[(table.resolve(a_ref), i_ref)] = q - half
+            else:
+                written_anchor[(a_ref, i_ref)] = q
+        written_bracket = {}
+        for (i_ref, j_ref, k_ref), q in bracket.items():
+            side = rng.choice(["upper", "lower", "both"])
+            if side != "lower":
+                written_bracket[(i_ref, j_ref, k_ref)] = q
+            if side != "upper":
+                written_bracket[(j_ref, i_ref, k_ref)] = -q
+        spec = AlgebroidSpec.from_tables(table, written_anchor, written_bracket)
+        odds = table.odd_generators()
+        for A in table.base_generators():
+            for I in odds:
+                want = anchor.get(((A.name, A.index), (I.name, I.index)), table.zero())
+                assert spec.anchor_coeff(I, A) == want
+        for I in odds:
+            for J in odds:
+                for K in odds:
+                    ref = lambda g: (g.name, g.index)
+                    upper = bracket.get((ref(I), ref(J), ref(K)))
+                    lower = bracket.get((ref(J), ref(I), ref(K)))
+                    want = upper if upper is not None else \
+                        -lower if lower is not None else table.zero()
+                    assert spec.bracket_coeff(I, J, K) == want
+
+
+def test_negative_slot_weight_entry_rejected():
+    """A nonzero entry whose coefficient would need a negative weight is a
+    SpecError naming the entry; a zero one is ignored."""
+    table = GeneratorTable([("x", "base", 0, 1), ("y", "odd_fiber", 0, 1),
+                            ("w", "odd_fiber", 1, 2)])
+    with pytest.raises(SpecError) as err:
+        AlgebroidSpec.from_tables(table, {(("x", 1), ("w", 1)): 1}, {})
+    assert str(err.value).startswith("anchor coefficient for (x[1], w[1]) must be "
+                                     "bi-homogeneous of bi-weight (-1, 0)")
+    with pytest.raises(SpecError) as err:
+        AlgebroidSpec.from_tables(table, {}, {(("w", 2), ("y", 1), ("y", 1)): 3})
+    assert str(err.value).startswith("bracket coefficient for (y[1], w[2], y[1]) must "
+                                     "be bi-homogeneous of bi-weight (-1, 0)")
+    spec = AlgebroidSpec.from_tables(table, {(("x", 1), ("w", 1)): 0},
+                                     {(("w", 1), ("w", 2), ("y", 1)): 0})
+    assert spec.d.is_zero()
 
 
 def test_inconsistent_double_entry_rejected():

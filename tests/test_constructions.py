@@ -16,7 +16,7 @@ from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra,
                                      tangent_graded_bundle,
                                      weighted_lie_algebra)
 
-from conftest import random_poly, unipotent_twist
+from conftest import random_degree0_tables, random_poly, unipotent_twist
 
 
 def _generic_rank2_algebroid():
@@ -37,52 +37,66 @@ def _generic_rank2_algebroid():
     return AlgebroidSpec.from_tables(table, anchor, bracket), anchor, bracket
 
 
-def test_cotangent_prolongation_fiber_formula():
-    a, anchor, bracket = _generic_rank2_algebroid()
+def _lift_cases():
+    """The generic rank-2 algebroid, and random tables over a base (most
+    fail the structure equations; the formulas hold regardless)."""
+    rng = random.Random(74)
+    cases = [_generic_rank2_algebroid()[0]]
+    while len(cases) < 25:
+        table, anchor, bracket = random_degree0_tables(rng)
+        if table.base_generators():
+            cases.append(AlgebroidSpec.from_tables(table, anchor, bracket))
+    return cases
+
+
+def _lifted(a):
+    """T*A with its generators as elements: y, z and p, and the structure
+    functions of A lifted to its chart."""
     prol = cotangent_prolongation(a)
     t = prol.table
     lift = lambda e: e.map_to(t)
-    y = [t.gen("y", 1), t.gen("y", 2)]
-    z = [t.gen("z", 1), t.gen("z", 2)]
-    p = [t.gen("p", 1), t.gen("p", 2)]
     base = a.table.base_generators()
     odds = a.table.odd_generators()
+    y = [t.gen(g.name, g.index) for g in odds]
+    z = [t.gen("z", i + 1) for i in range(len(odds))]
+    p = [t.gen("p", n + 1) for n in range(len(base))]
     q = lambda i, a_: lift(a.anchor_coeff(odds[i], base[a_]))
     c = lambda i, j, k: lift(a.bracket_coeff(odds[i], odds[j], odds[k]))
-    for i in range(2):
-        want = t.zero()
-        for a_ in range(2):
-            want = want + q(i, a_) * p[a_]
-        for j in range(2):
-            for k in range(2):
-                want = want + y[j] * c(j, i, k) * z[k]
-        assert prol.d.value(t.generator("z", i + 1)) == want
+    return prol, y, z, p, q, c
+
+
+def test_cotangent_prolongation_fiber_formula():
+    """d z_i = Q_i^a p_a + y^j Q_ji^k z_k."""
+    for a in _lift_cases():
+        prol, y, z, p, q, c = _lifted(a)
+        t = prol.table
+        for i in range(len(y)):
+            want = t.zero()
+            for a_ in range(len(p)):
+                want = want + q(i, a_) * p[a_]
+            for j in range(len(y)):
+                for k in range(len(y)):
+                    want = want + y[j] * c(j, i, k) * z[k]
+            assert prol.d.value(t.generator("z", i + 1)) == want
 
 
 def test_cotangent_prolongation_momentum_formula():
-    a, anchor, bracket = _generic_rank2_algebroid()
-    prol = cotangent_prolongation(a)
-    t = prol.table
-    lift = lambda e: e.map_to(t)
-    y = [t.gen("y", 1), t.gen("y", 2)]
-    z = [t.gen("z", 1), t.gen("z", 2)]
-    p = [t.gen("p", 1), t.gen("p", 2)]
-    base = a.table.base_generators()
-    odds = a.table.odd_generators()
-    for a_ in range(2):
-        xg = t.generator("x", a_ + 1)
-        want = t.zero()
-        for i in range(2):
-            for b in range(2):
-                dq = lift(a.anchor_coeff(odds[i], base[b])).partial_derivative(xg)
-                want = want - y[i] * dq * p[b]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    dc = lift(a.bracket_coeff(odds[j], odds[i], odds[k])) \
-                        .partial_derivative(xg)
-                    want = want - Fraction(1, 2) * y[i] * y[j] * dc * z[k]
-        assert prol.d.value(t.generator("p", a_ + 1)) == want
+    """d p_a = -y^i dQ_i^b/dx^a p_b - (1/2) y^i y^j dQ_ji^k/dx^a z_k."""
+    for a in _lift_cases():
+        prol, y, z, p, q, c = _lifted(a)
+        t = prol.table
+        for a_, xb in enumerate(a.table.base_generators()):
+            xg = t.generator(xb.name, xb.index)
+            want = t.zero()
+            for i in range(len(y)):
+                for b in range(len(p)):
+                    want = want - y[i] * q(i, b).partial_derivative(xg) * p[b]
+            for i in range(len(y)):
+                for j in range(len(y)):
+                    for k in range(len(y)):
+                        want = want - Fraction(1, 2) * y[i] * y[j] \
+                            * c(j, i, k).partial_derivative(xg) * z[k]
+            assert prol.d.value(t.generator("p", a_ + 1)) == want
 
 
 def test_cotangent_prolongation_homological_iff_input_valid():

@@ -119,6 +119,29 @@ def test_degree_mismatch_rejected():
               "odd y weight 0 dim 1\n")
 
 
+def test_chart_errors_name_their_own_line():
+    """A declaration error names the declaration at fault, and a degree
+    mismatch the header's degree, wherever comments put them."""
+    head = "# a comment\n\nalgebroid a degree 0\nodd xi weight 0 dim 2\n"
+    cases = [
+        ("odd xi weight 0 dim 1\n", "duplicate generator block name 'xi'"),
+        ("base x weight 1 dim 1\n", "base block 'x' must have weight 0"),
+        ("odd eta weight 0 dim 0\n", "block 'eta' has non-positive dimension"),
+        ("even z weight 0 dim 1\n",
+         "even fiber block 'z' with weight 0 would be a second base block"),
+    ]
+    for decl, message in cases:
+        # the bad declaration on line 6, after a valid one on line 5
+        text = head + "base y weight 0 dim 1\n" + decl + "d xi[2] = xi[1]*xi[2]\n"
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (line 6, column 1)"
+    with pytest.raises(DslError) as err:
+        parse(head.replace("degree 0", "degree 3"))
+    assert str(err.value) == ("declared degree 3 does not match the chart degree 0 "
+                              "(line 3, column 20)")
+
+
 # -- CLI --------------------------------------------------------------------
 
 def _run(capsys, *argv):
@@ -294,6 +317,14 @@ def test_cli_example_round_trip(tmp_path, capsys):
         assert set(payload) == {"status", "path"}
         code, out, _ = _run(capsys, "check", str(out_file))
         assert code == 0, name
+
+
+def test_shipped_specs_are_the_examples(capsys):
+    """specs/NAME.spec holds exactly what `gradedlie example NAME` prints."""
+    for name in ("adjoint", "aff1", "e7", "sl2"):
+        code, out, err = _run(capsys, "example", name)
+        assert (code, err) == (0, "")
+        assert out == spec_text(f"{name}.spec"), name
 
 
 def test_cli_example_unknown(capsys):
