@@ -314,14 +314,19 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         if n < 0:
             raise AlgebraError("negative powers are not defined")
-        out = self.table.one()
+        if n == 0:
+            return self.table.one()
         square = self
+        while not n & 1:
+            square = square * square
+            n >>= 1
+        out = square
+        n >>= 1
         while n:
+            square = square * square
             if n & 1:
                 out = out * square
             n >>= 1
-            if n:
-                square = square * square
         return out
 
     def __eq__(self, other) -> bool:

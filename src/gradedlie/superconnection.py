@@ -6,15 +6,23 @@ boundary, D_1 the connection part and D_p (p >= 2) the higher homotopies.
 Blocks are stored sparsely on the W-basis monomials; the extension to the
 whole module follows the Leibniz rule
 D_p(w . m) = [p = 1] d_A(w) . m + (-1)^|w| w . D_p(m).
+
+The module operators (the summed D, and a gauge's raising part) compute
+fraction-free: each clears the denominators of its blocks, and of d_A,
+with one integer scale at construction, keeps the image of every module
+monomial it has met as a scaled-int table, and divides each nonzero output
+coefficient once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional
 
-from .algebra import Element, GeneratorTable, MonomialKey, _mul_into, monomial_str
+from .algebra import Element, GeneratorTable, MonomialKey, Scalar, _mul_into, monomial_str
 from .algebroid import AlgebroidSpec
 from .derivations import Derivation, apply
 from .weight_modules import Monomials
@@ -45,45 +53,91 @@ def split_by_y_count(table: GeneratorTable, e: Element) -> Dict[int, Element]:
     return {p: Element(table, terms) for p, terms in parts.items()}
 
 
-def _summed_blocks(blocks: Dict[int, Dict[MonomialKey, Element]]) -> Dict[MonomialKey, Element]:
-    """Per W-basis key, the sum of its blocks over all p."""
-    summed: Dict[MonomialKey, Element] = {}
-    for blk in blocks.values():
-        for key, v in blk.items():
-            summed[key] = summed[key] + v if key in summed else v
-    return summed
+def _scaled(e: Element, scale: int) -> Dict[MonomialKey, int]:
+    """The coefficients of `e` times `scale`, a multiple of their denominators."""
+    return {k: c.numerator * (scale // c.denominator) for k, c in e.terms.items()}
 
 
-def _extend(table: GeneratorTable, summed: Dict[MonomialKey, Element], e: Element,
-            d: Optional[Derivation] = None) -> Element:
-    """Extend an operator given on W-basis monomials to the module.
+class _Extension:
+    """An operator given on W-basis monomials, extended to the module.
 
     Without `d` the extension is module-linear, a.w -> a.op(w).  With the
     derivation `d` it is the odd Leibniz extension
-    a.w -> d(a).w + (-1)^|a| a.op(w); d(a) is computed once per
-    weight-zero key a within the call."""
-    out: dict = {}
-    d_of: Dict[MonomialKey, dict] = {}
-    for key, coeff in e.terms.items():
-        a_key, w_key = _split_key(table, key)
+    a.w -> d(a).w + (-1)^|a| a.op(w).
+
+    The arithmetic is fraction-free.  At construction the blocks and the
+    values of `d` are multiplied by one integer scale L, the lcm of all their
+    denominators, into int tables, the blocks summed over p per W-basis key.
+    The image of a module monomial a.w is computed once, from those tables,
+    and kept in `images` for every later call.  A call multiplies its input
+    by the lcm Le of the input's own denominators, accumulates int
+    products, and divides each nonzero output coefficient once by L.Le,
+    keeping an integral quotient as an int.  The blocks and `d` must not
+    change after construction."""
+
+    def __init__(self, table: GeneratorTable, blocks: Dict[int, Dict[MonomialKey, Element]],
+                 d: Optional[Derivation] = None):
+        values = [v for blk in blocks.values() for v in blk.values()]
         if d is not None:
-            da = d_of.get(a_key)
-            if da is None:
-                da = d_of[a_key] = apply(d, Element(table, {a_key: 1})).terms
-            _mul_into(out, coeff, w_key, da, mono_first=False)
+            values += d.action.values()
+        self.table = table
+        self.scale = lcm(*[c.denominator for v in values for c in v.terms.values()])
+        self.blocks: Dict[MonomialKey, Dict[MonomialKey, int]] = {}
+        for blk in blocks.values():
+            for key, v in blk.items():
+                summed = self.blocks.setdefault(key, {})
+                for k, c in _scaled(v, self.scale).items():
+                    summed[k] = summed.get(k, 0) + c
+        self.d = None if d is None else Derivation(table, d.bi_degree, {
+            p: Element(table, _scaled(v, self.scale)) for p, v in d.action.items()})
+        self.images: Dict[MonomialKey, Dict[MonomialKey, int]] = {}
+
+    def _image(self, key: MonomialKey) -> Dict[MonomialKey, int]:
+        """L times the image of the module monomial `key`."""
+        table = self.table
+        a_key, w_key = _split_key(table, key)
+        image: dict = {}
+        sign = 1
+        if self.d is not None:
+            da = apply(self.d, Element(table, {a_key: 1}))
+            _mul_into(image, 1, w_key, da.terms, mono_first=False)
             if len(a_key[1]) & 1:
-                coeff = -coeff
-        op_w = summed.get(w_key)
-        if op_w is not None:
-            _mul_into(out, coeff, a_key, op_w.terms)
-    return Element(table, out)
+                sign = -1
+        op_w = self.blocks.get(w_key)
+        if op_w:
+            _mul_into(image, sign, a_key, op_w)
+        return {k: c for k, c in image.items() if c}
+
+    def __call__(self, e: Element) -> Element:
+        terms = e.terms
+        # A list, not a generator: star-unpacking a generator here left up to
+        # 2 000 tuples per size on the interpreter's free lists between full
+        # collections, which showed in peak RSS.
+        le = lcm(*[c.denominator for c in terms.values()])
+        images = self.images
+        acc: Dict[MonomialKey, int] = {}
+        for key, c in terms.items():
+            image = images.get(key)
+            if image is None:
+                image = images[key] = self._image(key)
+            c = c.numerator * (le // c.denominator)
+            for k, v in image.items():
+                acc[k] = acc.get(k, 0) + c * v
+        div = self.scale * le
+        out: Dict[MonomialKey, Scalar] = {}
+        for k, v in acc.items():
+            if v:
+                q, r = divmod(v, div)
+                out[k] = Fraction(v, div) if r else q
+        return Element(self.table, out)
 
 
 @dataclass
 class SuperconnectionComponents:
     """The blocks D_p of the weight-i module operator on the W-basis keys.
-    Their per-key sum is taken once, at construction: to change a block,
-    build a new object."""
+    Their per-key sum, scaled to integers, and the image of each module
+    monomial under it are kept on the object: to change a block, build a
+    new object."""
 
     spec: AlgebroidSpec
     i: int
@@ -91,7 +145,7 @@ class SuperconnectionComponents:
     basis_keys: List[MonomialKey] = field(default_factory=list)
 
     def __post_init__(self):
-        self._summed = _summed_blocks(self.blocks)
+        self._extension = _Extension(self.spec.table, self.blocks, self.spec.d)
 
     def component(self, p: int, key: MonomialKey) -> Element:
         return self.blocks.get(p, {}).get(key, self.spec.table.zero())
@@ -102,7 +156,7 @@ class SuperconnectionComponents:
 
     def total(self, e: Element) -> Element:
         """The reassembled operator sum_p D_p on a module element."""
-        return _extend(self.spec.table, self._summed, e, self.spec.d)
+        return self._extension(e)
 
 
 def _module_basis_keys(spec: AlgebroidSpec, i: int) -> List[MonomialKey]:
@@ -155,7 +209,10 @@ def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
 @dataclass
 class GaugeTransformation:
     """Unipotent module automorphism: identity plus blocks phi_p (p >= 1)
-    that raise the A-form degree by p and lower the module degree by p."""
+    that raise the A-form degree by p and lower the module degree by p.
+    Block keys are weight-i W-basis monomials.  The raising part, scaled to
+    integers, and the image of each module monomial under it are kept on
+    the object: to change a block, build a new object."""
 
     spec: AlgebroidSpec
     i: int
@@ -168,6 +225,10 @@ class GaugeTransformation:
                 raise GaugeError("gauge blocks must have p >= 1 (p = 0 is the identity)")
             for key, val in blk.items():
                 bw = table.key_bi_weight(key)
+                if _split_key(table, key)[0] != ((), ()) or bw.h_weight != self.i:
+                    raise GaugeError(
+                        f"gauge block p={p} key {monomial_str(table, key)} is not a "
+                        f"weight-{self.i} W-basis monomial")
                 if not (val.is_zero() or val.is_bihomogeneous(bw)):
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} is not "
@@ -176,11 +237,11 @@ class GaugeTransformation:
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} has terms "
                         f"with a different A-form degree")
-        self._summed = _summed_blocks(self.blocks)
+        self._extension = _Extension(table, self.blocks)
 
     def _raise_once(self, e: Element) -> Element:
         """The strictly raising part N = phi - id, extended module-linearly."""
-        return _extend(self.spec.table, self._summed, e)
+        return self._extension(e)
 
     def apply_to(self, e: Element) -> Element:
         return e + self._raise_once(e)

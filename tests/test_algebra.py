@@ -134,13 +134,17 @@ def test_large_power_is_one_monomial(chart):
 
 
 def test_power_matches_repeated_multiplication(chart):
-    x1, y1 = chart.gen("x", 1), chart.gen("y", 1)
-    for base in (x1 + 1, y1, 2 * x1 * chart.gen("z", 1) - y1 + 3):
+    x1, y1, w1 = chart.gen("x", 1), chart.gen("y", 1), chart.gen("w", 1)
+    odd = y1 - Fraction(2, 3) * x1 * w1
+    even = Fraction(1, 5) * chart.gen("z", 1) + chart.gen("u", 1) - 7
+    for base in (x1 + 1, y1, odd, even, 2 * x1 * chart.gen("z", 1) - y1 + 3):
         product = chart.one()
         for n in range(7):
             assert base ** n == product
             product = product * base
     assert (y1 ** 2).is_zero()
+    with pytest.raises(AlgebraError):
+        odd ** -1
 
 
 def test_printing_canonical(chart):

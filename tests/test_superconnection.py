@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from gradedlie.algebra import Element, GeneratorTable, monomial_str
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.derivations import apply
-from gradedlie.constructions import adjoint_instance, e7_instance
+from gradedlie.constructions import adjoint_instance, cotangent_prolongation, e7_instance
 from gradedlie.superconnection import (GaugeError, GaugeTransformation,
                                        SuperconnectionComponents, apply_gauge,
                                        compose_gauges, extract_components,
@@ -16,10 +17,36 @@ from gradedlie.superconnection import (GaugeError, GaugeTransformation,
                                        split_by_y_count)
 from gradedlie.weight_modules import sector_basis, w_basis
 
-from conftest import random_coeff
+from conftest import algebra_map, random_coeff
+from test_coefficients import rational_specs
 
 
-def random_gauge(rng, spec, i):
+def coprime_coeff(rng, zero_bias=0.3):
+    """Like `random_coeff`, with the coprime denominators 3, 5 and 7 too."""
+    if rng.random() < zero_bias:
+        return Fraction(0)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 3, 5, 7]))
+
+
+def rational_d_specs():
+    """(spec, module weight) pairs whose d has non-integral coefficients:
+    the cotangent prolongation of sl(2) with [s1, s2] = s3 / 2, that of the
+    rank-2 bundle of Lie algebras with [s1, s2] = (x / 2) s1, and e7 in the
+    coordinate x[1] / 3.  The last has integral blocks: its one rational
+    coefficient is d x[1] = y[1] / 3, which only the Leibniz part meets."""
+    sl2_half, _gl3, bundle_lift = rational_specs()
+    e7 = e7_instance()
+    table = e7.table
+    x1 = table.generator("x", 1)
+    substitute = algebra_map(table, {x1.position: 3 * table.gen("x", 1)})
+    action = {g: substitute(e7.d.value(g)) for g in table.gens}
+    action[x1] = action[x1] * Fraction(1, 3)
+    e7_third = AlgebroidSpec.from_differential(table, action)
+    return [(cotangent_prolongation(sl2_half), 1), (bundle_lift, 1),
+            (e7_third, 1), (e7_third, 2)]
+
+
+def random_gauge(rng, spec, i, coeff=random_coeff):
     """Random unipotent gauge on the weight-i module: phi_p lowers the
     A-form grading target by p, raising y-count by p."""
     table = spec.table
@@ -47,7 +74,7 @@ def random_gauge(rng, spec, i):
                         continue
                     if table.key_bi_weight(full) != bw:
                         continue
-                    c = random_coeff(rng, zero_bias=0.6)
+                    c = coeff(rng, zero_bias=0.6)
                     if c:
                         target = target + Element(table, {full: c})
             if not target.is_zero():
@@ -74,18 +101,24 @@ def test_flatness_cascade_examples():
             assert report.passed, report.residuals
 
 
+def split_module_key(table, key):
+    """(base, w): the factors of weight zero and the W-monomial, by weight."""
+    even, odd = key
+    zero_weight = lambda pos: table.gens[pos].h_weight == 0
+    return ((tuple(f for f in even if zero_weight(f[0])),
+             tuple(pos for pos in odd if zero_weight(pos))),
+            (tuple(f for f in even if not zero_weight(f[0])),
+             tuple(pos for pos in odd if not zero_weight(pos))))
+
+
 def block_apply(c, a, e):
     """D_a on a module element, straight from block a: on a term base*w
     (base of weight zero, w a W-monomial) it gives
     [a = 1] d(base)*w + (-1)^|base| base*D_a(w)."""
     table = c.spec.table
-    zero_weight = lambda pos: table.gens[pos].h_weight == 0
     out = table.zero()
-    for (even, odd), coeff in e.terms.items():
-        base_key = (tuple(f for f in even if zero_weight(f[0])),
-                    tuple(pos for pos in odd if zero_weight(pos)))
-        w_key = (tuple(f for f in even if not zero_weight(f[0])),
-                 tuple(pos for pos in odd if not zero_weight(pos)))
+    for key, coeff in e.terms.items():
+        base_key, w_key = split_module_key(table, key)
         base = Element(table, {base_key: Fraction(1)})
         if a == 1:
             out = out + apply(c.spec.d, base) * Element(table, {w_key: Fraction(1)}) * coeff
@@ -101,13 +134,13 @@ def total_by_terms(c, e):
     return out
 
 
-def module_element(rng, spec, i):
+def module_element(rng, spec, i, coeff=random_coeff):
     """Random element of the weight-i module: a few monomials (base degree
     <= 2) times random coefficients."""
     keys = [k for j in range(len(spec.table.odd_generators()) + 1)
             for k in sector_basis(spec, i, j, 2)]
     chosen = rng.sample(keys, rng.randint(1, 5))
-    return Element(spec.table, {k: random_coeff(rng, zero_bias=0.0) for k in chosen})
+    return Element(spec.table, {k: coeff(rng, zero_bias=0.0) for k in chosen})
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -138,7 +171,7 @@ def cascade_oracle(c):
     return residuals
 
 
-def perturbed(rng, c):
+def perturbed(rng, c, shift=lambda rng: rng.choice([-2, -1, 1, 3])):
     """The components with some block values changed: one term's coefficient
     shifted, or that term times a base generator added.  Either keeps the
     bi-weight and the y-count of the block."""
@@ -153,7 +186,7 @@ def perturbed(rng, c):
             term = Element(table, {rng.choice(sorted(v.terms)): Fraction(1)})
             if base and rng.random() < 0.5:
                 term = term * table.gen(base[0].name, base[0].index)
-            blocks[p][key] = v + term * rng.choice([-2, -1, 1, 3])
+            blocks[p][key] = v + term * shift(rng)
     return SuperconnectionComponents(c.spec, c.i, blocks, list(c.basis_keys))
 
 
@@ -171,6 +204,85 @@ def test_cascade_residuals_match_per_level_oracle():
             assert report.passed == (not oracle)
             failing += not report.passed
     assert failing >= 10
+
+
+def has_denominator(elements, primes=(3, 5, 7)):
+    return any(c.denominator % q == 0 for e in elements for c in e.terms.values()
+               for q in primes)
+
+
+def test_rational_operators_match_termwise_oracles():
+    """Denominators 3, 5 and 7 in the gauges, the perturbations and the
+    module elements, and a rational d: `total` against `total_by_terms`, and
+    the cascade against `cascade_oracle`, failing cascades included, whose
+    residuals go through the final division."""
+    rng = random.Random(55)
+    shift = lambda rng: coprime_coeff(rng, zero_bias=0.0)
+    failing, residuals = 0, []
+    cases = [(e7_instance(), 1), (e7_instance(), 2)] + rational_d_specs()
+    for spec, i in cases:
+        comp = extract_components(spec, i)
+        gauged = apply_gauge(comp, random_gauge(rng, spec, i, coprime_coeff))
+        for c in [comp, gauged, perturbed(rng, comp, shift), perturbed(rng, gauged, shift)]:
+            for _ in range(3):
+                e = module_element(rng, spec, i, coprime_coeff)
+                assert c.total(e) == total_by_terms(c, e)
+            report = flatness_cascade(c)
+            assert report.residuals == cascade_oracle(c)
+            failing += not report.passed
+            residuals += [r for level in report.residuals.values() for r in level.values()]
+    assert failing >= 6
+    assert has_denominator(residuals)
+
+
+def raise_by_terms(phi, e):
+    """N = phi - id on a module element, term by term: base*w goes to
+    base * sum_p phi_p(w)."""
+    table = phi.spec.table
+    out = table.zero()
+    for key, coeff in e.terms.items():
+        base_key, w_key = split_module_key(table, key)
+        for blk in phi.blocks.values():
+            if w_key in blk:
+                out = out + Element(table, {base_key: coeff}) * blk[w_key]
+    return out
+
+
+def inverse_by_neumann(phi, e):
+    """phi^-1 e = sum_k (-N)^k e, until a term vanishes."""
+    out = term = e
+    while not term.is_zero():
+        term = -raise_by_terms(phi, term)
+        out = out + term
+    return out
+
+
+def test_apply_inverse_matches_neumann_oracle():
+    rng = random.Random(56)
+    cases = [(e7_instance(), 2), (adjoint_instance(), 1)] + rational_d_specs()
+    inverses = []
+    for spec, i in cases:
+        phi = random_gauge(rng, spec, i, coprime_coeff)
+        for _ in range(4):
+            e = module_element(rng, spec, i, coprime_coeff)
+            inverses.append(phi.apply_inverse(e))
+            assert inverses[-1] == inverse_by_neumann(phi, e)
+            assert phi.apply_to(e) == e + raise_by_terms(phi, e)
+    assert has_denominator(inverses)
+
+
+def test_one_components_object_through_many_gauges():
+    """An operator keeps the image of every module monomial it meets, so one
+    object driven through 24 gauges must give, each time, what a freshly
+    extracted object gives."""
+    rng = random.Random(57)
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    for n in range(24):
+        phi = random_gauge(rng, spec, 2, coprime_coeff if n % 2 else random_coeff)
+        gauged = apply_gauge(comp, phi)
+        assert gauged.blocks == apply_gauge(extract_components(spec, 2), phi).blocks
+        assert flatness_cascade(gauged).passed
 
 
 def test_cascade_sees_level_above_twice_top_block():
@@ -259,3 +371,21 @@ def test_gauge_validation():
         GaugeTransformation(spec, 1, bad)
     with pytest.raises(GaugeError):
         GaugeTransformation(spec, 1, {0: {}})
+
+
+def test_gauge_rejects_keys_outside_the_w_basis():
+    """A block key of h-weight other than i, or with a weight-zero factor,
+    is refused by name, though its value would pass every other check."""
+    spec = e7_instance()
+    table = spec.table
+    y1, y2 = table.gen("y", 1), table.gen("y", 2)
+    w1, z1, z2 = table.gen("w", 1), table.gen("z", 1), table.gen("z", 2)
+    x1 = table.gen("x", 1)
+    key = lambda e: next(iter(e.terms))
+    cases = [(w1, {1: y1 * z1}, "w[1]"),
+             (y1 * z1 * w1, {2: y1 * y2 * z1 * z2}, "z[1]*y[1]*w[1]"),
+             (x1 * z1 * w1, {1: y1 * z1 * z2}, "x[1]*z[1]*w[1]")]
+    for monomial, values, label in cases:
+        blocks = {p: {key(monomial): v} for p, v in values.items()}
+        with pytest.raises(GaugeError, match=re.escape(f"key {label} is not")):
+            GaugeTransformation(spec, 2, blocks)
