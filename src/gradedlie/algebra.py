@@ -45,10 +45,6 @@ class Generator:
     kind: str
     position: int         # slot in the canonical global order
 
-    @property
-    def bi_weight(self) -> BiWeight:
-        return BiWeight(self.h_weight, self.form_degree)
-
     def __str__(self) -> str:
         return f"{self.name}[{self.index}]"
 
@@ -281,7 +277,10 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
+            # a key new to self keeps c as it is: 0 + c would cost an
+            # int + Fraction addition
+            old = terms.get(k)
+            terms[k] = c if old is None else old + c
         return Element(self.table, terms)
 
     def __radd__(self, other: Scalar) -> "Element":
@@ -338,12 +337,6 @@ class Element:
         return hash((self.table, tuple(sorted(self.terms.items()))))
 
     # -- graded operations ----------------------------------------------
-
-    def weight_component(self, i: int) -> "Element":
-        """Sum of terms of h-weight exactly i."""
-        return Element(self.table, {
-            k: c for k, c in self.terms.items()
-            if self.table.key_bi_weight(k).h_weight == i})
 
     def partial_derivative(self, g: Generator) -> "Element":
         """Graded left derivative with respect to a single generator."""

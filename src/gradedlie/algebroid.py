@@ -12,10 +12,11 @@ and the tables are recovered by reading off coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
 from .algebra import Element, GenRef, Generator, GeneratorTable, _mul_into
-from .derivations import Derivation, make_derivation
+from .derivations import Derivation, HomologicalReport, is_homological, make_derivation
 
 
 class SpecError(ValueError):
@@ -110,6 +111,13 @@ class AlgebroidSpec:
     @property
     def degree(self) -> int:
         return self.table.degree
+
+    @cached_property
+    def homological(self) -> HomologicalReport:
+        """The d_E^2 = 0 report, `is_homological(self.d)`: evaluated on first
+        use and kept, so `check`, `build_complex` and `betti` share one
+        evaluation per spec."""
+        return is_homological(self.d)
 
     def anchor_coeff(self, I: GenRef, A: GenRef) -> Element:
         """Q_I^A: the coefficient of Y^I in d X^A."""

@@ -23,8 +23,7 @@ from typing import Dict, List, Optional
 
 from . import constructions
 from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
-from .cohomology import _betti, _build_complex
-from .derivations import is_homological
+from .cohomology import betti, build_complex
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
 from .weight_modules import (BasisSizeError, CapClosureError, Monomials,
@@ -61,7 +60,7 @@ def _emit(args, payload: Dict, lines: List[str]) -> None:
 def _cmd_check(args) -> int:
     spec = _load(args.file)
     structure = check_structure_equations(spec)
-    homological = is_homological(spec.d)
+    homological = spec.homological
     residuals = {label: str(r)
                  for family in structure.residuals.values()
                  for label, r in family.items()}
@@ -139,7 +138,7 @@ def _cmd_cohomology(args) -> int:
         raise CliError(f"--weight must be in 0..{spec.degree} for this spec")
     if args.cap < 0:
         raise CliError(f"--cap must be >= 0, got {args.cap}")
-    homological = is_homological(spec.d)
+    homological = spec.homological
     if not homological.ok:
         residuals = {f"d^2 {label}": str(r) for label, r in homological.residuals.items()}
         lines = [f"cohomology {args.file} weight {i}: FAIL (d^2 != 0)"]
@@ -147,9 +146,9 @@ def _cmd_cohomology(args) -> int:
         _emit(args, {"status": "fail", "residuals": residuals}, lines)
         return 1
     try:
-        # d^2 = 0 is evaluated once per request, above
-        complex_ = _build_complex(spec, i, args.cap, homological=True)
-        numbers = _betti(complex_)
+        # both reuse the d^2 report evaluated above
+        complex_ = build_complex(spec, i, args.cap)
+        numbers = betti(complex_)
     except CapClosureError as exc:
         raise CliError(str(exc))
     truncated = complex_.cap is not None

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
-from .derivations import is_homological
 from .weight_modules import Column, Monomials, Torus, differential_columns
 
 
@@ -41,8 +40,12 @@ class FiniteComplex:
     sector_bases: List[List[MonomialKey]]
     matrices: List[List[Column]]   # matrices[j] maps sector j -> j+1, by columns
     cap: Optional[int]             # None when the base is a point
-    exact: bool
     torus: Tuple[str, ...] = ()    # the diagonal X's of the torus reduction
+
+    @property
+    def exact(self) -> bool:
+        """Over a point no cap truncates the sectors."""
+        return self.cap is None
 
     @property
     def dims(self) -> List[int]:
@@ -85,20 +88,13 @@ def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     """Assemble the sector bases of the weight-i subcomplex and the induced
     differential matrices: the joint weight-zero block of the torus
-    reduction when it applies, the full complex otherwise.  Raises
-    CapClosureError when the cap is too small over a nontrivial base."""
-    return _build_complex(spec, i, cap, None)
-
-
-def _build_complex(spec: AlgebroidSpec, i: int, cap: int,
-                   homological: Optional[bool]) -> FiniteComplex:
-    """`build_complex`, given `is_homological(spec.d).ok` when the caller
-    has evaluated it, or None to evaluate it here when the reduction needs
-    it."""
+    reduction when it applies (it reads d^2 = 0 off `spec.homological`),
+    the full complex otherwise.  Raises CapClosureError when the cap is too
+    small over a nontrivial base."""
     table = spec.table
     point = not table.base_generators()
     labels, weights = _torus(spec) if point else ((), {})
-    if labels and not (is_homological(spec.d).ok if homological is None else homological):
+    if labels and not spec.homological.ok:
         labels = ()
     # the full sectors set the length, so the Betti list keeps its zeros
     full = Monomials(spec, i, cap)
@@ -109,8 +105,7 @@ def _build_complex(spec: AlgebroidSpec, i: int, cap: int,
                 for j in range(len(bases) - 1)]
     # the top sector maps to zero
     matrices.append([{} for _ in bases[-1]])
-    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point,
-                         torus=labels)
+    return FiniteComplex(spec, i, bases, matrices, None if point else cap, labels)
 
 
 def _integral(column: Column) -> Column:
@@ -165,12 +160,7 @@ def rank(columns: List[Column]) -> int:
 def betti(c: FiniteComplex) -> List[int]:
     """dim ker d_j minus rank d_(j-1), per sector."""
     # differential_columns refuses a span that d leaves, so d^2 = 0 closes it
-    if not is_homological(c.spec.d).ok:
+    if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
-    return _betti(c)
-
-
-def _betti(c: FiniteComplex) -> List[int]:
-    """`betti` of a complex whose spec is known to have d^2 = 0."""
     ranks = [rank(m) for m in c.matrices]
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

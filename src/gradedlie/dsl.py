@@ -54,6 +54,9 @@ class Token:
 
 
 _SYMBOLS = "+-*^/()[]="
+# ASCII only: str.isdigit also accepts "²" and "٣", which int() then
+# refuses or reads as a plain digit
+_DIGITS = "0123456789"
 
 # Parentheses and unary signs nest the recursive descent; input nested
 # deeper is refused, before it could exhaust the interpreter's stack.
@@ -80,9 +83,9 @@ def tokenize(text: str) -> List[Token]:
                 n += 1
             continue
         span = Span(line, col)
-        if ch.isdigit():
+        if ch in _DIGITS:
             m = n
-            while m < len(text) and text[m].isdigit():
+            while m < len(text) and text[m] in _DIGITS:
                 m += 1
             tokens.append(Token("INT", text[n:m], span))
             col += m - n

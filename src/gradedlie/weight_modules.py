@@ -85,6 +85,21 @@ class Monomials:
         table = _table(spec)
         self.i, self._cap, self._torus, self._positive = i, cap, torus, positive
         cap = max(cap, 0)
+        # The nb base generators weigh only in the base degree, so a sector
+        # is its monomials without base factors times the C(cap + nb, nb)
+        # base monomials of degree <= cap.  The DP's cost grows with the
+        # cap, so a cap that puts every nonempty sector above the limit is
+        # refused before it, naming the first such sector as `basis` would.
+        nb = 0 if positive or torus else len(table.base_generators())
+        base_monomials = comb(cap + nb, nb)
+        if base_monomials > MAX_BASIS_SIZE:
+            bare = Monomials(spec, i)
+            for j in range(bare._m + 1):
+                if bare.size(j):
+                    raise BasisSizeError(
+                        f"{self._label(j)} has {base_monomials * bare.size(j)} basis "
+                        f"monomials, above the limit of {MAX_BASIS_SIZE}")
+            cap = 0   # no sector of weight i has a monomial, at any cap
         zero = (0,) * len(next(iter(torus.values()), ())) if torus else ()
         # per generator that fits in weight i, its largest exponent and the
         # contribution of one factor: (h-weight, base degree, form degree,
@@ -171,6 +186,13 @@ class Monomials:
             return
         g, options = self._factors[k]
         reach = self._reach[k + 1]
+        if len(options) > len(reach):
+            # more exponents than states of the rest, as for a base generator
+            # under a large cap: solve for e from each state instead, so
+            # listing a sector does not cost cap^2
+            unit = options[1][1]
+            options = [options[e] for t in reach
+                       if not (need - t) % unit and 0 <= (e := (need - t) // unit) < len(options)]
         for e, v in options:
             if need - v not in reach:
                 continue
@@ -270,4 +292,6 @@ def homogenization_projector(e: Element, k: int) -> Element:
     """Weight-k homogenization projector: the terms of h-weight exactly k."""
     if k < 0:
         raise ValueError("projector weight must be non-negative")
-    return e.weight_component(k)
+    table = e.table
+    return Element(table, {key: c for key, c in e.terms.items()
+                           if table.key_bi_weight(key).h_weight == k})

@@ -8,7 +8,7 @@ import pytest
 from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.cohomology import FiniteComplex
-from gradedlie.derivations import make_derivation
+from gradedlie.derivations import HomologicalReport, make_derivation
 from gradedlie.weight_modules import differential_columns, sector_basis
 
 
@@ -340,7 +340,21 @@ def full_complex(spec, i, cap=4):
     matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
                 for j in range(len(bases) - 1)]
     matrices.append([{} for _ in bases[-1]])
-    return FiniteComplex(spec, i, bases, matrices, None if point else cap, exact=point)
+    return FiniteComplex(spec, i, bases, matrices, None if point else cap)
+
+
+def count_d_squared(monkeypatch):
+    """A list that grows by one at every evaluation of d^2, wherever it
+    happens and through whatever name: each builds one HomologicalReport."""
+    calls = []
+    init = HomologicalReport.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomologicalReport, "__init__", counting)
+    return calls
 
 
 def is_closed(c):

@@ -5,6 +5,7 @@ import pytest
 
 from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable
 from gradedlie.constructions import e3_chart
+from gradedlie.weight_modules import homogenization_projector
 
 from conftest import h_pullback, random_element
 
@@ -96,7 +97,7 @@ def test_weight_component_partition(chart):
         e = random_element(rng, chart)
         total = chart.zero()
         for k in range(0, 15):
-            total = total + e.weight_component(k)
+            total = total + homogenization_projector(e, k)
         assert total == e
 
 

@@ -11,8 +11,8 @@ from gradedlie.constructions import (abelian_lie_algebra, adjoint_instance, aff1
                                      tangent_algebroid)
 from gradedlie.dsl import parse, to_algebroid_spec
 
-from conftest import (brute_force_rank, full_complex, gl_spec, is_closed,
-                      poincare_betti, to_dense, unipotent_twist)
+from conftest import (brute_force_rank, count_d_squared, full_complex, gl_spec,
+                      is_closed, poincare_betti, to_dense, unipotent_twist)
 
 BROKEN = pathlib.Path(__file__).parent.parent / "specs" / "broken.spec"
 
@@ -54,6 +54,17 @@ def test_betti_gl3():
     assert c.dims == [1, 3, 6, 12, 18, 18, 12, 6, 3, 1]
     # H(gl3) = Lambda(e1, e3, e5): Poincare polynomial (1+t)(1+t^3)(1+t^5)
     assert betti(c) == poincare_betti([1, 3, 5]) == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+
+
+def test_betti_of_build_complex_evaluates_d_squared_once(monkeypatch):
+    """The torus reduction and betti share the spec's one d^2 report."""
+    calls = count_d_squared(monkeypatch)
+    spec = gl_spec(3)
+    c = build_complex(spec, 0)
+    assert c.torus
+    assert betti(c) == poincare_betti([1, 3, 5])
+    assert betti(build_complex(spec, 0, cap=2)) == betti(c)
+    assert len(calls) == 1
 
 
 def test_betti_gl4_closed_form():

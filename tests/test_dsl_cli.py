@@ -226,27 +226,20 @@ def test_cli_cohomology_not_homological(capsys):
 
 
 def test_cli_cohomology_evaluates_d_squared_once(tmp_path, capsys, monkeypatch):
-    """One d^2 evaluation per request: over a point with the torus
-    reduction (gl(3)), over a base (adjoint) and on a refused spec.  The
-    library's betti still evaluates it itself."""
-    import gradedlie.cli
+    """One d^2 evaluation per `check` and per `cohomology` request, counted
+    wherever it happens: over a point with the torus reduction (gl(3)),
+    over a base (adjoint) and on a refused spec."""
     import gradedlie.cohomology
     from gradedlie.dsl import document_from_spec
-    from conftest import gl_spec
-    calls = []
-
-    def counting(D):
-        calls.append(D)
-        return is_homological(D)
-
-    monkeypatch.setattr(gradedlie.cli, "is_homological", counting)
-    monkeypatch.setattr(gradedlie.cohomology, "is_homological", counting)
+    from conftest import count_d_squared, gl_spec
+    calls = count_d_squared(monkeypatch)
     gl3 = tmp_path / "gl3.spec"
     gl3.write_text(print_document(document_from_spec("gl3", gl_spec(3))))
     for path, code in ((gl3, 0), (DATA / "adjoint.spec", 0), (DATA / "broken.spec", 1)):
-        calls.clear()
-        assert _run(capsys, "cohomology", str(path), "--weight", "0")[0] == code
-        assert len(calls) == 1
+        for argv in (["check", str(path)], ["cohomology", str(path), "--weight", "0"]):
+            calls.clear()
+            assert _run(capsys, *argv)[0] == code
+            assert len(calls) == 1, argv
     broken = to_algebroid_spec(parse(spec_text("broken.spec")))
     c = gradedlie.cohomology.build_complex(broken, 0)
     with pytest.raises(ValueError, match=r"^complex is not closed \(d\^2 != 0\)$"):
@@ -403,3 +396,50 @@ def test_cli_deep_nesting_exit_2(tmp_path, capsys):
             assert err.startswith(f"error: {path}: expression nested more than 100 deep "
                                   "(line 4, column ")
             assert err.count("\n") == 1
+
+
+def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
+    """Only 0-9 make a number: a Unicode digit in an index, in the header or
+    in a coefficient is an unexpected character, not an int() traceback or
+    a silently read digit."""
+    head = "algebroid t degree 0\nodd xi weight 0 dim 2\n"
+    cases = [
+        (head + "d xi[²] = xi[1]*xi[2]\n", "'²' (line 3, column 6)"),
+        (head.replace("degree 0", "degree ²"), "'²' (line 1, column 20)"),
+        (head + "d xi[2] = ٣*xi[1]*xi[2]\n", "'٣' (line 3, column 11)"),
+    ]
+    for text, where in cases:
+        path = tmp_path / "digits.spec"
+        path.write_text(text, encoding="utf-8")
+        for command in (["check"], ["cohomology", "--weight", "0"]):
+            code, out, err = _run(capsys, command[0], str(path), *command[1:])
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}: unexpected character {where}\n"
+
+
+def test_cli_huge_cap_refused_in_bounded_time(capsys):
+    """A cap that puts every nonempty sector above the limit is refused
+    before any enumeration, with the message and the size that counting
+    the first such sector would give."""
+    import time
+    cases = [
+        ("adjoint.spec", 0, 10**9, "sector (0,0) at base degree cap 1000000000 has 1000000001"),
+        ("adjoint.spec", 1, 10**9, "sector (1,0) at base degree cap 1000000000 has 2000000002"),
+        ("e7.spec", 0, 10**5, "sector (0,0) at base degree cap 100000 has 5000150001"),
+        ("e7.spec", 2, 10**5, "sector (2,0) at base degree cap 100000 has 35001050007"),
+    ]
+    for name, weight, cap, message in cases:
+        t0 = time.perf_counter()
+        code, out, err = _run(capsys, "cohomology", str(DATA / name),
+                              "--weight", str(weight), "--cap", str(cap))
+        assert time.perf_counter() - t0 < 1, (name, weight, cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} basis monomials, above the limit of 50000\n"
+    # just under the bound, sector (0,0) is listed in time linear in the cap
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "cohomology", str(DATA / "adjoint.spec"),
+                          "--weight", "0", "--cap", "49999")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == ("error: sector (0,1) at base degree cap 49999 has 100000 basis monomials, "
+                   "above the limit of 50000\n")

@@ -155,6 +155,40 @@ def test_torus_block_guard_counts_the_block(monkeypatch):
                               "above the limit of 425")
 
 
+def test_cap_refused_before_the_dp(monkeypatch):
+    """A cap that puts every nonempty sector above the limit is refused
+    before the DP, naming the first nonempty sector with its size, as
+    counting it would; a weight with no monomials stays empty at any cap."""
+    monkeypatch.setattr(weight_modules, "MAX_BASIS_SIZE", 2)
+    gap = GeneratorTable([("x", "base", 0, 1), ("y", "odd_fiber", 0, 1),
+                          ("u", "even_fiber", 2, 1), ("v", "odd_fiber", 2, 1)])
+    refused = 0
+    for table in (EXAMPLES["adjoint"]().table, e7_instance().table, gap):
+        nb = len(table.base_generators())
+        for i in range(table.degree + 1):
+            for cap in range(4):
+                oracle = brute_force_monomials(table, i, cap)
+                first = min(oracle, default=None)
+                if comb(cap + nb, nb) <= 2 or first is None:
+                    block = Monomials(table, i, cap)
+                    assert all(block.size(j) == len(oracle.get(j, ()))
+                               for j in range(len(table.odd_generators()) + 1))
+                    continue
+                refused += 1
+                with pytest.raises(BasisSizeError) as err:
+                    Monomials(table, i, cap)
+                assert str(err.value) == (
+                    f"sector ({i},{first}) at base degree cap {cap} has "
+                    f"{len(oracle[first])} basis monomials, above the limit of 2")
+    assert refused == 17
+    assert [sector_size(gap, 1, j, 10**9) for j in range(3)] == [0, 0, 0]
+    # a torus may weigh the base generators, which breaks the product
+    torus = {g.position: (1 if g.kind == "base" else -1,) for g in gap.gens}
+    block = Monomials(gap, 0, 3, torus)
+    oracle = brute_force_monomials(gap, 0, 3, torus)
+    assert [block.size(j) for j in range(3)] == [len(oracle.get(j, ())) for j in range(3)]
+
+
 def test_basis_keys_positive_weight_only():
     t = e3_chart()
     for key in w_basis(t, 2, 1).keys:
