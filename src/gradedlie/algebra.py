@@ -180,10 +180,16 @@ def _coefficient(value: Scalar) -> Scalar:
 
 
 def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
+    """The product of two even parts, concatenated without a merge when one
+    lies wholly before the other (base factors before fiber factors)."""
     if not a:
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     acc = dict(a)
     for p, e in b:
         acc[p] = acc.get(p, 0) + e

@@ -8,8 +8,8 @@ Subcommands:
     example NAME [-o FILE]          emit a spec file
 
 Every subcommand accepts --format json for machine-readable output.
-Exit codes: 0 success, 1 verification failure (including cohomology of a
-spec with d^2 != 0), 2 parse, usage or file error.
+Exit codes: 0 success, 1 verification failure (including rep and cohomology
+of a spec with d^2 != 0), 2 parse, usage or file error.
 """
 
 from __future__ import annotations
@@ -85,6 +85,19 @@ def _positive_weight(args, spec: AlgebroidSpec) -> int:
     return args.weight
 
 
+def _reported_d_squared(args, spec: AlgebroidSpec, i: int) -> bool:
+    """Report a spec whose d^2 is not zero, with its d^2 residuals, as
+    `rep` and `cohomology` refuse it; False when d^2 = 0."""
+    homological = spec.homological
+    if homological.ok:
+        return False
+    residuals = {f"d^2 {label}": str(r) for label, r in homological.residuals.items()}
+    lines = [f"{args.command} {args.file} weight {i}: FAIL (d^2 != 0)"]
+    lines += [f"  residual {label}: {r}" for label, r in sorted(residuals.items())]
+    _emit(args, {"status": "fail", "residuals": residuals}, lines)
+    return True
+
+
 def _cmd_decompose(args) -> int:
     spec = _load(args.file)
     i = _positive_weight(args, spec)
@@ -105,6 +118,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_rep(args) -> int:
     spec = _load(args.file)
     i = _positive_weight(args, spec)
+    if _reported_d_squared(args, spec, i):
+        return 1
     comp = extract_components(spec, i)
     report = flatness_cascade(comp)
     from .algebra import monomial_str
@@ -138,12 +153,7 @@ def _cmd_cohomology(args) -> int:
         raise CliError(f"--weight must be in 0..{spec.degree} for this spec")
     if args.cap < 0:
         raise CliError(f"--cap must be >= 0, got {args.cap}")
-    homological = spec.homological
-    if not homological.ok:
-        residuals = {f"d^2 {label}": str(r) for label, r in homological.residuals.items()}
-        lines = [f"cohomology {args.file} weight {i}: FAIL (d^2 != 0)"]
-        lines += [f"  residual {label}: {r}" for label, r in sorted(residuals.items())]
-        _emit(args, {"status": "fail", "residuals": residuals}, lines)
+    if _reported_d_squared(args, spec, i):
         return 1
     try:
         # both reuse the d^2 report evaluated above

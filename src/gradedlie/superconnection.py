@@ -7,11 +7,19 @@ Blocks are stored sparsely on the W-basis monomials; the extension to the
 whole module follows the Leibniz rule
 D_p(w . m) = [p = 1] d_A(w) . m + (-1)^|w| w . D_p(m).
 
-The module operators (the summed D, and a gauge's raising part) compute
-fraction-free: each clears the denominators of its blocks, and of d_A,
-with one integer scale at construction, keeps the image of every module
-monomial it has met as a scaled-int table, and divides each nonzero output
-coefficient once.
+The module operators (the summed D, and a gauge's raising part N) compute
+fraction-free, on vectors of ints keyed by module-monomial ids interned per
+spec.  The Leibniz part L_d d(a).w of each module monomial a.w, where L_d
+is the lcm of d's denominators, is computed once per spec and shared by
+every D over it: the extracted components, every gauged set and every later
+gauge.  Each operator adds only its block part, (-1)^|a| a.D(w) or a.N(w),
+scaled by its own integer L, and keeps each image it computes.  A chain of
+operators, phi^-1 D phi in `apply_gauge` and D D in `flatness_cascade`,
+passes int vectors with one tracked denominator, the product of the scales
+of the operators applied, and divides once per output block entry, in
+`_SpecMemo.split`; a passing cascade divides nothing.  The public Element
+entry points (`total`, `apply_to`, `apply_inverse`) convert to and from the
+same int vectors.
 """
 
 from __future__ import annotations
@@ -20,16 +28,22 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from .algebra import Element, GeneratorTable, MonomialKey, Scalar, _mul_into, monomial_str
 from .algebroid import AlgebroidSpec
-from .derivations import Derivation, apply
+from .derivations import apply
 from .weight_modules import Monomials
 
 
 class GaugeError(ValueError):
     pass
+
+
+# A module vector: module-monomial id -> int; its value is the vector over a
+# denominator carried beside it.
+Vector = Dict[int, int]
+_ONE: MonomialKey = ((), ())
 
 
 def _y_count(table: GeneratorTable, key: MonomialKey) -> int:
@@ -53,83 +67,182 @@ def split_by_y_count(table: GeneratorTable, e: Element) -> Dict[int, Element]:
     return {p: Element(table, terms) for p, terms in parts.items()}
 
 
+def _denominators(values) -> int:
+    """The lcm of the denominators of the coefficients of some Elements."""
+    # A list, not a generator: star-unpacking a generator here left up to
+    # 2 000 tuples per size on the interpreter's free lists between full
+    # collections, which showed in peak RSS.
+    return lcm(*[c.denominator for v in values for c in v.terms.values()])
+
+
 def _scaled(e: Element, scale: int) -> Dict[MonomialKey, int]:
     """The coefficients of `e` times `scale`, a multiple of their denominators."""
     return {k: c.numerator * (scale // c.denominator) for k, c in e.terms.items()}
 
 
+def _quotient(v: int, den: int) -> Scalar:
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
+
+
+class _SpecMemo:
+    """The module monomials one spec's operators have met, and their Leibniz
+    images, kept on the spec (see `_memo`).
+
+    Every module monomial gets an int id, its index in `keys`; `parts[id]`
+    is its split (a, w) at the table's cuts, so that its y-count is the
+    length of a's odd part.  `leibniz(id)` is L_d d(a).w, with L_d = `scale`
+    the lcm of d's denominators."""
+
+    def __init__(self, spec: AlgebroidSpec):
+        # the table and d, not the spec, so that the memo holds no cycle
+        self.table = spec.table
+        self.d = spec.d
+        self.scale = _denominators(spec.d.action.values())
+        self.ids: Dict[MonomialKey, int] = {}
+        self.keys: List[MonomialKey] = []
+        self.parts: List[Tuple[MonomialKey, MonomialKey]] = []
+        self._leibniz: Dict[int, Vector] = {}
+
+    def intern(self, key: MonomialKey) -> int:
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.parts.append(_split_key(self.table, key))
+        return n
+
+    def leibniz(self, n: int) -> Vector:
+        image = self._leibniz.get(n)
+        if image is None:
+            a, w = self.parts[n]
+            terms: dict = {}
+            if a != _ONE:
+                da = apply(self.d, Element(self.table, {a: 1}))
+                _mul_into(terms, 1, w, _scaled(da, self.scale), mono_first=False)
+            image = self._leibniz[n] = {self.intern(k): c for k, c in terms.items() if c}
+        return image
+
+    def vector(self, e: Element) -> Tuple[Vector, int]:
+        """`e` as an int vector over the lcm of its denominators."""
+        den = _denominators([e])
+        return {self.intern(k): c for k, c in _scaled(e, den).items()}, den
+
+    def element(self, vec: Vector, den: int) -> Element:
+        keys = self.keys
+        return Element(self.table, {keys[n]: _quotient(v, den) for n, v in vec.items()})
+
+    def split(self, vec: Vector, den: int) -> Dict[int, Element]:
+        """The Element vec / den split by y-count, one division per entry."""
+        keys, split = self.keys, self.parts
+        parts: Dict[int, Dict] = {}
+        for n, v in vec.items():
+            parts.setdefault(len(split[n][0][1]), {})[keys[n]] = _quotient(v, den)
+        return {p: Element(self.table, terms) for p, terms in parts.items()}
+
+
+def _memo(spec: AlgebroidSpec) -> _SpecMemo:
+    """The spec's memo, made on first use and kept as an attribute of the
+    spec, so that it lives and dies with it."""
+    memo = spec.__dict__.get("_superconnection_memo")
+    if memo is None:
+        memo = spec._superconnection_memo = _SpecMemo(spec)
+    return memo
+
+
 class _Extension:
     """An operator given on W-basis monomials, extended to the module.
 
-    Without `d` the extension is module-linear, a.w -> a.op(w).  With the
-    derivation `d` it is the odd Leibniz extension
+    Without the Leibniz part the extension is module-linear,
+    a.w -> a.op(w).  With it, it is the odd Leibniz extension
     a.w -> d(a).w + (-1)^|a| a.op(w).
 
-    The arithmetic is fraction-free.  At construction the blocks and the
-    values of `d` are multiplied by one integer scale L, the lcm of all their
-    denominators, into int tables, the blocks summed over p per W-basis key.
-    The image of a module monomial a.w is computed once, from those tables,
-    and kept in `images` for every later call.  A call multiplies its input
-    by the lcm Le of the input's own denominators, accumulates int
-    products, and divides each nonzero output coefficient once by L.Le,
-    keeping an integral quotient as an int.  The blocks and `d` must not
-    change after construction."""
+    The arithmetic is fraction-free.  At construction the blocks are summed
+    over p per W-basis key and multiplied by one integer scale L into int
+    tables; L is the lcm of the blocks' denominators and, with the Leibniz
+    part, of L_d (the memo's `scale`).  L times the image of a module
+    monomial is the memo's Leibniz image times L / L_d, plus the block part
+    computed here; it is computed once and kept in `images`.  A call maps
+    an int vector v to L op(v), an int vector too: the caller tracks the
+    denominator and divides.  The blocks must not change after
+    construction."""
 
-    def __init__(self, table: GeneratorTable, blocks: Dict[int, Dict[MonomialKey, Element]],
-                 d: Optional[Derivation] = None):
+    def __init__(self, memo: _SpecMemo, blocks: Dict[int, Dict[MonomialKey, Element]],
+                 leibniz: bool = False):
+        self.memo = memo
         values = [v for blk in blocks.values() for v in blk.values()]
-        if d is not None:
-            values += d.action.values()
-        self.table = table
-        self.scale = lcm(*[c.denominator for v in values for c in v.terms.values()])
+        self.scale = lcm(_denominators(values), memo.scale if leibniz else 1)
+        self._leibniz = self.scale // memo.scale if leibniz else 0
         self.blocks: Dict[MonomialKey, Dict[MonomialKey, int]] = {}
         for blk in blocks.values():
             for key, v in blk.items():
                 summed = self.blocks.setdefault(key, {})
                 for k, c in _scaled(v, self.scale).items():
                     summed[k] = summed.get(k, 0) + c
-        self.d = None if d is None else Derivation(table, d.bi_degree, {
-            p: Element(table, _scaled(v, self.scale)) for p, v in d.action.items()})
-        self.images: Dict[MonomialKey, Dict[MonomialKey, int]] = {}
+        self.images: Dict[int, Vector] = {}
 
-    def _image(self, key: MonomialKey) -> Dict[MonomialKey, int]:
-        """L times the image of the module monomial `key`."""
-        table = self.table
-        a_key, w_key = _split_key(table, key)
-        image: dict = {}
-        sign = 1
-        if self.d is not None:
-            da = apply(self.d, Element(table, {a_key: 1}))
-            _mul_into(image, 1, w_key, da.terms, mono_first=False)
-            if len(a_key[1]) & 1:
-                sign = -1
-        op_w = self.blocks.get(w_key)
+    def image(self, n: int) -> Vector:
+        """L times the image of the module monomial with id `n`."""
+        image = self.images.get(n)
+        if image is not None:
+            return image
+        memo = self.memo
+        a, w = memo.parts[n]
+        image = {}
+        f = self._leibniz
+        if f:
+            image = {k: f * c for k, c in memo.leibniz(n).items()}
+        op_w = self.blocks.get(w)
         if op_w:
-            _mul_into(image, sign, a_key, op_w)
-        return {k: c for k, c in image.items() if c}
+            if a == _ONE:
+                terms = op_w
+            else:
+                terms = {}
+                _mul_into(terms, -1 if f and len(a[1]) & 1 else 1, a, op_w)
+            for k, c in terms.items():
+                m = memo.intern(k)
+                image[m] = image.get(m, 0) + c
+        image = self.images[n] = {k: c for k, c in image.items() if c}
+        return image
 
-    def __call__(self, e: Element) -> Element:
-        terms = e.terms
-        # A list, not a generator: star-unpacking a generator here left up to
-        # 2 000 tuples per size on the interpreter's free lists between full
-        # collections, which showed in peak RSS.
-        le = lcm(*[c.denominator for c in terms.values()])
+    def __call__(self, vec: Vector) -> Vector:
         images = self.images
-        acc: Dict[MonomialKey, int] = {}
-        for key, c in terms.items():
-            image = images.get(key)
+        acc: Vector = {}
+        for n, c in vec.items():
+            image = images.get(n)
             if image is None:
-                image = images[key] = self._image(key)
-            c = c.numerator * (le // c.denominator)
+                image = self.image(n)
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + c * v
-        div = self.scale * le
-        out: Dict[MonomialKey, Scalar] = {}
-        for k, v in acc.items():
-            if v:
-                q, r = divmod(v, div)
-                out[k] = Fraction(v, div) if r else q
-        return Element(self.table, out)
+        return {k: v for k, v in acc.items() if v}
+
+
+def _gauge(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
+    """phi = 1 + N on vec / den, over den L_N."""
+    scale = N.scale
+    out = {n: scale * c for n, c in vec.items()}
+    for n, c in N(vec).items():
+        out[n] = out.get(n, 0) + c
+    return {n: c for n, c in out.items() if c}, den * scale
+
+
+def _gauge_inverse(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
+    """The finite Neumann series phi^-1 = sum_k (-N)^k on vec / den: the
+    k-th term is over den L_N^k, so the sum is rescaled before each term."""
+    scale = N.scale
+    out = dict(vec)
+    term = vec
+    sign = 1
+    while True:
+        term = N(term)
+        if not term:
+            return {n: c for n, c in out.items() if c}, den
+        sign = -sign
+        if scale != 1:
+            out = {n: scale * c for n, c in out.items()}
+            den *= scale
+        for n, c in term.items():
+            out[n] = out.get(n, 0) + sign * c
 
 
 @dataclass
@@ -145,7 +258,7 @@ class SuperconnectionComponents:
     basis_keys: List[MonomialKey] = field(default_factory=list)
 
     def __post_init__(self):
-        self._extension = _Extension(self.spec.table, self.blocks, self.spec.d)
+        self._extension = _Extension(_memo(self.spec), self.blocks, leibniz=True)
 
     def component(self, p: int, key: MonomialKey) -> Element:
         return self.blocks.get(p, {}).get(key, self.spec.table.zero())
@@ -156,7 +269,9 @@ class SuperconnectionComponents:
 
     def total(self, e: Element) -> Element:
         """The reassembled operator sum_p D_p on a module element."""
-        return self._extension(e)
+        D = self._extension
+        vec, den = D.memo.vector(e)
+        return D.memo.element(D(vec), den * D.scale)
 
 
 def _module_basis_keys(spec: AlgebroidSpec, i: int) -> List[MonomialKey]:
@@ -196,13 +311,15 @@ def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
     """Check sum_{a+b=p} D_a D_b = 0 on every W-basis monomial, per level p.
 
     D_a raises the y-count by exactly a, so level p is the y-count-p part
-    of D(D(m))."""
-    table = c.spec.table
+    of D(D(m)), which is L^2 D(D(m)) over L^2 with L the operator's scale."""
+    D = c._extension
+    memo = D.memo
     residuals: Dict[int, Dict[str, Element]] = {}
     for key in c.basis_keys:
-        m = Element(table, {key: 1})
-        for p, r in split_by_y_count(table, c.total(c.total(m))).items():
-            residuals.setdefault(p, {})[monomial_str(table, key)] = r
+        r = D(D({memo.intern(key): 1}))
+        if r:
+            for p, part in memo.split(r, D.scale ** 2).items():
+                residuals.setdefault(p, {})[monomial_str(c.spec.table, key)] = part
     return CascadeReport(not residuals, residuals)
 
 
@@ -225,7 +342,7 @@ class GaugeTransformation:
                 raise GaugeError("gauge blocks must have p >= 1 (p = 0 is the identity)")
             for key, val in blk.items():
                 bw = table.key_bi_weight(key)
-                if _split_key(table, key)[0] != ((), ()) or bw.h_weight != self.i:
+                if _split_key(table, key)[0] != _ONE or bw.h_weight != self.i:
                     raise GaugeError(
                         f"gauge block p={p} key {monomial_str(table, key)} is not a "
                         f"weight-{self.i} W-basis monomial")
@@ -237,24 +354,23 @@ class GaugeTransformation:
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} has terms "
                         f"with a different A-form degree")
-        self._extension = _Extension(table, self.blocks)
+        # N = phi - id, the strictly raising part, extended module-linearly
+        self._raising = _Extension(_memo(self.spec), self.blocks)
 
-    def _raise_once(self, e: Element) -> Element:
-        """The strictly raising part N = phi - id, extended module-linearly."""
-        return self._extension(e)
+    def _over(self, memo: _SpecMemo) -> _Extension:
+        """N on the ids of `memo`, a spec over the same table."""
+        if self._raising.memo is memo:
+            return self._raising
+        return _Extension(memo, self.blocks)
 
     def apply_to(self, e: Element) -> Element:
-        return e + self._raise_once(e)
+        memo = self._raising.memo
+        return memo.element(*_gauge(self._raising, *memo.vector(e)))
 
     def apply_inverse(self, e: Element) -> Element:
         """Finite Neumann series (1 + N)^-1 = sum (-N)^k."""
-        out = e
-        term = e
-        while True:
-            term = -self._raise_once(term)
-            if term.is_zero():
-                return out
-            out = out + term
+        memo = self._raising.memo
+        return memo.element(*_gauge_inverse(self._raising, *memo.vector(e)))
 
 
 def identity_gauge(spec: AlgebroidSpec, i: int) -> GaugeTransformation:
@@ -263,15 +379,18 @@ def identity_gauge(spec: AlgebroidSpec, i: int) -> GaugeTransformation:
 
 def apply_gauge(c: SuperconnectionComponents,
                 phi: GaugeTransformation) -> SuperconnectionComponents:
-    """Components of phi^-1 . D . phi, split by A-form degree."""
+    """Components of phi^-1 . D . phi, split by A-form degree: one int chain
+    per W-basis monomial, divided once per output block entry."""
     if phi.spec.table != c.spec.table or phi.i != c.i:
         raise GaugeError("gauge transformation over a different sector family")
-    table = c.spec.table
+    D = c._extension
+    memo = D.memo
+    N = phi._over(memo)
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in c.basis_keys:
-        m = Element(table, {key: 1})
-        image = phi.apply_inverse(c.total(phi.apply_to(m)))
-        for p, part in split_by_y_count(table, image).items():
+        vec, den = _gauge(N, {memo.intern(key): 1}, 1)
+        vec, den = _gauge_inverse(N, D(vec), den * D.scale)
+        for p, part in memo.split(vec, den).items():
             blocks.setdefault(p, {})[key] = part
     return SuperconnectionComponents(c.spec, c.i, blocks, list(c.basis_keys))
 

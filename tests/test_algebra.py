@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable
+from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable, _merge_even
 from gradedlie.constructions import e3_chart
 from gradedlie.weight_modules import homogenization_projector
 
@@ -161,3 +163,24 @@ def test_monomial_str_round_trip_via_parser(chart):
     for _ in range(30):
         e = random_element(rng, chart)
         assert parse_expression(chart, str(e)) == e
+
+
+def even_parts(lo, hi):
+    """Even parts with positions in [lo, hi) and exponents 1..3."""
+    return st.dictionaries(st.integers(lo, hi - 1), st.integers(1, 3),
+                           max_size=4).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([0, 5, 10]).flatmap(
+    lambda lo: st.tuples(even_parts(5, 10), even_parts(lo, lo + 5))))
+def test_merge_even_matches_dict_merge(parts):
+    """b's positions lie before a's, among them, sharing some, or after
+    them: the product is the exponent-wise sum, in position order."""
+    a, b = parts
+    acc = dict(a)
+    for p, e in b:
+        acc[p] = acc.get(p, 0) + e
+    expected = tuple(sorted(acc.items()))
+    assert _merge_even(a, b) == expected
+    assert _merge_even(b, a) == expected

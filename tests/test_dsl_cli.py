@@ -225,6 +225,28 @@ def test_cli_cohomology_not_homological(capsys):
     assert "  residual d^2 " in out
 
 
+def test_cli_rep_refuses_non_homological_spec(tmp_path, capsys):
+    """broken.spec's d on the weight-zero xi's, under a weight-1 module
+    whose flatness cascade passes: `rep` reports d^2 != 0 with its
+    residuals, as `cohomology` does, and exits 1, as `check` does."""
+    d_lines = [line for line in spec_text("broken.spec").splitlines() if line.startswith("d ")]
+    path = tmp_path / "nonhom.spec"
+    path.write_text("\n".join(["algebroid nonhom degree 1", "odd xi weight 0 dim 3",
+                                "even z weight 1 dim 1", "odd p weight 1 dim 1"]
+                               + d_lines + ["d z[1] = p[1]", ""]))
+    assert _run(capsys, "check", str(path))[0] == 1
+    code, out, err = _run(capsys, "rep", str(path), "--weight", "1")
+    assert (code, err) == (1, "")
+    assert out == (f"rep {path} weight 1: FAIL (d^2 != 0)\n"
+                   "  residual d^2 xi[3]: xi[1]*xi[2]*xi[3]\n")
+    assert _run(capsys, "cohomology", str(path), "--weight", "1") == (
+        1, out.replace("rep", "cohomology", 1), "")
+    code, out, err = _run(capsys, "rep", str(path), "--weight", "1", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"status": "fail",
+                               "residuals": {"d^2 xi[3]": "xi[1]*xi[2]*xi[3]"}}
+
+
 def test_cli_cohomology_evaluates_d_squared_once(tmp_path, capsys, monkeypatch):
     """One d^2 evaluation per `check` and per `cohomology` request, counted
     wherever it happens: over a point with the torus reduction (gl(3)),

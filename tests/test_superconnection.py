@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -28,22 +30,26 @@ def coprime_coeff(rng, zero_bias=0.3):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 3, 5, 7]))
 
 
-def rational_d_specs():
-    """(spec, module weight) pairs whose d has non-integral coefficients:
-    the cotangent prolongation of sl(2) with [s1, s2] = s3 / 2, that of the
-    rank-2 bundle of Lie algebras with [s1, s2] = (x / 2) s1, and e7 in the
-    coordinate x[1] / 3.  The last has integral blocks: its one rational
-    coefficient is d x[1] = y[1] / 3, which only the Leibniz part meets."""
-    sl2_half, _gl3, bundle_lift = rational_specs()
-    e7 = e7_instance()
+def e7_third(e7):
+    """e7 in the coordinate x[1] / 3, over the same table object.  Its
+    blocks are integral: its one rational coefficient is d x[1] = y[1] / 3,
+    which only the Leibniz part meets."""
     table = e7.table
     x1 = table.generator("x", 1)
     substitute = algebra_map(table, {x1.position: 3 * table.gen("x", 1)})
     action = {g: substitute(e7.d.value(g)) for g in table.gens}
     action[x1] = action[x1] * Fraction(1, 3)
-    e7_third = AlgebroidSpec.from_differential(table, action)
-    return [(cotangent_prolongation(sl2_half), 1), (bundle_lift, 1),
-            (e7_third, 1), (e7_third, 2)]
+    return AlgebroidSpec.from_differential(table, action)
+
+
+def rational_d_specs():
+    """(spec, module weight) pairs whose d has non-integral coefficients:
+    the cotangent prolongation of sl(2) with [s1, s2] = s3 / 2, that of the
+    rank-2 bundle of Lie algebras with [s1, s2] = (x / 2) s1, and
+    `e7_third`."""
+    sl2_half, _gl3, bundle_lift = rational_specs()
+    third = e7_third(e7_instance())
+    return [(cotangent_prolongation(sl2_half), 1), (bundle_lift, 1), (third, 1), (third, 2)]
 
 
 def random_gauge(rng, spec, i, coeff=random_coeff):
@@ -389,3 +395,114 @@ def test_gauge_rejects_keys_outside_the_w_basis():
         blocks = {p: {key(monomial): v} for p, v in values.items()}
         with pytest.raises(GaugeError, match=re.escape(f"key {label} is not")):
             GaugeTransformation(spec, 2, blocks)
+
+
+def gauge_by_elements(c, phi):
+    """phi^-1 D phi on each W-basis monomial through the public Element
+    entry points, split by y-count."""
+    table = c.spec.table
+    blocks = {}
+    for key in c.basis_keys:
+        m = Element(table, {key: Fraction(1)})
+        image = phi.apply_inverse(c.total(phi.apply_to(m)))
+        for p, part in split_by_y_count(table, image).items():
+            blocks.setdefault(p, {})[key] = part
+    return blocks
+
+
+def gauge_by_terms(c, phi):
+    """The same, from the termwise oracles alone."""
+    table = c.spec.table
+    blocks = {}
+    for key in c.basis_keys:
+        m = Element(table, {key: Fraction(1)})
+        image = inverse_by_neumann(phi, total_by_terms(c, m + raise_by_terms(phi, m)))
+        for p, part in split_by_y_count(table, image).items():
+            blocks.setdefault(p, {})[key] = part
+    return blocks
+
+
+def cascade_by_total(c):
+    """The cascade residuals read off total(total(m))."""
+    table = c.spec.table
+    residuals = {}
+    for key in c.basis_keys:
+        m = Element(table, {key: Fraction(1)})
+        for p, r in split_by_y_count(table, c.total(c.total(m))).items():
+            residuals.setdefault(p, {})[monomial_str(table, key)] = r
+    return residuals
+
+
+def as_strings(nested):
+    return {p: {str(k): str(v) for k, v in level.items()} for p, level in nested.items()}
+
+
+def test_apply_gauge_matches_element_oracles():
+    """`apply_gauge` against phi^-1 D phi through the Element entry points
+    and through the termwise oracles, exactly and as strings, on flat and on
+    perturbed components; the cascade of each result against
+    total(total(m)), residual strings included."""
+    rng = random.Random(60)
+    shift = lambda rng: coprime_coeff(rng, zero_bias=0.0)
+    failing = 0
+    for spec, i in [(e7_instance(), 2), (adjoint_instance(), 1)] + rational_d_specs():
+        comp = extract_components(spec, i)
+        for c in [comp, perturbed(rng, comp, shift)]:
+            for _ in range(2):
+                phi = random_gauge(rng, spec, i, coprime_coeff)
+                gauged = apply_gauge(c, phi)
+                for oracle in (gauge_by_elements(c, phi), gauge_by_terms(c, phi)):
+                    assert gauged.blocks == oracle
+                    assert as_strings(gauged.blocks) == as_strings(oracle)
+                for checked in (c, gauged):
+                    report = flatness_cascade(checked)
+                    residuals = cascade_by_total(checked)
+                    assert report.residuals == residuals
+                    assert as_strings(report.residuals) == as_strings(residuals)
+                    failing += not report.passed
+    assert failing >= 12
+
+
+def gauge_run(comp, phis):
+    """The gauged blocks and the cascade residuals, as strings, per gauge."""
+    out = []
+    for phi in phis:
+        gauged = apply_gauge(comp, phi)
+        out.append((as_strings(gauged.blocks), as_strings(flatness_cascade(gauged).residuals)))
+    return out
+
+
+def test_memo_belongs_to_its_spec():
+    """e7 and e7_third share a table object and differ in d.  Gauges built
+    over either spec, applied to the components of both, interleaved in one
+    process, give what each spec gives run alone, in specs of its own."""
+    rng = random.Random(61)
+    e7 = e7_instance()
+    third = e7_third(e7)
+    assert third.table is e7.table
+    phis = [random_gauge(rng, spec, 2, coprime_coeff) for spec in (e7, third) * 3]
+    alone = {}
+    for name, fresh in (("e7", e7_instance()), ("third", e7_third(e7_instance()))):
+        rebuilt = [GaugeTransformation(fresh, 2, phi.blocks) for phi in phis]
+        alone[name] = gauge_run(extract_components(fresh, 2), rebuilt)
+    comps = {"e7": extract_components(e7, 2), "third": extract_components(third, 2)}
+    for n, phi in enumerate(phis):
+        for name in ("e7", "third"):
+            assert gauge_run(comps[name], [phi]) == [alone[name][n]]
+    assert all(not residuals for run in alone.values() for _blocks, residuals in run)
+    assert alone["e7"] != alone["third"]
+
+
+def test_memo_dies_with_its_spec():
+    """The per-spec memo lives on the spec: after the spec and what holds
+    it are dropped, neither the spec nor its memo is alive."""
+    from gradedlie.superconnection import _memo
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    gauged = apply_gauge(comp, random_gauge(random.Random(62), spec, 2, coprime_coeff))
+    assert flatness_cascade(gauged).passed
+    assert gauged._extension.memo is comp._extension.memo is _memo(spec)
+    refs = [weakref.ref(spec), weakref.ref(_memo(spec))]
+    del spec, comp, gauged
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
