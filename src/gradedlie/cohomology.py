@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
@@ -128,8 +128,16 @@ def rank(columns: List[Column]) -> int:
     column if anything is left.  Reducing by a pivot whose entry is p != 1
     multiplies the column by p / gcd, and the result is divided by the gcd
     of its entries, which keeps them small."""
+    return len(_pivots(columns))
+
+
+def _pivots(columns: List[Column], cleared: Collection[int] = ()) -> Dict[int, Column]:
+    """The pivot columns of `rank`'s elimination, keyed by their largest
+    row, skipping the columns whose index is in `cleared`."""
     pivots: Dict[int, Column] = {}
-    for column in columns:
+    for n, column in enumerate(columns):
+        if n in cleared:
+            continue
         col = _integral(column)
         while col:
             row = max(col)
@@ -154,13 +162,23 @@ def rank(columns: List[Column]) -> int:
                 g = gcd(*col.values())
                 if g != 1:
                     col = {r: v // g for r, v in col.items()}
-    return len(pivots)
+    return pivots
 
 
 def betti(c: FiniteComplex) -> List[int]:
-    """dim ker d_j minus rank d_(j-1), per sector."""
+    """dim ker d_j minus rank d_(j-1), per sector.
+
+    The ranks are taken in order with clearing (Chen-Kerber 2011): the
+    pivot columns of d_(j-1) lie in im d_(j-1), which d_j kills, and are
+    triangular on their pivot rows, so with the other basis monomials they
+    span sector j.  rank d_j is therefore the rank of the columns of d_j
+    whose index is not a pivot row of d_(j-1), and only those are reduced."""
     # differential_columns refuses a span that d leaves, so d^2 = 0 closes it
     if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
-    ranks = [rank(m) for m in c.matrices]
+    ranks = []
+    cleared: Collection[int] = ()
+    for m in c.matrices:
+        cleared = _pivots(m, cleared)
+        ranks.append(len(cleared))
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

@@ -13,7 +13,12 @@ spec.  The Leibniz part L_d d(a).w of each module monomial a.w, where L_d
 is the lcm of d's denominators, is computed once per spec and shared by
 every D over it: the extracted components, every gauged set and every later
 gauge.  Each operator adds only its block part, (-1)^|a| a.D(w) or a.N(w),
-scaled by its own integer L, and keeps each image it computes.  A chain of
+scaled by its own integer L, and keeps each image it computes.  It stores
+its blocks as int vectors over module ids, so a.D(w) is one lookup per term
+in a product table kept per spec: a.m for each weight-zero part a and
+module monomial m, as a sign and an id, or nothing when a and m share a y.
+A spec meets few of either (e7 at weight 2: 11 parts a and 132 monomials),
+so every gauge and cascade over it shares the same products.  A chain of
 operators, phi^-1 D phi in `apply_gauge` and D D in `flatness_cascade`,
 passes int vectors with one tracked denominator, the product of the scales
 of the operators applied, and divides once per output block entry, in
@@ -28,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import Element, GeneratorTable, MonomialKey, Scalar, _mul_into, monomial_str
 from .algebroid import AlgebroidSpec
@@ -86,13 +91,17 @@ def _quotient(v: int, den: int) -> Scalar:
 
 
 class _SpecMemo:
-    """The module monomials one spec's operators have met, and their Leibniz
-    images, kept on the spec (see `_memo`).
+    """The module monomials one spec's operators have met, their Leibniz
+    images and a product table, kept on the spec (see `_memo`).
 
     Every module monomial gets an int id, its index in `keys`; `parts[id]`
-    is its split (a, w) at the table's cuts, so that its y-count is the
-    length of a's odd part.  `leibniz(id)` is L_d d(a).w, with L_d = `scale`
-    the lcm of d's denominators."""
+    is its split (a, w) at the table's cuts, with the weight-zero part a
+    given by its own int id, an index in `zeros`, so that its y-count is
+    the length of zeros[a]'s odd part.  `leibniz(id)` is L_d d(a).w, with
+    L_d = `scale` the lcm of d's denominators.  `rows[a]` maps a module id
+    m to `times(a, m)`: (sign, id of a.keys[m]) when a.keys[m] = sign
+    keys[id], or None when they share a y and the product vanishes; a row
+    fills on first use, so each product is computed once per spec."""
 
     def __init__(self, spec: AlgebroidSpec):
         # the table and d, not the spec, so that the memo holds no cycle
@@ -101,7 +110,10 @@ class _SpecMemo:
         self.scale = _denominators(spec.d.action.values())
         self.ids: Dict[MonomialKey, int] = {}
         self.keys: List[MonomialKey] = []
-        self.parts: List[Tuple[MonomialKey, MonomialKey]] = []
+        self.parts: List[Tuple[int, MonomialKey]] = []
+        self.zero_ids: Dict[MonomialKey, int] = {}
+        self.zeros: List[MonomialKey] = []
+        self.rows: List[Dict[int, Optional[Tuple[int, int]]]] = []
         self._leibniz: Dict[int, Vector] = {}
 
     def intern(self, key: MonomialKey) -> int:
@@ -109,13 +121,31 @@ class _SpecMemo:
         if n is None:
             n = self.ids[key] = len(self.keys)
             self.keys.append(key)
-            self.parts.append(_split_key(self.table, key))
+            a, w = _split_key(self.table, key)
+            z = self.zero_ids.get(a)
+            if z is None:
+                z = self.zero_ids[a] = len(self.zeros)
+                self.zeros.append(a)
+                self.rows.append({})
+            self.parts.append((z, w))
         return n
+
+    def times(self, a: int, m: int) -> Optional[Tuple[int, int]]:
+        """The product zeros[a].keys[m], as (sign, id) or None when it
+        vanishes, computed on first use and kept in `rows[a]`."""
+        row = self.rows[a]
+        if m in row:
+            return row[m]
+        terms: dict = {}
+        _mul_into(terms, 1, self.zeros[a], {self.keys[m]: 1})
+        product = row[m] = next(((c, self.intern(k)) for k, c in terms.items()), None)
+        return product
 
     def leibniz(self, n: int) -> Vector:
         image = self._leibniz.get(n)
         if image is None:
-            a, w = self.parts[n]
+            z, w = self.parts[n]
+            a = self.zeros[z]
             terms: dict = {}
             if a != _ONE:
                 da = apply(self.d, Element(self.table, {a: 1}))
@@ -134,10 +164,10 @@ class _SpecMemo:
 
     def split(self, vec: Vector, den: int) -> Dict[int, Element]:
         """The Element vec / den split by y-count, one division per entry."""
-        keys, split = self.keys, self.parts
+        keys, split, zeros = self.keys, self.parts, self.zeros
         parts: Dict[int, Dict] = {}
         for n, v in vec.items():
-            parts.setdefault(len(split[n][0][1]), {})[keys[n]] = _quotient(v, den)
+            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = _quotient(v, den)
         return {p: Element(self.table, terms) for p, terms in parts.items()}
 
 
@@ -158,13 +188,14 @@ class _Extension:
     a.w -> d(a).w + (-1)^|a| a.op(w).
 
     The arithmetic is fraction-free.  At construction the blocks are summed
-    over p per W-basis key and multiplied by one integer scale L into int
-    tables; L is the lcm of the blocks' denominators and, with the Leibniz
-    part, of L_d (the memo's `scale`).  L times the image of a module
-    monomial is the memo's Leibniz image times L / L_d, plus the block part
-    computed here; it is computed once and kept in `images`.  A call maps
-    an int vector v to L op(v), an int vector too: the caller tracks the
-    denominator and divides.  The blocks must not change after
+    over p per W-basis key, multiplied by one integer scale L and interned
+    into int vectors over module ids; L is the lcm of the blocks'
+    denominators and, with the Leibniz part, of L_d (the memo's `scale`).
+    L times the image of a module monomial is the memo's Leibniz image
+    times L / L_d, plus the block part a.op(w), read term by term off the
+    memo's product table; it is computed once and kept in `images`.  A
+    call maps an int vector v to L op(v), an int vector too: the caller
+    tracks the denominator and divides.  The blocks must not change after
     construction."""
 
     def __init__(self, memo: _SpecMemo, blocks: Dict[int, Dict[MonomialKey, Element]],
@@ -173,12 +204,13 @@ class _Extension:
         values = [v for blk in blocks.values() for v in blk.values()]
         self.scale = lcm(_denominators(values), memo.scale if leibniz else 1)
         self._leibniz = self.scale // memo.scale if leibniz else 0
-        self.blocks: Dict[MonomialKey, Dict[MonomialKey, int]] = {}
+        self.blocks: Dict[MonomialKey, Vector] = {}
         for blk in blocks.values():
             for key, v in blk.items():
                 summed = self.blocks.setdefault(key, {})
                 for k, c in _scaled(v, self.scale).items():
-                    summed[k] = summed.get(k, 0) + c
+                    m = memo.intern(k)
+                    summed[m] = summed.get(m, 0) + c
         self.images: Dict[int, Vector] = {}
 
     def image(self, n: int) -> Vector:
@@ -194,14 +226,13 @@ class _Extension:
             image = {k: f * c for k, c in memo.leibniz(n).items()}
         op_w = self.blocks.get(w)
         if op_w:
-            if a == _ONE:
-                terms = op_w
-            else:
-                terms = {}
-                _mul_into(terms, -1 if f and len(a[1]) & 1 else 1, a, op_w)
-            for k, c in terms.items():
-                m = memo.intern(k)
-                image[m] = image.get(m, 0) + c
+            sign = -1 if f and len(memo.zeros[a][1]) & 1 else 1
+            row = memo.rows[a]
+            for m, c in op_w.items():
+                product = row[m] if m in row else memo.times(a, m)
+                if product is not None:
+                    s, k = product
+                    image[k] = image.get(k, 0) + sign * s * c
         image = self.images[n] = {k: c for k, c in image.items() if c}
         return image
 

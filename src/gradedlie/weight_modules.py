@@ -125,9 +125,18 @@ class Monomials:
             unit = self._code(v)
             self._factors.append((g, [(e, e * unit) for e in range(top + 1)]))
         self._targets = range(cap + 1)   # the base degrees a monomial may have
+        # Every target has torus weight zero, so a total of factors k, k+1,
+        # ... is kept only if factors 0..k-1 can bring each torus digit back
+        # to zero: per digit they reach [sum of top * min(v, 0), sum of
+        # top * max(v, 0)], so the total must lie in boxes[k], its negative.
+        boxes = [[(0, 0)] * len(zero)]
+        for _g, top, v in factors:
+            boxes.append([(lo - top * max(t, 0), hi - top * min(t, 0))
+                          for (lo, hi), t in zip(boxes[-1], v[3:])])
         reach: Dict[int, int] = {0: 1}
         self._reach = [reach]
-        for g, options in reversed(self._factors):
+        for k in range(len(factors) - 1, -1, -1):
+            g, options = self._factors[k]
             bounded = g.h_weight or g.kind == "base"   # changes digit 0 or 1
             nxt: Dict[int, int] = {}
             for state, n in reach.items():
@@ -135,9 +144,27 @@ class Monomials:
                     s = state + v
                     if not bounded or s % b <= i and s // b % b <= cap:
                         nxt[s] = nxt.get(s, 0) + n
+            if torus:
+                box = boxes[k]
+                nxt = {s: n for s, n in nxt.items() if self._inside(s, box)}
             reach = nxt
             self._reach.append(reach)
         self._reach.reverse()   # _reach[k]: the totals of factors k, k+1, ...
+
+    def _inside(self, code: int, box: Sequence[Tuple[int, int]]) -> bool:
+        """Whether the torus digits of `code` lie in `box`, one (low, high)
+        per digit.  Digits 0-2 are never negative, so the torus digits are
+        the balanced base-B digits of code // B^3, each in [-m, m]."""
+        b, m = self._base, self._m
+        rest = code // b ** 3
+        for lo, hi in box:
+            digit = rest % b
+            if digit > m:
+                digit -= b
+            if not lo <= digit <= hi:
+                return False
+            rest = (rest - digit) // b
+        return True
 
     def _code(self, vector: Sequence[int]) -> int:
         code = 0

@@ -495,14 +495,55 @@ def test_memo_belongs_to_its_spec():
 
 def test_memo_dies_with_its_spec():
     """The per-spec memo lives on the spec: after the spec and what holds
-    it are dropped, neither the spec nor its memo is alive."""
+    it are dropped, neither the spec nor its memo, product table and all,
+    is alive."""
     from gradedlie.superconnection import _memo
     spec = e7_instance()
     comp = extract_components(spec, 2)
     gauged = apply_gauge(comp, random_gauge(random.Random(62), spec, 2, coprime_coeff))
     assert flatness_cascade(gauged).passed
     assert gauged._extension.memo is comp._extension.memo is _memo(spec)
+    # the product table is filled, and its entries name the memo's ids
+    assert sum(map(len, _memo(spec).rows)) > len(_memo(spec).keys)
     refs = [weakref.ref(spec), weakref.ref(_memo(spec))]
     del spec, comp, gauged
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_product_table_matches_element_product():
+    """Every entry of the memo's product table, after a gauge and a cascade
+    filled it, against the Element product zeros[a] * keys[m]: a sign and
+    an id, or None exactly when the product vanishes; asked again, the
+    table answers from its row."""
+    from gradedlie.superconnection import _memo
+    rng = random.Random(63)
+    signs = []
+    for spec, i in [(e7_instance(), 2), (adjoint_instance(), 1)] + rational_d_specs():
+        table = spec.table
+        gauged = apply_gauge(extract_components(spec, i), random_gauge(rng, spec, i, coprime_coeff))
+        flatness_cascade(gauged)
+        memo = _memo(spec)
+        assert any(memo.rows)
+        pairs = [(a, m) for a in range(len(memo.zeros)) for m in range(len(memo.keys))]
+        for a, m in rng.sample(pairs, min(len(pairs), 1500)):
+            product = Element(table, {memo.zeros[a]: 1}) * Element(table, {memo.keys[m]: 1})
+            got = memo.times(a, m)
+            assert memo.rows[a][m] is got and memo.times(a, m) is got
+            if product.is_zero():
+                assert got is None
+                signs.append(0)
+            else:
+                sign, k = got
+                assert product == Element(table, {memo.keys[k]: sign})
+                assert memo.parts[k][0] == memo.zero_ids[product_zero_part(memo, k)]
+                signs.append(sign)
+    assert set(signs) == {-1, 0, 1}
+
+
+def product_zero_part(memo, n):
+    """The weight-zero part of the module monomial with id n, read off its
+    key: its base factors and its y's."""
+    even, odd = memo.keys[n]
+    even_cut, odd_cut = memo.table.zero_cuts
+    return (tuple(f for f in even if f[0] < even_cut), tuple(p for p in odd if p < odd_cut))
