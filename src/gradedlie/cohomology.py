@@ -100,6 +100,10 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     full = Monomials(spec, i, cap)
     top = max((j for j in range(len(table.odd_generators()) + 1) if full.size(j)), default=0)
     block = Monomials(spec, i, cap, weights) if labels else full
+    # every sector is counted, and the first above the limit refused,
+    # before any is listed
+    for j in range(top + 1):
+        block.checked_size(j)
     bases = [block.basis(j) for j in range(top + 1)]
     matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
                 for j in range(len(bases) - 1)]

@@ -8,7 +8,10 @@ of positive form degree.
 
 Every basis here is the set of monomials of one multi-degree, so one
 enumerator, `Monomials`, counts and lists them all: W-bases, the sectors of
-the weight-i subcomplex, and the torus blocks of `cohomology`.
+the weight-i subcomplex, and the torus blocks of `cohomology`.  Base
+generators weigh nothing in h-weight or form degree, so it enumerates the
+fibre monomials and takes the base polynomials of degree <= cap as a free
+factor.
 """
 
 from __future__ import annotations
@@ -69,62 +72,50 @@ class Monomials:
 
     They are products of all generators, or with `positive` of the
     positive-weight ones only (the W^(i, .) monomials), of base degree at
-    most `cap`.  With `torus`, which gives each generator's integer weight
-    under each of r commuting operators (missing positions weigh zero),
-    only monomials of torus weight zero are kept; a monomial weighs the sum
-    of its factors' weights.
+    most `cap`.  With `torus`, which gives each fibre generator's integer
+    weight under each of r commuting operators (missing positions weigh
+    zero), only monomials of torus weight zero are kept; a monomial weighs
+    the sum of its factors' weights.  A torus is taken over a point only.
 
-    A dynamic programme over the generators, in global order, records for
-    each suffix of them the (h-weight, base degree, form degree, torus
-    weight) totals it can reach and in how many ways, so a sector is
-    counted before it is listed, and listed without visiting a monomial
-    outside it."""
+    Base generators have h-weight 0 and form degree 0, so a sector is its
+    fibre monomials times the C(cap + nb, nb) monomials of degree <= cap in
+    the nb base generators.  A dynamic programme over the fibre generators,
+    in global order, records for each suffix of them the (h-weight, form
+    degree, torus weight) totals it can reach and in how many ways, so a
+    sector is counted before it is listed, and listed without visiting a
+    fibre monomial outside it."""
 
     def __init__(self, spec: SpecOrTable, i: int, cap: int = 0,
                  torus: Optional[Torus] = None, positive: bool = False):
         table = _table(spec)
         self.i, self._cap, self._torus, self._positive = i, cap, torus, positive
-        cap = max(cap, 0)
-        # The nb base generators weigh only in the base degree, so a sector
-        # is its monomials without base factors times the C(cap + nb, nb)
-        # base monomials of degree <= cap.  The DP's cost grows with the
-        # cap, so a cap that puts every nonempty sector above the limit is
-        # refused before it, naming the first such sector as `basis` would.
-        nb = 0 if positive or torus else len(table.base_generators())
-        base_monomials = comb(cap + nb, nb)
-        if base_monomials > MAX_BASIS_SIZE:
-            bare = Monomials(spec, i)
-            for j in range(bare._m + 1):
-                if bare.size(j):
-                    raise BasisSizeError(
-                        f"{self._label(j)} has {base_monomials * bare.size(j)} basis "
-                        f"monomials, above the limit of {MAX_BASIS_SIZE}")
-            cap = 0   # no sector of weight i has a monomial, at any cap
+        self._bases = () if positive else table.base_generators()
+        if torus and self._bases:
+            raise ValueError("a torus block is taken over a point only")
+        self._base_count = comb(max(cap, 0) + len(self._bases), len(self._bases))
         zero = (0,) * len(next(iter(torus.values()), ())) if torus else ()
-        # per generator that fits in weight i, its largest exponent and the
-        # contribution of one factor: (h-weight, base degree, form degree,
-        # torus weights); e factors contribute e times as much
+        # per fibre generator that fits in weight i, its largest exponent and
+        # the contribution of one factor: (h-weight, form degree, torus
+        # weights); e factors contribute e times as much
         factors = []
         for g in table.gens:
-            if g.h_weight > i or positive and not g.h_weight:
+            if g.kind == "base" or g.h_weight > i or positive and not g.h_weight:
                 continue
-            top = 1 if g.form_degree else i // g.h_weight if g.h_weight else cap
+            top = 1 if g.form_degree else i // g.h_weight
             t = torus.get(g.position, zero) if torus else zero
-            factors.append((g, top, (g.h_weight, int(g.kind == "base"), g.form_degree) + t))
+            factors.append((g, top, (g.h_weight, g.form_degree) + t))
         # A vector is stored as one integer, its digits in base B, so sums of
-        # vectors are sums of ints.  m bounds i, the cap and every digit of
-        # every sum of contributions, so the vectors compared below differ by
-        # digits in [-2m, 2m], which B = 2m + 1 tells apart.  Digits 0 and 1,
-        # the h-weight and the base degree, are never negative, so they are
-        # the code mod B and the code // B mod B.
-        self._m = m = max([i, cap] + [sum(top * abs(v[c]) for _g, top, v in factors)
-                                      for c in range(3 + len(zero))])
+        # vectors are sums of ints.  m bounds i and every digit of every sum
+        # of contributions, so the vectors compared below differ by digits in
+        # [-2m, 2m], which B = 2m + 1 tells apart.  Digit 0, the h-weight, is
+        # never negative, so it is the code mod B.
+        self._m = m = max([i] + [sum(top * abs(v[c]) for _g, top, v in factors)
+                                 for c in range(2 + len(zero))])
         self._base = b = 2 * m + 1
         self._factors = []
         for g, top, v in factors:
             unit = self._code(v)
             self._factors.append((g, [(e, e * unit) for e in range(top + 1)]))
-        self._targets = range(cap + 1)   # the base degrees a monomial may have
         # Every target has torus weight zero, so a total of factors k, k+1,
         # ... is kept only if factors 0..k-1 can bring each torus digit back
         # to zero: per digit they reach [sum of top * min(v, 0), sum of
@@ -132,17 +123,16 @@ class Monomials:
         boxes = [[(0, 0)] * len(zero)]
         for _g, top, v in factors:
             boxes.append([(lo - top * max(t, 0), hi - top * min(t, 0))
-                          for (lo, hi), t in zip(boxes[-1], v[3:])])
+                          for (lo, hi), t in zip(boxes[-1], v[2:])])
         reach: Dict[int, int] = {0: 1}
         self._reach = [reach]
         for k in range(len(factors) - 1, -1, -1):
             g, options = self._factors[k]
-            bounded = g.h_weight or g.kind == "base"   # changes digit 0 or 1
             nxt: Dict[int, int] = {}
             for state, n in reach.items():
                 for _e, v in options:
                     s = state + v
-                    if not bounded or s % b <= i and s // b % b <= cap:
+                    if not g.h_weight or s % b <= i:
                         nxt[s] = nxt.get(s, 0) + n
             if torus:
                 box = boxes[k]
@@ -153,10 +143,10 @@ class Monomials:
 
     def _inside(self, code: int, box: Sequence[Tuple[int, int]]) -> bool:
         """Whether the torus digits of `code` lie in `box`, one (low, high)
-        per digit.  Digits 0-2 are never negative, so the torus digits are
-        the balanced base-B digits of code // B^3, each in [-m, m]."""
+        per digit.  Digits 0-1 are never negative, so the torus digits are
+        the balanced base-B digits of code // B^2, each in [-m, m]."""
         b, m = self._base, self._m
-        rest = code // b ** 3
+        rest = code // b ** 2
         for lo, hi in box:
             digit = rest % b
             if digit > m:
@@ -172,32 +162,45 @@ class Monomials:
             code = code * self._base + x
         return code
 
-    def _needs(self, j: int) -> List[int]:
-        """The codes of the totals of the sector (i, j) monomials, one per
-        base degree they may have."""
+    def size(self, j: int) -> int:
+        """The number of monomials in sector (i, j)."""
         # m bounds the form degree; a negative i has no monomials, and as
         # digit 0 it would break the codes
         if self.i < 0 or not 0 <= j <= self._m:
-            return []
-        return [self._code((self.i, d, j)) for d in self._targets]
+            return 0
+        return self._base_count * self._reach[0].get(self._code((self.i, j)), 0)
 
-    def size(self, j: int) -> int:
-        """The number of monomials in sector (i, j)."""
-        return sum(self._reach[0].get(need, 0) for need in self._needs(j))
-
-    def basis(self, j: int) -> List[MonomialKey]:
-        """The monomials of sector (i, j), sorted; refused above
-        MAX_BASIS_SIZE after counting them."""
+    def checked_size(self, j: int) -> int:
+        """The number of monomials in sector (i, j), refused with
+        BasisSizeError above MAX_BASIS_SIZE."""
         size = self.size(j)
         if size > MAX_BASIS_SIZE:
             raise BasisSizeError(f"{self._label(j)} has {size} basis monomials, above "
                                  f"the limit of {MAX_BASIS_SIZE}")
-        keys: List[MonomialKey] = []
-        for need in self._needs(j):
-            if need in self._reach[0]:
-                self._walk(0, need, [], [], keys)
+        return size
+
+    def basis(self, j: int) -> List[MonomialKey]:
+        """The monomials of sector (i, j), sorted; refused above
+        MAX_BASIS_SIZE after counting them."""
+        if not self.checked_size(j):
+            return []
+        fibre: List[MonomialKey] = []
+        self._walk(0, self._code((self.i, j)), [], [], fibre)
+        # base positions lead the global order, so a base monomial is a
+        # prefix of the even part
+        keys = [(prefix + even, odd) for prefix in self._base_monomials()
+                for even, odd in fibre]
         keys.sort()
         return keys
+
+    def _base_monomials(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """The even parts of the base monomials of degree <= cap, in time
+        linear in their number."""
+        parts = [((), max(self._cap, 0))]   # (even part, degree left)
+        for g in reversed(self._bases):
+            parts = [(((g.position, e),) + part if e else part, left - e)
+                     for part, left in parts for e in range(left + 1)]
+        return [part for part, _left in parts]
 
     def _label(self, j: int) -> str:
         if self._torus:
@@ -213,13 +216,6 @@ class Monomials:
             return
         g, options = self._factors[k]
         reach = self._reach[k + 1]
-        if len(options) > len(reach):
-            # more exponents than states of the rest, as for a base generator
-            # under a large cap: solve for e from each state instead, so
-            # listing a sector does not cost cap^2
-            unit = options[1][1]
-            options = [options[e] for t in reach
-                       if not (need - t) % unit and 0 <= (e := (need - t) // unit) < len(options)]
         for e, v in options:
             if need - v not in reach:
                 continue
@@ -273,12 +269,6 @@ def dim_w(spec: SpecOrTable, i: int, j: int) -> int:
     if i == 0:
         return 1 if j == 0 else 0
     return rec(1, i, j)
-
-
-def sector_size(spec: SpecOrTable, i: int, j: int, cap: int) -> int:
-    """The number of monomials in `sector_basis(spec, i, j, cap)`, counted
-    without listing them."""
-    return Monomials(spec, i, cap).size(j)
 
 
 def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKey]:

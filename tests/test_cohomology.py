@@ -109,11 +109,15 @@ def test_cleared_ranks_match_rank_and_brute_force():
     assert brute >= 12
 
 
-def test_gl6_torus_block_refused_in_bounded_time():
+def test_gl6_torus_block_refused_in_bounded_time(monkeypatch):
     """The torus DP drops every total that the factors before it cannot
     bring back to torus weight zero, so gl(6) is refused at its first block
     above the size limit in a fraction of the time and state count that
-    the unpruned DP took (7.8 s and 6.7 M states)."""
+    the unpruned DP took (7.8 s and 6.7 M states).  Every sector is counted
+    before any is listed, so no monomial is listed."""
+    def no_listing(*_args):
+        raise AssertionError("a sector was listed before the oversized one was counted")
+    monkeypatch.setattr(Monomials, "_walk", no_listing)
     spec = gl_spec(6)
     start = time.perf_counter()
     with pytest.raises(BasisSizeError) as err:

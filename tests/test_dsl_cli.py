@@ -8,6 +8,7 @@ from gradedlie.constructions import EXAMPLES
 from gradedlie.derivations import is_homological
 from gradedlie.dsl import (DslError, parse, parse_expression, print_document,
                            to_algebroid_spec)
+from gradedlie.weight_modules import Monomials
 
 DATA = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -441,8 +442,8 @@ def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
 
 def test_cli_huge_cap_refused_in_bounded_time(capsys):
     """A cap that puts every nonempty sector above the limit is refused
-    before any enumeration, with the message and the size that counting
-    the first such sector would give."""
+    before any sector is listed, with the message and the size that
+    counting the first such sector gives."""
     import time
     cases = [
         ("adjoint.spec", 0, 10**9, "sector (0,0) at base degree cap 1000000000 has 1000000001"),
@@ -457,8 +458,10 @@ def test_cli_huge_cap_refused_in_bounded_time(capsys):
         assert time.perf_counter() - t0 < 1, (name, weight, cap)
         assert (code, out) == (2, "")
         assert err == f"error: {message} basis monomials, above the limit of 50000\n"
-    # just under the bound, sector (0,0) is listed in time linear in the cap
+    # just under the bound, sector (0,0) is listed in time linear in the cap;
+    # the CLI counts sector (0,1) and refuses it before listing either
     t0 = time.perf_counter()
+    assert len(Monomials(to_algebroid_spec(parse(spec_text("adjoint.spec"))), 0, 49999).basis(0)) == 50000
     code, out, err = _run(capsys, "cohomology", str(DATA / "adjoint.spec"),
                           "--weight", "0", "--cap", "49999")
     assert time.perf_counter() - t0 < 5

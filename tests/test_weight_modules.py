@@ -14,7 +14,7 @@ from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
 from gradedlie.weight_modules import (BasisSizeError, CapClosureError, Monomials,
                                       differential_columns, dim_w,
                                       homogenization_projector, sector_basis,
-                                      sector_size, w_basis)
+                                      w_basis)
 
 from conftest import (brute_force_monomials, brute_force_w_dim, gl_spec,
                       projector_by_derivative, random_chart, random_element,
@@ -52,16 +52,19 @@ def test_dim_matches_basis_and_brute_force_random():
 
 
 def test_sector_size_matches_enumeration():
-    # negative weights have no monomials, and a negative cap lists as cap 0
+    # negative weights have no monomials, and a negative cap lists as cap 0;
+    # caps up to 5 on the charts with two base generators check the order of
+    # the base monomials times the fibre monomials
     for name, make in sorted(EXAMPLES.items()):
         spec = make()
+        top = 5 if len(spec.table.base_generators()) == 2 else 2
         for i in range(-3, spec.degree + 1):
-            for cap in range(-1, 3):
+            for cap in range(-1, top + 1):
                 oracle = brute_force_monomials(spec.table, i, cap)
                 for j in range(len(spec.table.odd_generators()) + 2):
                     keys = sector_basis(spec, i, j, cap)
                     assert keys == oracle.get(j, []), (name, i, j, cap)
-                    assert sector_size(spec, i, j, cap) == len(keys), (name, i, j, cap)
+                    assert Monomials(spec, i, cap).size(j) == len(keys), (name, i, j, cap)
 
 
 def test_w_basis_matches_enumeration_random():
@@ -79,7 +82,7 @@ def test_basis_size_guard_counts_before_listing(monkeypatch):
         raise AssertionError("a basis above the limit was listed")
     monkeypatch.setattr(Monomials, "_walk", no_listing)
     wide = GeneratorTable([("y", "odd_fiber", 0, 40)])
-    sizes = [sector_size(wide, 0, j, 4) for j in range(41)]
+    sizes = [Monomials(wide, 0, 4).size(j) for j in range(41)]
     assert sizes == [comb(40, j) for j in range(41)]
     assert sum(sizes) == 2 ** 40
     with pytest.raises(BasisSizeError) as err:
@@ -110,14 +113,12 @@ def test_torus_block_count_listing_and_filter_agree():
 
 
 def test_torus_block_random_weights():
-    """The enumerator against the filtered enumeration on random charts, over
-    a point and over a base at caps 0..2, with random integer weights (not
-    only those of a torus)."""
+    """The enumerator against the filtered enumeration on random charts over
+    a point, with random integer weights (not only those of a torus).  A
+    torus over a base is refused."""
     rng = random.Random(19)
     for _ in range(25):
         decls = [("y", "odd_fiber", 0, rng.randint(1, 4))]
-        if rng.random() < 0.5:
-            decls.append(("x", "base", 0, rng.randint(1, 2)))
         for w in (1, 2):
             if rng.random() < 0.7:
                 decls.append((f"z{w}", "even_fiber", w, rng.randint(1, 2)))
@@ -127,13 +128,16 @@ def test_torus_block_random_weights():
         r = rng.randint(1, 2)
         torus = {g.position: tuple(rng.randint(-4, 4) for _ in range(r)) for g in table.gens}
         for i in range(4):
-            for cap in range(3) if table.base_generators() else [0]:
-                block = Monomials(table, i, cap, torus)
-                oracle = brute_force_monomials(table, i, cap, torus)
-                for j in range(len(table.odd_generators()) + 2):
-                    keys = block.basis(j)
-                    assert block.size(j) == len(keys)
-                    assert keys == oracle.get(j, [])
+            block = Monomials(table, i, torus=torus)
+            oracle = brute_force_monomials(table, i, torus=torus)
+            for j in range(len(table.odd_generators()) + 2):
+                keys = block.basis(j)
+                assert block.size(j) == len(keys)
+                assert keys == oracle.get(j, [])
+    based = GeneratorTable([("x", "base", 0, 1), ("y", "odd_fiber", 0, 1)])
+    for weights in ({0: (1,)}, {1: (1,)}):
+        with pytest.raises(ValueError):
+            Monomials(based, 0, 2, weights)
 
 
 def test_torus_block_guard_counts_the_block(monkeypatch):
@@ -155,10 +159,10 @@ def test_torus_block_guard_counts_the_block(monkeypatch):
                               "above the limit of 425")
 
 
-def test_cap_refused_before_the_dp(monkeypatch):
-    """A cap that puts every nonempty sector above the limit is refused
-    before the DP, naming the first nonempty sector with its size, as
-    counting it would; a weight with no monomials stays empty at any cap."""
+def test_huge_cap_refused_at_basis(monkeypatch):
+    """A cap that puts every nonempty sector above the limit is refused by
+    listing the first nonempty sector, with its size, which is still
+    counted; a weight with no monomials stays empty at any cap."""
     monkeypatch.setattr(weight_modules, "MAX_BASIS_SIZE", 2)
     gap = GeneratorTable([("x", "base", 0, 1), ("y", "odd_fiber", 0, 1),
                           ("u", "even_fiber", 2, 1), ("v", "odd_fiber", 2, 1)])
@@ -175,18 +179,26 @@ def test_cap_refused_before_the_dp(monkeypatch):
                                for j in range(len(table.odd_generators()) + 1))
                     continue
                 refused += 1
+                block = Monomials(table, i, cap)
+                assert block.size(first) == len(oracle[first])
                 with pytest.raises(BasisSizeError) as err:
-                    Monomials(table, i, cap)
+                    block.basis(first)
                 assert str(err.value) == (
                     f"sector ({i},{first}) at base degree cap {cap} has "
                     f"{len(oracle[first])} basis monomials, above the limit of 2")
     assert refused == 17
-    assert [sector_size(gap, 1, j, 10**9) for j in range(3)] == [0, 0, 0]
-    # a torus may weigh the base generators, which breaks the product
-    torus = {g.position: (1 if g.kind == "base" else -1,) for g in gap.gens}
-    block = Monomials(gap, 0, 3, torus)
-    oracle = brute_force_monomials(gap, 0, 3, torus)
-    assert [block.size(j) for j in range(3)] == [len(oracle.get(j, ())) for j in range(3)]
+    huge = Monomials(gap, 1, 10**9)
+    assert [huge.size(j) for j in range(3)] == [0, 0, 0]
+    assert [huge.basis(j) for j in range(3)] == [[], [], []]
+
+
+def test_dp_states_do_not_depend_on_the_cap():
+    """The base is a free factor, so the DP over the fibre generators has the
+    same states at every cap."""
+    for make in (EXAMPLES["adjoint"], e7_instance, EXAMPLES["tangent-graded"]):
+        spec = make()
+        for i in range(spec.degree + 1):
+            assert Monomials(spec, i, 0)._reach == Monomials(spec, i, 10**9)._reach
 
 
 def test_basis_keys_positive_weight_only():
