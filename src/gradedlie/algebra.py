@@ -11,13 +11,22 @@ division): int products are far cheaper than `Fraction` ones, and `str`,
 Sign convention: Koszul, with odd factors stored in the global generator
 order and the sign normalised on insertion.  The global order is
 (kind, h_weight, name, index), so all even factors precede all odd ones.
+
+Elements are immutable: no operation changes an Element's `terms` after it
+is built, so an operation may return an operand as it is (x + 0 is x).  The
+public constructor `Element(table, terms)` drops zero coefficients.  The
+private `_element(table, terms)` skips that filter and takes `terms` as its
+own; it is used only where no zero can occur: a generator, a nonzero scalar,
+a negation, a nonzero scalar multiple, a product of one term by at most one
+term, and vectors that are already filtered (`superconnection._SpecMemo`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class AlgebraError(ValueError):
@@ -98,6 +107,11 @@ class GeneratorTable:
             next((g.position for g in self.gens if g.form_degree and g.h_weight),
                  len(self.gens)))
         self._by_name = {(g.name, g.index): g for g in self.gens}
+        # each generator's monomial key, and the h-weight per position
+        self._gen_keys: Dict[Tuple[str, int], MonomialKey] = {
+            (g.name, g.index): ((), (g.position,)) if g.form_degree else (((g.position, 1),), ())
+            for g in self.gens}
+        self._h_weights: Tuple[int, ...] = tuple(g.h_weight for g in self.gens)
 
     @property
     def degree(self) -> int:
@@ -131,26 +145,30 @@ class GeneratorTable:
     def base_generators(self) -> Tuple[Generator, ...]:
         return self.generators("base")
 
+    def _h_weight(self, key: MonomialKey) -> int:
+        h = self._h_weights
+        hw = 0
+        for p, e in key[0]:
+            hw += h[p] * e
+        for p in key[1]:
+            hw += h[p]
+        return hw
+
     def key_bi_weight(self, key: MonomialKey) -> BiWeight:
-        even, odd = key
-        hw = sum(self.gens[p].h_weight * e for p, e in even)
-        hw += sum(self.gens[p].h_weight for p in odd)
-        return BiWeight(hw, len(odd))
+        return BiWeight(self._h_weight(key), len(key[1]))
 
     def gen(self, name: str, index: int = 1) -> "Element":
         """The generator as an Element."""
-        g = self.generator(name, index)
-        if g.form_degree:
-            key: MonomialKey = ((), (g.position,))
-        else:
-            key = (((g.position, 1),), ())
-        return Element(self, {key: 1})
+        key = self._gen_keys.get((name, index))
+        if key is None:
+            self.generator(name, index)   # raises the unknown-generator error
+        return _element(self, {key: 1})
 
     def scalar(self, value: Scalar) -> "Element":
         c = _coefficient(value)
         if c == 0:
-            return Element(self, {})
-        return Element(self, {((), ()): c})
+            return _element(self, {})
+        return _element(self, {((), ()): c})
 
     def zero(self) -> "Element":
         return Element(self, {})
@@ -175,7 +193,7 @@ def _coefficient(value: Scalar) -> Scalar:
     """The exact coefficient of `value`: an int when it is integral."""
     if type(value) is int:
         return value
-    c = Fraction(value)
+    c = value if type(value) is Fraction else Fraction(value)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -198,7 +216,21 @@ def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
 
 def _merge_odd(a: OddPart, b: OddPart) -> Tuple[OddPart, int]:
     """Merge two sorted odd tuples with no common factor; returns (merged,
-    sign), the sign of the shuffle."""
+    sign), the sign of the shuffle.
+
+    The inversions are the pairs (x of a, y of b) with y < x.  A part of
+    at most two factors is inserted into the other by bisection: the
+    inversions are then the sum of the insert positions of a's factors in
+    b, or len(a) len(b) less the sum of those of b's factors in a."""
+    if len(a) <= 2 or len(b) <= 2:
+        short, other = (a, b) if len(a) <= 2 else (b, a)
+        merged = list(other)
+        inversions = 0 if short is a else len(a) * len(b)
+        for x in reversed(short):
+            n = bisect_left(other, x)
+            merged.insert(n, x)
+            inversions += n
+        return tuple(merged), -1 if inversions & 1 else 1
     merged = []
     inversions = 0
     i = j = 0
@@ -220,20 +252,22 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
     """Add coeff * (mono * terms), or coeff * (terms * mono) when not
     `mono_first`, into the dict `acc` of monomial keys to coefficients.
 
-    One coefficient product per term, an int product when both are ints;
-    entries may cancel to zero in `acc`, which the Element built from it
-    drops.  The odd parts of `mono` and a term merge without a loop when
+    At most one coefficient product per term, an int product when both
+    are ints, and none when the term's coefficient is 1; entries may
+    cancel to zero in `acc`, which the Element built from it drops.  The odd parts of `mono` and a term merge without a loop when
     they share a factor (the product is zero) or when one lies wholly
     before the other (concatenation, sign (-1)^(len * len) if reversed)."""
     me, mo = mono
-    seen = frozenset(mo)
+    seen = None   # the factors of mo, built when a term first needs them
     for (e, o), c in terms.items():
         if not o or not mo:
             odd = o or mo
             sign = 1
-        elif not seen.isdisjoint(o):
-            continue
         else:
+            if seen is None:
+                seen = frozenset(mo)
+            if not seen.isdisjoint(o):
+                continue
             a, b = (mo, o) if mono_first else (o, mo)
             if a[-1] < b[0]:
                 odd = a + b
@@ -244,7 +278,7 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
             else:
                 odd, sign = _merge_odd(a, b)
         key = (_merge_even(me, e), odd)
-        v = coeff * c
+        v = coeff if c == 1 else coeff * c
         if sign < 0:
             v = -v
         old = acc.get(key)
@@ -269,18 +303,24 @@ class Element:
         return {self.table.key_bi_weight(k) for k in self.terms}
 
     def is_bihomogeneous(self, bw: Tuple[int, int]) -> bool:
-        return all(self.table.key_bi_weight(k) == tuple(bw) for k in self.terms)
+        h, j = bw
+        weight = self.table._h_weight
+        return all(len(k[1]) == j and weight(k) == h for k in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Element") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise AlgebraError("elements over different generator tables")
 
     def __add__(self, other: Union["Element", Scalar]) -> "Element":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Element and isinstance(other, (int, Fraction)):
             other = self.table.scalar(other)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for k, c in other.terms.items():
             # a key new to self keeps c as it is: 0 + c would cost an
@@ -293,7 +333,7 @@ class Element:
         return self + other
 
     def __sub__(self, other: Union["Element", Scalar]) -> "Element":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Element and isinstance(other, (int, Fraction)):
             other = self.table.scalar(other)
         return self + (-other)
 
@@ -301,16 +341,21 @@ class Element:
         return (-self) + other
 
     def __neg__(self) -> "Element":
-        return Element(self.table, {k: -c for k, c in self.terms.items()})
+        return _element(self.table, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Element and isinstance(other, (int, Fraction)):
             c = _coefficient(other)
-            return Element(self.table, {k: v * c for k, v in self.terms.items()})
+            if not c:
+                return _element(self.table, {})
+            return _element(self.table, {k: v * c for k, v in self.terms.items()})
         self._check(other)
         terms: dict = {}
         for key, c in self.terms.items():
             _mul_into(terms, c, key, other.terms)
+        if len(self.terms) == 1 and len(other.terms) <= 1:
+            # one product of nonzero coefficients, or none: no zero
+            return _element(self.table, terms)
         return Element(self.table, terms)
 
     def __rmul__(self, other: Scalar) -> "Element":
@@ -418,6 +463,15 @@ class Element:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def _element(table: GeneratorTable, terms: dict) -> Element:
+    """An Element that takes `terms` as its own, unfiltered: for callers
+    whose coefficients are all nonzero (see the module docstring)."""
+    e = Element.__new__(Element)
+    e.table = table
+    e.terms = terms
+    return e
 
 
 def monomial_str(table: GeneratorTable, key: MonomialKey) -> str:

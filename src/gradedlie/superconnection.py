@@ -35,7 +35,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, GeneratorTable, MonomialKey, Scalar, _mul_into, monomial_str
+from .algebra import (Element, GeneratorTable, MonomialKey, Scalar, _element, _mul_into,
+                      monomial_str)
 from .algebroid import AlgebroidSpec
 from .derivations import apply
 from .weight_modules import Monomials
@@ -159,16 +160,20 @@ class _SpecMemo:
         return {self.intern(k): c for k, c in _scaled(e, den).items()}, den
 
     def element(self, vec: Vector, den: int) -> Element:
+        """The Element vec / den; a vector holds no zero entry, so neither
+        does the Element, nor any from `split`."""
         keys = self.keys
-        return Element(self.table, {keys[n]: _quotient(v, den) for n, v in vec.items()})
+        return _element(self.table, {keys[n]: _quotient(v, den) for n, v in vec.items()})
 
     def split(self, vec: Vector, den: int) -> Dict[int, Element]:
-        """The Element vec / den split by y-count, one division per entry."""
+        """The Element vec / den split by y-count, one division per entry
+        (none over 1)."""
         keys, split, zeros = self.keys, self.parts, self.zeros
         parts: Dict[int, Dict] = {}
         for n, v in vec.items():
-            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = _quotient(v, den)
-        return {p: Element(self.table, terms) for p, terms in parts.items()}
+            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = (
+                v if den == 1 else _quotient(v, den))
+        return {p: _element(self.table, terms) for p, terms in parts.items()}
 
 
 def _memo(spec: AlgebroidSpec) -> _SpecMemo:

@@ -30,12 +30,17 @@ class CapClosureError(RuntimeError):
 
 
 class BasisSizeError(ValueError):
-    """A requested basis has more monomials than MAX_BASIS_SIZE."""
+    """A requested basis has more monomials than MAX_BASIS_SIZE, or its
+    count needs more than MAX_DP_STATES states."""
 
 
 # Bases are listed eagerly, so a larger one is refused after counting it.
 # The limit is several times the largest sector of gl(4) (12 870 monomials).
 MAX_BASIS_SIZE = 50_000
+# The counting DP keeps its states for listing, so a block whose count needs
+# more of them is refused while it is counted.  The budget is several times
+# gl(6)'s torus block (65 742 states); gl(7)'s needs 792 540.
+MAX_DP_STATES = 250_000
 
 
 SpecOrTable = Union[AlgebroidSpec, GeneratorTable]
@@ -126,6 +131,7 @@ class Monomials:
                           for (lo, hi), t in zip(boxes[-1], v[2:])])
         reach: Dict[int, int] = {0: 1}
         self._reach = [reach]
+        states = 1
         for k in range(len(factors) - 1, -1, -1):
             g, options = self._factors[k]
             nxt: Dict[int, int] = {}
@@ -139,6 +145,10 @@ class Monomials:
                 nxt = {s: n for s, n in nxt.items() if self._inside(s, box)}
             reach = nxt
             self._reach.append(reach)
+            states += len(reach)
+            if states > MAX_DP_STATES:
+                raise BasisSizeError(f"{self._label('*')} is too large to count: it needs "
+                                     f"more than the budget of {MAX_DP_STATES} states")
         self._reach.reverse()   # _reach[k]: the totals of factors k, k+1, ...
 
     def _inside(self, code: int, box: Sequence[Tuple[int, int]]) -> bool:
@@ -202,7 +212,7 @@ class Monomials:
                      for part, left in parts for e in range(left + 1)]
         return [part for part, _left in parts]
 
-    def _label(self, j: int) -> str:
+    def _label(self, j: Union[int, str]) -> str:
         if self._torus:
             return f"torus block of sector ({self.i},{j})"
         if self._positive:

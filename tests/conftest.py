@@ -56,6 +56,26 @@ def random_element(rng, table, terms=4, max_exp=2):
     return out
 
 
+def merge_odd_by_loop(a, b):
+    """Oracle for `algebra._merge_odd`: merge two sorted odd parts with no
+    common factor in one pass, counting for each factor of b the factors of
+    a it passes; returns (merged, sign of the shuffle)."""
+    merged = []
+    inversions = 0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            merged.append(a[i])
+            i += 1
+        else:
+            merged.append(b[j])
+            inversions += len(a) - i
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged), -1 if inversions & 1 else 1
+
+
 def algebra_map(table, images):
     """Algebra endomorphism from generator images {position: Element}."""
     def apply(e):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable, _merge_even
+from gradedlie.algebra import (AlgebraError, BiWeight, Element, GeneratorTable, _merge_even,
+                               _merge_odd)
 from gradedlie.constructions import e3_chart
 from gradedlie.weight_modules import homogenization_projector
 
-from conftest import h_pullback, random_element
+from conftest import h_pullback, merge_odd_by_loop, random_element
+from test_coefficients import product_by_sorting
 
 
 @pytest.fixture
@@ -184,3 +186,83 @@ def test_merge_even_matches_dict_merge(parts):
     expected = tuple(sorted(acc.items()))
     assert _merge_even(a, b) == expected
     assert _merge_even(b, a) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sets(st.integers(0, 15), max_size=10), st.randoms(use_true_random=False))
+def test_merge_odd_matches_loop(factors, rng):
+    """Either part may be short (inserted by bisection) or both long."""
+    a = tuple(sorted(rng.sample(sorted(factors), rng.randint(0, len(factors)))))
+    b = tuple(sorted(factors.difference(a)))
+    assert _merge_odd(a, b) == merge_odd_by_loop(a, b)
+    assert _merge_odd(b, a) == merge_odd_by_loop(b, a)
+
+
+E3 = e3_chart()
+# ints, Fractions (integral ones and zero among them) and Fraction(1)
+COEFFS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                   st.just(Fraction(1)))
+KEYS = st.tuples(
+    st.dictionaries(st.sampled_from([g.position for g in E3.even_generators()]),
+                    st.integers(1, 2), max_size=2).map(lambda d: tuple(sorted(d.items()))),
+    st.sets(st.sampled_from([g.position for g in E3.odd_generators()]),
+            max_size=3).map(lambda s: tuple(sorted(s))))
+ELEMENTS = st.dictionaries(KEYS, COEFFS, max_size=4).map(lambda t: Element(E3, t))
+
+
+def reference_sum(a, b):
+    terms = dict(a.terms)
+    for k, c in b.terms.items():
+        terms[k] = terms.get(k, 0) + c
+    return Element(E3, terms)
+
+
+def reference_product(a, b):
+    acc = {}
+    for key, c in a.terms.items():
+        acc = product_by_sorting(acc, c, key, b.terms, True)
+    return Element(E3, acc)
+
+
+def assert_same_terms(got, want):
+    """The same terms, no zero kept, and an int wherever the reference
+    has one."""
+    assert got.terms == want.terms
+    assert all(c != 0 for c in got.terms.values())
+    assert all(type(got.terms[k]) is int for k, c in want.terms.items() if type(c) is int)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ELEMENTS, ELEMENTS, COEFFS, st.integers(0, 3))
+def test_element_fast_paths_match_public_constructor(a, b, s, n):
+    """Every operation against a reference built through the public,
+    filtering constructor, with the product by sorting and counting."""
+    neg_b = Element(E3, {k: -c for k, c in b.terms.items()})
+    scalar = Element(E3, {((), ()): s})
+    assert_same_terms(a + b, reference_sum(a, b))
+    assert_same_terms(a + s, reference_sum(a, scalar))
+    assert_same_terms(s + a, reference_sum(a, scalar))
+    assert_same_terms(-b, neg_b)
+    assert_same_terms(a - b, reference_sum(a, neg_b))
+    assert_same_terms(a - s, reference_sum(a, -scalar))
+    assert_same_terms(a * b, reference_product(a, b))
+    scaled = Element(E3, {k: c * s for k, c in a.terms.items()})
+    assert_same_terms(a * s, scaled)
+    assert_same_terms(s * a, scaled)
+    power = Element(E3, {((), ()): 1})
+    for _ in range(n):
+        power = reference_product(power, a)
+    assert_same_terms(a ** n, power)
+    assert_same_terms(E3.scalar(s), scalar)
+    for bw in {E3.key_bi_weight(k) for k in a.terms} | {(1, 1)}:
+        assert a.is_bihomogeneous(bw) == all(E3.key_bi_weight(k) == bw for k in a.terms)
+
+
+def test_generators_and_unknown_generators(chart):
+    for g in chart.gens:
+        key = ((), (g.position,)) if g.form_degree else (((g.position, 1),), ())
+        assert chart.gen(g.name, g.index).terms == {key: 1}
+    for name, index in [("q", 1), ("y", 3), ("x", 0)]:
+        with pytest.raises(AlgebraError) as err:
+            chart.gen(name, index)
+        assert str(err.value) == f"unknown generator {name}[{index}]"

@@ -130,6 +130,19 @@ def test_gl6_torus_block_refused_in_bounded_time(monkeypatch):
     assert sum(map(len, block._reach)) == 65_742
 
 
+def test_gl8_torus_block_refused_by_the_state_budget(monkeypatch):
+    """gl(8)'s torus block is refused while its DP counts it, once the DP
+    has kept more than MAX_DP_STATES states: nothing is listed, and the
+    count stops at the budget."""
+    def no_listing(*_args):
+        raise AssertionError("a sector was listed")
+    monkeypatch.setattr(Monomials, "_walk", no_listing)
+    with pytest.raises(BasisSizeError) as err:
+        build_complex(gl_spec(8), 0)
+    assert str(err.value) == ("torus block of sector (0,*) is too large to count: it needs "
+                              "more than the budget of 250000 states")
+
+
 def test_torus_detection_matches_definition():
     """X is diagonal when every i_X(d g) = partial_derivative(d g, X) is a
     multiple of g, not all zero; its weights are those multiples, scaled."""
