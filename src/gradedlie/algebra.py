@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class AlgebraError(ValueError):
@@ -107,10 +107,6 @@ class GeneratorTable:
             next((g.position for g in self.gens if g.form_degree and g.h_weight),
                  len(self.gens)))
         self._by_name = {(g.name, g.index): g for g in self.gens}
-        # each generator's monomial key, and the h-weight per position
-        self._gen_keys: Dict[Tuple[str, int], MonomialKey] = {
-            (g.name, g.index): ((), (g.position,)) if g.form_degree else (((g.position, 1),), ())
-            for g in self.gens}
         self._h_weights: Tuple[int, ...] = tuple(g.h_weight for g in self.gens)
 
     @property
@@ -159,9 +155,11 @@ class GeneratorTable:
 
     def gen(self, name: str, index: int = 1) -> "Element":
         """The generator as an Element."""
-        key = self._gen_keys.get((name, index))
-        if key is None:
-            self.generator(name, index)   # raises the unknown-generator error
+        g = self.generator(name, index)
+        if g.form_degree:
+            key: MonomialKey = ((), (g.position,))
+        else:
+            key = (((g.position, 1),), ())
         return _element(self, {key: 1})
 
     def scalar(self, value: Scalar) -> "Element":
@@ -218,32 +216,18 @@ def _merge_odd(a: OddPart, b: OddPart) -> Tuple[OddPart, int]:
     """Merge two sorted odd tuples with no common factor; returns (merged,
     sign), the sign of the shuffle.
 
-    The inversions are the pairs (x of a, y of b) with y < x.  A part of
-    at most two factors is inserted into the other by bisection: the
-    inversions are then the sum of the insert positions of a's factors in
-    b, or len(a) len(b) less the sum of those of b's factors in a."""
-    if len(a) <= 2 or len(b) <= 2:
-        short, other = (a, b) if len(a) <= 2 else (b, a)
-        merged = list(other)
-        inversions = 0 if short is a else len(a) * len(b)
-        for x in reversed(short):
-            n = bisect_left(other, x)
-            merged.insert(n, x)
-            inversions += n
-        return tuple(merged), -1 if inversions & 1 else 1
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
+    The shorter part is inserted into the other by bisection.  The
+    inversions are the pairs (x of a, y of b) with y < x: the sum of the
+    insert positions of a's factors in b, or len(a) len(b) less the sum of
+    those of b's factors in a, which has the same parity as len(a) len(b)
+    plus that sum."""
+    short, other = (a, b) if len(a) <= len(b) else (b, a)
+    merged = list(other)
+    inversions = 0 if short is a else len(a) * len(b)
+    for x in reversed(short):
+        n = bisect_left(other, x)
+        merged.insert(n, x)
+        inversions += n
     return tuple(merged), -1 if inversions & 1 else 1
 
 
@@ -252,9 +236,9 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
     """Add coeff * (mono * terms), or coeff * (terms * mono) when not
     `mono_first`, into the dict `acc` of monomial keys to coefficients.
 
-    At most one coefficient product per term, an int product when both
-    are ints, and none when the term's coefficient is 1; entries may
-    cancel to zero in `acc`, which the Element built from it drops.  The odd parts of `mono` and a term merge without a loop when
+    One coefficient product per term, an int product when both are ints;
+    entries may cancel to zero in `acc`, which the Element built from it
+    drops.  The odd parts of `mono` and a term merge without a loop when
     they share a factor (the product is zero) or when one lies wholly
     before the other (concatenation, sign (-1)^(len * len) if reversed)."""
     me, mo = mono
@@ -278,7 +262,7 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
             else:
                 odd, sign = _merge_odd(a, b)
         key = (_merge_even(me, e), odd)
-        v = coeff if c == 1 else coeff * c
+        v = coeff * c
         if sign < 0:
             v = -v
         old = acc.get(key)

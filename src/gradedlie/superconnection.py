@@ -87,6 +87,8 @@ def _scaled(e: Element, scale: int) -> Dict[MonomialKey, int]:
 
 
 def _quotient(v: int, den: int) -> Scalar:
+    if den == 1:
+        return v
     q, r = divmod(v, den)
     return Fraction(v, den) if r else q
 
@@ -166,13 +168,11 @@ class _SpecMemo:
         return _element(self.table, {keys[n]: _quotient(v, den) for n, v in vec.items()})
 
     def split(self, vec: Vector, den: int) -> Dict[int, Element]:
-        """The Element vec / den split by y-count, one division per entry
-        (none over 1)."""
+        """The Element vec / den split by y-count, one division per entry."""
         keys, split, zeros = self.keys, self.parts, self.zeros
         parts: Dict[int, Dict] = {}
         for n, v in vec.items():
-            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = (
-                v if den == 1 else _quotient(v, den))
+            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = _quotient(v, den)
         return {p: _element(self.table, terms) for p, terms in parts.items()}
 
 

@@ -191,7 +191,8 @@ def test_merge_even_matches_dict_merge(parts):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.sets(st.integers(0, 15), max_size=10), st.randoms(use_true_random=False))
 def test_merge_odd_matches_loop(factors, rng):
-    """Either part may be short (inserted by bisection) or both long."""
+    """Either part may be the shorter, the one inserted by bisection, and
+    either may be empty."""
     a = tuple(sorted(rng.sample(sorted(factors), rng.randint(0, len(factors)))))
     b = tuple(sorted(factors.difference(a)))
     assert _merge_odd(a, b) == merge_odd_by_loop(a, b)

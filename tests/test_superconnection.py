@@ -321,6 +321,23 @@ def test_split_by_y_count_partition():
     for part in parts.values():
         total = total + part
     assert total == e
+    # the memo splits an int vector over its denominator the same way: each
+    # entry is its `_quotient`, the vector's int itself over 1
+    from gradedlie.superconnection import _memo, _quotient, _y_count
+    rng = random.Random(15)
+    flatness_cascade(apply_gauge(extract_components(spec, 2),
+                                 random_gauge(rng, spec, 2, coprime_coeff)))
+    memo = _memo(spec)
+    vec = {n: rng.choice([-12, -7, -3, -1, 1, 2, 5, 6, 12])
+           for n in rng.sample(range(len(memo.keys)), min(40, len(memo.keys)))}
+    for den in (1, 2, 3, 6):
+        parts = memo.split(vec, den)
+        got = {k: c for e in parts.values() for k, c in e.terms.items()}
+        want = {memo.keys[n]: _quotient(v, den) for n, v in vec.items()}
+        assert got == want
+        assert all(type(got[k]) is type(c) for k, c in want.items())
+        assert all(_y_count(spec.table, k) == p for p, e in parts.items() for k in e.terms)
+    assert all(_quotient(v, 1) is v for v in vec.values())
 
 
 def test_identity_gauge_is_noop():
@@ -547,26 +564,3 @@ def product_zero_part(memo, n):
     even, odd = memo.keys[n]
     even_cut, odd_cut = memo.table.zero_cuts
     return (tuple(f for f in even if f[0] < even_cut), tuple(p for p in odd if p < odd_cut))
-
-
-def test_split_divides_only_over_a_denominator():
-    """Over 1 the entries stay the vector's ints; over any other
-    denominator each is its `_quotient`, an int exactly when it divides."""
-    from gradedlie.superconnection import _memo, _quotient, _y_count
-    rng = random.Random(15)
-    spec = e7_instance()
-    flatness_cascade(apply_gauge(extract_components(spec, 2),
-                                 random_gauge(rng, spec, 2, coprime_coeff)))
-    memo = _memo(spec)
-    vec = {n: rng.choice([-12, -7, -3, -1, 1, 2, 5, 6, 12])
-           for n in rng.sample(range(len(memo.keys)), min(40, len(memo.keys)))}
-    for den in (1, 2, 3, 6):
-        parts = memo.split(vec, den)
-        got = {k: c for e in parts.values() for k, c in e.terms.items()}
-        want = {memo.keys[n]: _quotient(v, den) for n, v in vec.items()}
-        assert got == want
-        assert all(type(got[k]) is type(c) for k, c in want.items())
-        if den == 1:
-            assert got == {memo.keys[n]: v for n, v in vec.items()}
-            assert all(type(c) is int for c in got.values())
-        assert all(_y_count(spec.table, k) == p for p, e in parts.items() for k in e.terms)
