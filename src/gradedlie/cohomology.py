@@ -1,8 +1,12 @@
 """Desk-scale cohomology: exact Betti numbers over Q on finite sector bases.
 
-The differentials are stored column-sparse, one {row: coefficient} dict per
-basis monomial of the domain sector, as built by
-`weight_modules.differential_columns`.
+The differentials are column-sparse, one {row: coefficient} dict per basis
+monomial of the domain sector, built by `weight_modules.ColumnBuilder` with
+bit operations on the odd parts.  `FiniteComplex.matrices` is built on
+first access.  Over a point `betti` leaves it unbuilt and builds a column
+only where clearing keeps it (Chen-Kerber 2011; Ripser, Bauer 2021, builds
+coboundary columns the same way), about half of them on gl(n).  Over a base `build_complex` builds every column, since a column
+that clearing skips may still leave the cap.
 
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as
@@ -25,12 +29,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Collection, Dict, List, Optional, Tuple
 
 from .algebra import MonomialKey
 from .algebroid import AlgebroidSpec
-from .weight_modules import Column, Monomials, Torus, differential_columns
+from .weight_modules import Column, ColumnBuilder, Monomials, Torus
 
 
 @dataclass
@@ -38,7 +43,6 @@ class FiniteComplex:
     spec: AlgebroidSpec
     i: int
     sector_bases: List[List[MonomialKey]]
-    matrices: List[List[Column]]   # matrices[j] maps sector j -> j+1, by columns
     cap: Optional[int]             # None when the base is a point
     torus: Tuple[str, ...] = ()    # the diagonal X's of the torus reduction
 
@@ -50,6 +54,24 @@ class FiniteComplex:
     @property
     def dims(self) -> List[int]:
         return [len(b) for b in self.sector_bases]
+
+    @cached_property
+    def matrices(self) -> List[List[Column]]:
+        """matrices[j] maps sector j -> j+1, by columns; built on first
+        access."""
+        return [self.columns(j) for j in range(len(self.sector_bases))]
+
+    def columns(self, j: int, skip: Collection[int] = ()) -> List[Column]:
+        """d_j by columns, left empty and unbuilt at the indices in `skip`;
+        the top sector maps to zero."""
+        bases = self.sector_bases
+        if j + 1 == len(bases):
+            return [{} for _ in bases[j]]
+        return self._builder(bases[j], bases[j + 1], skip)
+
+    @cached_property
+    def _builder(self) -> ColumnBuilder:
+        return ColumnBuilder(self.spec, self.cap)
 
 
 def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
@@ -86,11 +108,12 @@ def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
 
 
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
-    """Assemble the sector bases of the weight-i subcomplex and the induced
-    differential matrices: the joint weight-zero block of the torus
-    reduction when it applies (it reads d^2 = 0 off `spec.homological`),
-    the full complex otherwise.  Raises CapClosureError when the cap is too
-    small over a nontrivial base."""
+    """List the sector bases of the weight-i subcomplex: the joint
+    weight-zero block of the torus reduction when it applies (it reads
+    d^2 = 0 off `spec.homological`), the full complex otherwise.  Over a
+    nontrivial base the differential matrices are built here too, and
+    CapClosureError is raised when the cap is too small; over a point
+    they are built on demand."""
     table = spec.table
     point = not table.base_generators()
     labels, weights = _torus(spec) if point else ((), {})
@@ -105,11 +128,12 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     for j in range(top + 1):
         block.checked_size(j)
     bases = [block.basis(j) for j in range(top + 1)]
-    matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
-                for j in range(len(bases) - 1)]
-    # the top sector maps to zero
-    matrices.append([{} for _ in bases[-1]])
-    return FiniteComplex(spec, i, bases, matrices, None if point else cap, labels)
+    c = FiniteComplex(spec, i, bases, None if point else cap, labels)
+    if not point:
+        # a column that clearing skips may still leave the cap, so over a
+        # base every column is built here, and CapClosureError raised
+        c.matrices
+    return c
 
 
 def _integral(column: Column) -> Column:
@@ -176,13 +200,15 @@ def betti(c: FiniteComplex) -> List[int]:
     pivot columns of d_(j-1) lie in im d_(j-1), which d_j kills, and are
     triangular on their pivot rows, so with the other basis monomials they
     span sector j.  rank d_j is therefore the rank of the columns of d_j
-    whose index is not a pivot row of d_(j-1), and only those are reduced."""
-    # differential_columns refuses a span that d leaves, so d^2 = 0 closes it
+    whose index is not a pivot row of d_(j-1), and only those are reduced.
+    Over a point only those are built, too, and `c.matrices` is left
+    unbuilt."""
+    # ColumnBuilder refuses a span that d leaves, so d^2 = 0 closes it
     if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
     ranks = []
     cleared: Collection[int] = ()
-    for m in c.matrices:
-        cleared = _pivots(m, cleared)
+    for j in range(len(c.sector_bases)):
+        cleared = _pivots(c.columns(j, cleared) if c.exact else c.matrices[j], cleared)
         ranks.append(len(cleared))
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

@@ -11,18 +11,19 @@ enumerator, `Monomials`, counts and lists them all: W-bases, the sectors of
 the weight-i subcomplex, and the torus blocks of `cohomology`.  Base
 generators weigh nothing in h-weight or form degree, so it enumerates the
 fibre monomials and takes the base polynomials of degree <= cap as a free
-factor.
+factor.  `ColumnBuilder` gives d_E from one such basis to the next, by
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import Element, GeneratorTable, MonomialKey, Scalar, monomial_str
+from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _merge_even,
+                      monomial_str)
 from .algebroid import AlgebroidSpec
-from .derivations import apply
 
 
 class CapClosureError(RuntimeError):
@@ -291,28 +292,110 @@ def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKe
 Column = Dict[int, Scalar]
 
 
-def differential_columns(spec: AlgebroidSpec, domain: Sequence[MonomialKey],
-                         codomain: Sequence[MonomialKey], cap: int) -> List[Column]:
-    """Column-sparse matrix of d_E from the span of `domain` to the span of
-    `codomain`: one {codomain row: coefficient} dict per domain monomial,
+class ColumnBuilder:
+    """d_E by columns, from the span of one list of monomials to the span of
+    another: one {codomain row: coefficient} dict per domain monomial,
     nonzero entries only.
 
-    Raises CapClosureError when an image term is not in `codomain` (the
-    truncated span at base-degree cap `cap` does not close)."""
-    table = spec.table
-    index = {k: n for n, k in enumerate(codomain)}
-    columns: List[Column] = []
-    for key in domain:
+    d(g) is read once per builder.  An odd part is an int mask, bit p for
+    the odd generator at position p; each term of d(g) keeps its odd part t
+    and the parity mask of t, the XOR over the bits of t of the bits below
+    each.  A domain monomial with odd mask m is then differentiated one
+    factor at a time, as `derivations.apply` does.  The k-th odd factor p
+    leaves rest = m ^ (1 << p); a term t of d(p) vanishes when t & rest,
+    and otherwise lands on row index[even][rest | t] with sign (-1)^(k +
+    popcount(rest & parity(t))), the Leibniz sign times the sign of
+    shuffling t in front of rest.  An even factor leaves m whole and its
+    exponent as coefficient.  Even parts multiply by `_merge_even`, so one
+    builder serves every sector, over a point or a base.
+
+    Raises CapClosureError when an image term that does not cancel in its
+    column is outside the codomain (the truncated span at base-degree cap
+    `cap` does not close); it names the first such term in `apply`'s term
+    order."""
+
+    def __init__(self, spec: AlgebroidSpec, cap: Optional[int]):
+        self._table = spec.table
+        self._cap = cap
+        self._odd = [g.position for g in spec.table.odd_generators()]
+        self._d: Dict[int, list] = {}   # position -> [(even, t, parity of t, c), ...]
+        for p, value in spec.d.action.items():
+            terms = []
+            for (even, odd), c in value.terms.items():
+                t = parity = 0
+                for q in odd:
+                    t |= 1 << q
+                    parity ^= (1 << q) - 1
+                terms.append((even, t, parity, c))
+            if terms:
+                self._d[p] = terms
+
+    def __call__(self, domain: Sequence[MonomialKey], codomain: Sequence[MonomialKey],
+                 skip: Collection[int] = ()) -> List[Column]:
+        """The columns of the domain monomials, left empty and unbuilt at
+        the indices in `skip`."""
+        index: Dict[EvenPart, Dict[int, int]] = {}
+        for n, (even, odd) in enumerate(codomain):
+            mask = 0
+            for p in odd:
+                mask |= 1 << p
+            index.setdefault(even, {})[mask] = n
+        return [{} if n in skip else self.column(key, index)
+                for n, key in enumerate(domain)]
+
+    def column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]]) -> Column:
+        """The column of one domain monomial, given the codomain's rows by
+        even part and odd mask."""
+        even, odd = key
+        m = 0
+        for p in odd:
+            m |= 1 << p
+        d = self._d
+        # per factor with d(g) != 0: (even part, odd mask of the rest,
+        # coefficient, sign parity, terms of d(g)), in apply's order
+        parts = []
+        for n, (p, exp) in enumerate(even):
+            terms = d.get(p)
+            if terms:
+                rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
+                parts.append((rest, m, exp, 0, terms))
+        for k, p in enumerate(odd):
+            terms = d.get(p)
+            if terms:
+                parts.append((even, m ^ (1 << p), 1, k & 1, terms))
         column: Column = {}
-        for k, c in apply(spec.d, Element(table, {key: 1})).terms.items():
-            row = index.get(k)
-            if row is None:
+        outside: Dict[Tuple[EvenPart, int], Scalar] = {}
+        for rest_even, rest, coeff, sign, terms in parts:
+            rows = index.get(rest_even)
+            for e, t, parity, c in terms:
+                if t & rest:
+                    continue
+                v = c if coeff == 1 else coeff * c
+                if (sign + (rest & parity).bit_count()) & 1:
+                    v = -v
+                image_even = _merge_even(rest_even, e) if e else rest_even
+                target = index.get(image_even) if e else rows
+                row = target.get(rest | t) if target else None
+                if row is None:
+                    term = (image_even, rest | t)
+                    old = outside.get(term)
+                    outside[term] = v if old is None else old + v
+                    continue
+                old = column.get(row)
+                if old is not None:
+                    v += old
+                    if not v:
+                        del column[row]
+                        continue
+                column[row] = v
+        for (e, mask), v in outside.items():
+            if v:
+                image = (e, tuple(p for p in self._odd if mask >> p & 1))
                 raise CapClosureError(
-                    f"base degree cap {cap} does not close the complex: "
-                    f"d({monomial_str(table, key)}) contains {monomial_str(table, k)}")
-            column[row] = c
-        columns.append(column)
-    return columns
+                    f"base degree cap {self._cap} does not close the complex: "
+                    f"d({monomial_str(self._table, key)}) contains "
+                    f"{monomial_str(self._table, image)}")
+        return column
 
 
 def homogenization_projector(e: Element, k: int) -> Element:

@@ -9,7 +9,7 @@ from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.cohomology import FiniteComplex
 from gradedlie.derivations import HomologicalReport, make_derivation
-from gradedlie.weight_modules import differential_columns, sector_basis
+from gradedlie.weight_modules import sector_basis
 
 
 @pytest.fixture
@@ -357,10 +357,7 @@ def full_complex(spec, i, cap=4):
     bases = [sector_basis(spec, i, j, cap) for j in range(len(spec.table.odd_generators()) + 2)]
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
-    matrices = [differential_columns(spec, bases[j], bases[j + 1], cap)
-                for j in range(len(bases) - 1)]
-    matrices.append([{} for _ in bases[-1]])
-    return FiniteComplex(spec, i, bases, matrices, None if point else cap)
+    return FiniteComplex(spec, i, bases, None if point else cap)
 
 
 def count_d_squared(monkeypatch):

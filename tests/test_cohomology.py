@@ -10,7 +10,7 @@ from gradedlie.cohomology import _pivots, _torus, betti, build_complex, rank
 from gradedlie.constructions import (abelian_lie_algebra, adjoint_instance, aff1,
                                      algebroid_prolongation, sl2,
                                      tangent_algebroid)
-from gradedlie.weight_modules import BasisSizeError, Monomials
+from gradedlie.weight_modules import BasisSizeError, ColumnBuilder, Monomials
 from gradedlie.dsl import parse, to_algebroid_spec
 
 from conftest import (brute_force_rank, count_d_squared, full_complex, gl_spec,
@@ -76,6 +76,12 @@ def test_betti_gl4_closed_form():
     assert betti(c) == poincare_betti([1, 3, 5, 7])
 
 
+def test_betti_gl5_closed_form():
+    """gl(5) through the torus reduction (24 310 monomials in its largest
+    block), with only the columns clearing keeps built."""
+    assert betti(build_complex(gl_spec(5), 0)) == poincare_betti([1, 3, 5, 7, 9])
+
+
 def cleared_ranks(c):
     """The ranks `betti` takes: each d_j without the columns whose index is
     a pivot row of d_(j-1)."""
@@ -107,6 +113,44 @@ def test_cleared_ranks_match_rank_and_brute_force():
                 assert r == brute_force_rank(to_dense(m, rows))
                 brute += 1
     assert brute >= 12
+
+
+def test_betti_builds_only_the_columns_clearing_keeps(monkeypatch):
+    """Over a point, betti builds d_j's columns only at the indices that are
+    not pivot rows of d_(j-1), and leaves `matrices` unbuilt; its ranks are
+    `cleared_ranks` over the fully built matrices.  Over a base,
+    build_complex builds every column."""
+    built = []
+    column = ColumnBuilder.column
+
+    def recording(self, key, index):
+        built.append(key)
+        return column(self, key, index)
+
+    monkeypatch.setattr(ColumnBuilder, "column", recording)
+    rng = random.Random(66)
+    specs = [gl_spec(3), gl_spec(4), sl2(), aff1(), unipotent_twist(rng, gl_spec(3))]
+    skipped = 0
+    for spec in specs:
+        built.clear()
+        c = build_complex(spec, 0)
+        assert c.exact and not built
+        full = build_complex(spec, 0)
+        ranks = cleared_ranks(full)
+        kept, cleared = [], ()
+        for basis, m in zip(full.sector_bases[:-1], full.matrices):
+            kept += [key for n, key in enumerate(basis) if n not in cleared]
+            cleared = _pivots(m, cleared)
+        built.clear()
+        assert betti(c) == [dim - ranks[j] - (ranks[j - 1] if j else 0)
+                            for j, dim in enumerate(c.dims)]
+        assert built == kept
+        assert "matrices" not in vars(c)
+        skipped += sum(c.dims[:-1]) - len(kept)
+    assert skipped > 1000
+    built.clear()
+    c = build_complex(adjoint_instance(), 0)
+    assert "matrices" in vars(c) and len(built) == sum(c.dims[:-1])
 
 
 def test_gl6_torus_block_refused_in_bounded_time(monkeypatch):

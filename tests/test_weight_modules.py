@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 from math import comb
@@ -5,20 +6,22 @@ from math import comb
 import pytest
 
 from gradedlie import weight_modules
-from gradedlie.algebra import Element, GeneratorTable
+from gradedlie.algebra import Element, GeneratorTable, monomial_str
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.cohomology import _torus, build_complex
 from gradedlie.derivations import apply
+from gradedlie.dsl import parse, to_algebroid_spec
 from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
                                      e7_instance, sl2, tangent_graded_bundle)
-from gradedlie.weight_modules import (BasisSizeError, CapClosureError, Monomials,
-                                      differential_columns, dim_w,
-                                      homogenization_projector, sector_basis,
-                                      w_basis)
+from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
+                                      Monomials, dim_w, homogenization_projector,
+                                      sector_basis, w_basis)
 
 from conftest import (brute_force_monomials, brute_force_w_dim, gl_spec,
                       projector_by_derivative, random_chart, random_element,
-                      to_dense)
+                      to_dense, unipotent_twist)
+
+SPECS = pathlib.Path(__file__).parent.parent / "specs"
 
 
 def test_e3_dimensions():
@@ -228,21 +231,21 @@ def test_tangent_graded_bundle_dims():
 
 
 def test_subcomplex_preserved():
-    """d maps sector (i, j) into sector (i, j+1): differential_columns
-    refuses any image term outside the codomain.  d raises the base degree
-    of e7 by at most 1, so the codomain takes cap 3 over a domain at cap 2."""
+    """d maps sector (i, j) into sector (i, j+1): ColumnBuilder refuses any
+    image term outside the codomain.  d raises the base degree of e7 by at
+    most 1, so the codomain takes cap 3 over a domain at cap 2."""
     spec = e7_instance()
     for i in range(1, 3):
         for j in range(len(spec.table.odd_generators()) + 1):
             domain = sector_basis(spec, i, j, 2)
-            differential_columns(spec, domain, sector_basis(spec, i, j + 1, 3), 3)
+            ColumnBuilder(spec, 3)(domain, sector_basis(spec, i, j + 1, 3))
 
 
 def _sector_matrix(spec, i, j, cap):
     """(domain, codomain, columns) of d_E from sector (i, j) to (i, j+1)."""
     domain = sector_basis(spec, i, j, cap)
     codomain = sector_basis(spec, i, j + 1, cap)
-    return domain, codomain, differential_columns(spec, domain, codomain, cap)
+    return domain, codomain, ColumnBuilder(spec, cap)(domain, codomain)
 
 
 def test_induced_matrix_squares_to_zero():
@@ -257,22 +260,127 @@ def test_induced_matrix_squares_to_zero():
             assert sum(a[r][k] * b[k][c] for k in range(len(b))) == 0
 
 
+def _columns_match_apply(spec, domain, codomain, cap):
+    """ColumnBuilder against `derivations.apply`: each column is the image
+    of its domain monomial, or, when the image has a term outside the
+    codomain, building the column raises CapClosureError naming the first
+    such term in apply's term order.  Returns the number of refused
+    columns."""
+    table = spec.table
+    rows = {k: n for n, k in enumerate(codomain)}
+    builder = ColumnBuilder(spec, cap)
+    expected, refused = [], set()
+    for n, key in enumerate(domain):
+        image = apply(spec.d, Element(table, {key: 1}))
+        outside = [k for k in image.terms if k not in rows]
+        if outside:
+            with pytest.raises(CapClosureError) as err:
+                builder([key], codomain)
+            assert str(err.value) == (
+                f"base degree cap {cap} does not close the complex: d({monomial_str(table, key)}) "
+                f"contains {monomial_str(table, outside[0])}")
+            refused.add(n)
+            expected.append({})
+        else:
+            expected.append({rows[k]: c for k, c in image.terms.items()})
+    # one call builds every column that is not refused
+    assert builder(domain, codomain, refused) == expected
+    return len(refused)
+
+
 def test_matrix_columns_match_direct_application():
-    spec = tangent_graded_bundle([("x", 0, 1), ("z", 1, 2), ("u", 2, 1)])
-    domain, codomain, columns = _sector_matrix(spec, 1, 0, 3)
-    for col, key in enumerate(domain):
-        image = apply(spec.d, Element(spec.table, {key: Fraction(1)}))
-        rebuilt = spec.table.zero()
-        for row, c in columns[col].items():
-            rebuilt = rebuilt + Element(spec.table, {codomain[row]: c})
-        assert rebuilt == image
+    """The bitmask column builder against `apply` on every sector of the
+    shipped specs and EXAMPLES at caps 2 and 4, on the gl(3) and gl(4)
+    torus blocks, and on the full sectors of seeded unipotent twists of
+    gl(3), whose coefficients are Fractions and which have no torus."""
+    specs = [to_algebroid_spec(parse(path.read_text())) for path in sorted(SPECS.glob("*.spec"))]
+    specs += [make() for make in EXAMPLES.values()]
+    sectors = refused = 0
+    for spec in specs:
+        top = len(spec.table.odd_generators())
+        for i in range(spec.degree + 1):
+            for cap in (2, 4):
+                monomials = Monomials(spec, i, cap)
+                bases = [monomials.basis(j) for j in range(top + 2)]
+                for j in range(top + 1):
+                    refused += _columns_match_apply(spec, bases[j], bases[j + 1], cap)
+                    sectors += 1
+    assert sectors > 200 and refused
+    for n in (3, 4):
+        bases = build_complex(gl_spec(n), 0).sector_bases
+        for j in range(len(bases) - 1):
+            assert not _columns_match_apply(gl_spec(n), bases[j], bases[j + 1], None)
+    rng = random.Random(65)
+    for _ in range(2):
+        spec = unipotent_twist(rng, gl_spec(3))
+        assert not _torus(spec)[0]
+        assert any(type(c) is Fraction for v in spec.d.action.values() for c in v.terms.values())
+        bases = [Monomials(spec, 0).basis(j) for j in range(10)]
+        for j in range(9):
+            assert not _columns_match_apply(spec, bases[j], bases[j + 1], None)
 
 
 def test_cap_closure_error():
+    """The refusal names the domain monomial and the image term that leaves
+    the span, in the words the CLI prints."""
     spec = e7_instance()
     # d z[3] contains x[1]*w[1], so no finite base-degree cap closes the span
     with pytest.raises(CapClosureError):
         _sector_matrix(spec, 2, 0, 4)
+    with pytest.raises(CapClosureError) as err:
+        build_complex(spec, 2, 4)
+    assert str(err.value) == ("base degree cap 4 does not close the complex: "
+                              "d(x[1]*x[2]^3*z[1]*z[3]) contains x[1]^2*x[2]^3*z[1]*w[1]")
+
+
+def _leibniz_order(spec, key):
+    """The monomials of the Leibniz sum of d on an odd `key`, cancelled
+    ones included, in the order `apply` first meets them: factor by factor,
+    and within a factor g in the order of the terms of d(g)."""
+    table = spec.table
+    even, odd = key
+    order = {}
+    for k, p in enumerate(odd):
+        rest = Element(table, {(even, odd[:k] + odd[k + 1:]): 1})
+        for term in (spec.d.action.get(p, table.zero()) * rest).terms:
+            order.setdefault(term, None)
+    return list(order)
+
+
+def test_cap_closure_error_only_for_a_surviving_term():
+    """A term of the Leibniz sum that cancels within its column may lie
+    outside the codomain without a refusal; a surviving term outside it is
+    refused, the first in apply's term order, even when a cancelled one
+    comes before it in the sum."""
+    spec = gl_spec(3)
+    table = spec.table
+    bases = [Monomials(spec, 0).basis(j) for j in range(10)]
+    found = None
+    for j in range(9):
+        for key in bases[j]:
+            image = apply(spec.d, Element(table, {key: 1}))
+            order = _leibniz_order(spec, key)
+            cancelled = [n for n, k in enumerate(order) if k not in image.terms]
+            if cancelled and any(k in image.terms for k in order[cancelled[0]:]):
+                found = j, key, image, order, cancelled[0]
+                break
+        if found:
+            break
+    assert found
+    j, key, image, order, first = found
+    codomain = [k for k in bases[j + 1] if k != order[first]]
+    rows = {k: n for n, k in enumerate(codomain)}
+    assert ColumnBuilder(spec, 4)([key], codomain) == [
+        {rows[k]: c for k, c in image.terms.items()}]
+    # drop the terms that come after the cancelled one too
+    gone = set(order[first:])
+    codomain = [k for k in bases[j + 1] if k not in gone]
+    survivor = next(k for k in image.terms if k in gone)
+    with pytest.raises(CapClosureError) as err:
+        ColumnBuilder(spec, 4)([key], codomain)
+    assert str(err.value) == ("base degree cap 4 does not close the complex: "
+                              f"d({monomial_str(table, key)}) contains "
+                              f"{monomial_str(table, survivor)}")
 
 
 def test_projector_laws_random():
