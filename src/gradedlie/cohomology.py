@@ -5,8 +5,9 @@ monomial of the domain sector, built by `weight_modules.ColumnBuilder` with
 bit operations on the odd parts.  `FiniteComplex.matrices` is built on
 first access.  Over a point `betti` leaves it unbuilt and builds a column
 only where clearing keeps it (Chen-Kerber 2011; Ripser, Bauer 2021, builds
-coboundary columns the same way), about half of them on gl(n).  Over a base `build_complex` builds every column, since a column
-that clearing skips may still leave the cap.
+coboundary columns the same way), about half of them on gl(n).  Over a
+base `build_complex` builds every column, since a column that clearing
+skips may still leave the cap.
 
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as

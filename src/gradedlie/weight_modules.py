@@ -317,7 +317,6 @@ class ColumnBuilder:
     def __init__(self, spec: AlgebroidSpec, cap: Optional[int]):
         self._table = spec.table
         self._cap = cap
-        self._odd = [g.position for g in spec.table.odd_generators()]
         self._d: Dict[int, list] = {}   # position -> [(even, t, parity of t, c), ...]
         for p, value in spec.d.action.items():
             terms = []
@@ -390,7 +389,8 @@ class ColumnBuilder:
                 column[row] = v
         for (e, mask), v in outside.items():
             if v:
-                image = (e, tuple(p for p in self._odd if mask >> p & 1))
+                image = (e, tuple(g.position for g in self._table.odd_generators()
+                                  if mask >> g.position & 1))
                 raise CapClosureError(
                     f"base degree cap {self._cap} does not close the complex: "
                     f"d({monomial_str(self._table, key)}) contains "
