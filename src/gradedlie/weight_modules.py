@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _merge_even,
-                      monomial_str)
+from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, OddPart, Scalar,
+                      _merge_even, monomial_str)
 from .algebroid import AlgebroidSpec
 
 
@@ -292,15 +292,22 @@ def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKe
 Column = Dict[int, Scalar]
 
 
+def _mask(odd: OddPart) -> int:
+    """An odd part as an int mask: bit p for the odd generator at position p."""
+    m = 0
+    for p in odd:
+        m |= 1 << p
+    return m
+
+
 class ColumnBuilder:
     """d_E by columns, from the span of one list of monomials to the span of
     another: one {codomain row: coefficient} dict per domain monomial,
     nonzero entries only.
 
-    d(g) is read once per builder.  An odd part is an int mask, bit p for
-    the odd generator at position p; each term of d(g) keeps its odd part t
-    and the parity mask of t, the XOR over the bits of t of the bits below
-    each.  A domain monomial with odd mask m is then differentiated one
+    d(g) is read once per builder.  Odd parts are int masks (`_mask`); each
+    term of d(g) keeps its odd part t and the parity mask of t, the XOR
+    over the bits of t of the bits below each.  A domain monomial with odd mask m is then differentiated one
     factor at a time, as `derivations.apply` does.  The k-th odd factor p
     leaves rest = m ^ (1 << p); a term t of d(p) vanishes when t & rest,
     and otherwise lands on row index[even][rest | t] with sign (-1)^(k +
@@ -335,10 +342,7 @@ class ColumnBuilder:
         the indices in `skip`."""
         index: Dict[EvenPart, Dict[int, int]] = {}
         for n, (even, odd) in enumerate(codomain):
-            mask = 0
-            for p in odd:
-                mask |= 1 << p
-            index.setdefault(even, {})[mask] = n
+            index.setdefault(even, {})[_mask(odd)] = n
         return [{} if n in skip else self.column(key, index)
                 for n, key in enumerate(domain)]
 
@@ -346,9 +350,7 @@ class ColumnBuilder:
         """The column of one domain monomial, given the codomain's rows by
         even part and odd mask."""
         even, odd = key
-        m = 0
-        for p in odd:
-            m |= 1 << p
+        m = _mask(odd)
         d = self._d
         # per factor with d(g) != 0: (even part, odd mask of the rest,
         # coefficient, sign parity, terms of d(g)), in apply's order
