@@ -9,11 +9,13 @@ relative paths, so the output does not depend on where it was made:
 - `specs/NAME.spec`: the shipped specs, copied;
 - `examples/NAME.spec`: every `constructions.EXAMPLES` spec, as `example`
   prints it;
-- `refusals/NAME.spec`: inputs the CLI must refuse cleanly.
+- `refusals/NAME.spec`: inputs the CLI must refuse cleanly;
+- `mutants/NAME.spec`: specs that fail the structure equations.
 
 On every spec: `check`; `decompose` and `rep` at weights 0..degree+1;
 `cohomology` at weights 0..degree with the default cap and `--cap 2`; each
-in text and JSON.  Then the refusals, in text.  `tests/test_cli_corpus.py`
+in text and JSON.  Then the refusals, in text, and `check` on the mutants,
+in text and JSON.  `tests/test_cli_corpus.py`
 compares a fresh run with the file; a change that alters output on purpose
 rewrites the file with this script and names the change.
 """
@@ -72,6 +74,14 @@ REFUSED = [
 ]
 
 
+# adjoint.spec with x[1]*y[2]*p[1] added to d p[1]: both the anchor and the
+# Jacobi family fail, so `check` prints residuals of each
+MUTANTS = {
+    "adjoint_xyp.spec": (SPECS / "adjoint.spec").read_text().replace(
+        "d p[1] = -y[2]*p[1]\n", "d p[1] = -y[2]*p[1] + x[1]*y[2]*p[1]\n"),
+}
+
+
 def write_inputs(root: pathlib.Path) -> List[List[str]]:
     """Write every input under `root` and return the argv of every run, in
     corpus order."""
@@ -92,10 +102,14 @@ def write_inputs(root: pathlib.Path) -> List[List[str]]:
         argvs += [argv + fmt for argv in runs for fmt in ([], ["--format", "json"])]
     for name, text in _refusals().items():
         files[f"refusals/{name}"] = text
+    mutant_runs = []
+    for name, text in MUTANTS.items():
+        files[f"mutants/{name}"] = text
+        mutant_runs += [["check", f"mutants/{name}"] + fmt for fmt in ([], ["--format", "json"])]
     for rel, text in files.items():
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(text, encoding="utf-8")
-    return argvs + REFUSED
+    return argvs + REFUSED + mutant_runs
 
 
 def record(argv: List[str]) -> Dict:
