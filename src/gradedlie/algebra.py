@@ -24,7 +24,6 @@ term, and vectors that are already filtered (`superconnection._SpecMemo`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -45,8 +44,7 @@ KINDS = ("base", "even_fiber", "odd_fiber")
 _KIND_ORDER = {k: n for n, k in enumerate(KINDS)}
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     index: int            # 1-based index within its block
     h_weight: int

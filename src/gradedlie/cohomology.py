@@ -29,7 +29,6 @@ complex and `torus` is empty.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Collection, Dict, List, Optional, Tuple
@@ -39,13 +38,14 @@ from .algebroid import AlgebroidSpec
 from .weight_modules import Column, ColumnBuilder, Monomials, Torus
 
 
-@dataclass
 class FiniteComplex:
-    spec: AlgebroidSpec
-    i: int
-    sector_bases: List[List[MonomialKey]]
-    cap: Optional[int]             # None when the base is a point
-    torus: Tuple[str, ...] = ()    # the diagonal X's of the torus reduction
+    def __init__(self, spec: AlgebroidSpec, i: int, sector_bases: List[List[MonomialKey]],
+                 cap: Optional[int], torus: Tuple[str, ...] = ()):
+        self.spec = spec
+        self.i = i
+        self.sector_bases = sector_bases
+        self.cap = cap          # None when the base is a point
+        self.torus = torus      # the diagonal X's of the torus reduction
 
     @property
     def exact(self) -> bool:

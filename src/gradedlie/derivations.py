@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .algebra import Element, Generator, GeneratorTable, _mul_into
 
@@ -12,14 +11,15 @@ class DerivationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A derivation given by its values on generators, extended by the graded
     Leibniz rule.  bi_degree = (shift in h-weight, shift in form degree)."""
 
-    table: GeneratorTable
-    bi_degree: Tuple[int, int]
-    action: Mapping[int, Element] = field(compare=False)  # position -> value
+    def __init__(self, table: GeneratorTable, bi_degree: Tuple[int, int],
+                 action: Mapping[int, Element]):
+        self.table = table
+        self.bi_degree = bi_degree
+        self.action = action    # position -> value
 
     def value(self, g: Generator) -> Element:
         return self.action.get(g.position, self.table.zero())
@@ -39,6 +39,9 @@ class Derivation:
         return all(
             self.action.get(p, self.table.zero()) == other.action.get(p, other.table.zero())
             for p in positions)
+
+    def __hash__(self) -> int:
+        return hash((self.table, self.bi_degree))
 
     def __repr__(self) -> str:
         parts = "; ".join(
@@ -116,8 +119,7 @@ def graded_commutator(D1: Derivation, D2: Derivation) -> Derivation:
     return Derivation(table, bi_degree, action)
 
 
-@dataclass
-class HomologicalReport:
+class HomologicalReport(NamedTuple):
     ok: bool
     residuals: Dict[str, Element]   # generator name -> D(D(g)) when nonzero
 

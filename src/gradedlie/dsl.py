@@ -16,9 +16,8 @@ Odd factors are written with '*'; there is no separate wedge symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import AlgebraError, Element, GeneratorTable
 from .algebroid import AlgebroidSpec
@@ -31,8 +30,7 @@ _KIND_FOR = {"base": "base", "even": "even_fiber", "odd": "odd_fiber"}
 _WORD_FOR = {v: k for k, v in _KIND_FOR.items()}
 
 
-@dataclass
-class Span:
+class Span(NamedTuple):
     line: int
     column: int
 
@@ -46,8 +44,7 @@ class DslError(ValueError):
         super().__init__(f"{message} ({span})" if span else message)
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str       # IDENT, INT, SYM, EOF
     text: str
     span: Span
@@ -109,8 +106,7 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-@dataclass
-class Declaration:
+class Declaration(NamedTuple):
     name: str
     kind: str            # base | even_fiber | odd_fiber
     h_weight: int
@@ -118,20 +114,20 @@ class Declaration:
     span: Span
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     target: Tuple[str, int]
     value: Element       # canonical form over the document's table
     span: Span
 
 
-@dataclass
 class SpecDocument:
-    name: str
-    degree: int
-    declarations: List[Declaration]
-    assignments: List[Assignment]
-    table: GeneratorTable
+    def __init__(self, name: str, degree: int, declarations: List[Declaration],
+                 assignments: List[Assignment], table: GeneratorTable):
+        self.name = name
+        self.degree = degree
+        self.declarations = declarations
+        self.assignments = assignments
+        self.table = table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpecDocument):

@@ -30,10 +30,9 @@ same int vectors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (Element, GeneratorTable, MonomialKey, Scalar, _element, _mul_into,
                       monomial_str)
@@ -281,20 +280,20 @@ def _gauge_inverse(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
             out[n] = out.get(n, 0) + sign * c
 
 
-@dataclass
 class SuperconnectionComponents:
     """The blocks D_p of the weight-i module operator on the W-basis keys.
     Their per-key sum, scaled to integers, and the image of each module
     monomial under it are kept on the object: to change a block, build a
     new object."""
 
-    spec: AlgebroidSpec
-    i: int
-    blocks: Dict[int, Dict[MonomialKey, Element]]
-    basis_keys: List[MonomialKey] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._extension = _Extension(_memo(self.spec), self.blocks, leibniz=True)
+    def __init__(self, spec: AlgebroidSpec, i: int,
+                 blocks: Dict[int, Dict[MonomialKey, Element]],
+                 basis_keys: Optional[List[MonomialKey]] = None):
+        self.spec = spec
+        self.i = i
+        self.blocks = blocks
+        self.basis_keys = [] if basis_keys is None else basis_keys
+        self._extension = _Extension(_memo(spec), blocks, leibniz=True)
 
     def component(self, p: int, key: MonomialKey) -> Element:
         return self.blocks.get(p, {}).get(key, self.spec.table.zero())
@@ -334,8 +333,7 @@ def extract_components(spec: AlgebroidSpec, i: int) -> SuperconnectionComponents
     return SuperconnectionComponents(spec, i, blocks, keys)
 
 
-@dataclass
-class CascadeReport:
+class CascadeReport(NamedTuple):
     passed: bool
     residuals: Dict[int, Dict[str, Element]]   # level p -> basis label -> residual
 
@@ -359,7 +357,6 @@ def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
     return CascadeReport(not residuals, residuals)
 
 
-@dataclass
 class GaugeTransformation:
     """Unipotent module automorphism: identity plus blocks phi_p (p >= 1)
     that raise the A-form degree by p and lower the module degree by p.
@@ -367,13 +364,13 @@ class GaugeTransformation:
     integers, and the image of each module monomial under it are kept on
     the object: to change a block, build a new object."""
 
-    spec: AlgebroidSpec
-    i: int
-    blocks: Dict[int, Dict[MonomialKey, Element]]
-
-    def __post_init__(self):
-        table = self.spec.table
-        for p, blk in self.blocks.items():
+    def __init__(self, spec: AlgebroidSpec, i: int,
+                 blocks: Dict[int, Dict[MonomialKey, Element]]):
+        self.spec = spec
+        self.i = i
+        self.blocks = blocks
+        table = spec.table
+        for p, blk in blocks.items():
             if p < 1:
                 raise GaugeError("gauge blocks must have p >= 1 (p = 0 is the identity)")
             for key, val in blk.items():

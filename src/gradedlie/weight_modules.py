@@ -17,9 +17,9 @@ columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, OddPart, Scalar,
                       _merge_even, monomial_str)
@@ -51,8 +51,7 @@ def _table(spec: SpecOrTable) -> GeneratorTable:
     return spec.table if isinstance(spec, AlgebroidSpec) else spec
 
 
-@dataclass
-class WeightModuleBasis:
+class WeightModuleBasis(NamedTuple):
     i: int
     j: int
     keys: List[MonomialKey]            # coefficient-1 monomials, graded-lex order

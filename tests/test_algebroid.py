@@ -8,17 +8,19 @@ from gradedlie.algebroid import (AlgebroidSpec, SpecError,
                                  check_structure_equations,
                                  degree_zero_restriction, tower_truncation)
 from gradedlie.derivations import is_homological
+from gradedlie.dsl import parse, to_algebroid_spec
 from gradedlie.constructions import (EXAMPLES, action_aff1_line,
                                      adjoint_instance, aff1, e7_instance, sl2)
 
-from conftest import random_degree0_tables, unipotent_twist
+from conftest import (assert_structure_matches_tables, mutate_coefficient,
+                      random_degree0_tables, unipotent_twist)
 
 
 def test_shipped_specs_homological():
     for name, make in EXAMPLES.items():
         spec = make()
         assert is_homological(spec.d).ok, name
-        assert check_structure_equations(spec).passed, name
+        assert assert_structure_matches_tables(spec).passed, name
 
 
 def test_structure_equations_on_valid_tables():
@@ -28,20 +30,51 @@ def test_structure_equations_on_valid_tables():
 
 
 def test_structure_vs_homological_agreement():
+    """The report read off d^2 against the table oracle: random tables over
+    a point or a base, the anchored specs and twists of them, and
+    single-coefficient mutants of each."""
     rng = random.Random(31)
-    for _ in range(60):
-        table, anchor, bracket = random_degree0_tables(rng)
-        spec = AlgebroidSpec.from_tables(table, anchor, bracket)
-        assert check_structure_equations(spec).passed == is_homological(spec.d).ok
+    specs = [AlgebroidSpec.from_tables(*random_degree0_tables(rng)) for _ in range(60)]
+    for make in (action_aff1_line, adjoint_instance, e7_instance):
+        spec = make()
+        specs.append(spec)
+        if make is not e7_instance:
+            specs += [unipotent_twist(rng, spec) for _ in range(3)]
+    specs += [mutate_coefficient(rng, spec) for spec in specs[60:] for _ in range(4)]
+    verdicts = set()
+    for spec in specs:
+        report = assert_structure_matches_tables(spec)
+        verdicts.add((report.passed, bool(report.residuals["anchor"]),
+                      bool(report.residuals["jacobi"])))
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (False, True, True)} <= verdicts
 
 
 def test_twisted_specs_stay_valid():
     rng = random.Random(32)
-    for seed in [sl2(), action_aff1_line()]:
+    for seed in [sl2(), action_aff1_line(), adjoint_instance()]:
         for _ in range(10):
             spec = unipotent_twist(rng, seed)
-            assert check_structure_equations(spec).passed
+            assert assert_structure_matches_tables(spec).passed
             assert is_homological(spec.d).ok
+
+
+def test_jacobi_anchor_term_sign():
+    """A Jacobi failure carried by the anchor term, worked by hand.  With
+    rho(y1) = d/dx, rho(y2) = x d/dx, [y1, y2] = y1 and [y1, dz] = 2x dz,
+    the dz-component of [[y1, y2], dz] + cyclic is
+    -(rho(y2)(-2x) + [dz, y1]^dz [y1, y2]^y1) = -(-2x - 2x) = 4x (the other
+    terms of the cyclic sum vanish), the coefficient of y1 y2 dz in d^2 dz.  The anchor family passes, and an
+    anchor term of the opposite sign would cancel the bracket term."""
+    spec = to_algebroid_spec(parse(
+        "algebroid jac degree 1\nbase x weight 0 dim 1\nodd y weight 0 dim 2\n"
+        "even z weight 1 dim 1\nodd dz weight 1 dim 1\nd x[1] = y[1] + x[1]*y[2]\n"
+        "d y[1] = -y[1]*y[2]\nd dz[1] = -2*x[1]*y[1]*dz[1]\n"))
+    report = assert_structure_matches_tables(spec)
+    assert not report.passed
+    assert report.residuals == {
+        "anchor": {}, "jacobi": {"(y[1],y[2],dz[1])->dz[1]": spec.table.gen("x") * 4}}
+    assert report.checked == {"anchor": 3 * 2, "jacobi": 1 * 3}
 
 
 def test_single_coefficient_mutants_fail_both():

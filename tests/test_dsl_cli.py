@@ -405,6 +405,25 @@ def test_cli_closed_stdout_exits_1_without_traceback():
     assert err == b""
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """`import gradedlie` and `import gradedlie.cli`, in a fresh interpreter,
+    add neither `dataclasses` nor `inspect` (which brings ast, dis and
+    tokenize) to the modules every CLI process loads."""
+    import os
+    import subprocess
+    import sys
+    import gradedlie
+    src = str(pathlib.Path(gradedlie.__file__).parent.parent)
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import gradedlie, gradedlie.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_deep_nesting_exit_2(tmp_path, capsys):
     """Nesting that would exhaust the recursive descent is a parse error
     that names the line, not a traceback."""

@@ -1,22 +1,23 @@
 """Property tests: the DSL print/parse round trip, the structure equations
-against d^2 = 0 on twisted specs, and the product kernel (Leibniz apply
-against its factor-by-factor oracle, associativity and graded
-commutativity).  Derandomized and bounded, so every run draws the same
-examples."""
+against d^2 = 0 and the table oracle on twisted specs, and the product
+kernel (Leibniz apply against its factor-by-factor oracle, associativity
+and graded commutativity).  Derandomized and bounded, so every run draws
+the same examples."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie.algebra import Element
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
-from gradedlie.constructions import EXAMPLES, action_aff1_line, aff1, e3_chart, sl2
+from gradedlie.constructions import (EXAMPLES, action_aff1_line, adjoint_instance, aff1,
+                                     e3_chart, sl2)
 from gradedlie.derivations import apply, is_homological
 from gradedlie.dsl import (document_from_spec, parse, parse_expression,
                            print_document, to_algebroid_spec)
 
-from conftest import (apply_by_factors, mutate_coefficient, random_chart,
-                      random_degree0_tables, random_derivation, random_element,
-                      unipotent_twist)
+from conftest import (apply_by_factors, assert_structure_matches_tables, mutate_coefficient,
+                      random_chart, random_degree0_tables, random_derivation,
+                      random_element, unipotent_twist)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 RANDOMS = st.randoms(use_true_random=False)
@@ -44,12 +45,14 @@ def test_spec_print_parse_round_trip(rng, name, from_tables):
 
 
 @settings(BOUNDED, max_examples=30)
-@given(RANDOMS, st.sampled_from([aff1, sl2, action_aff1_line]), st.booleans())
+@given(RANDOMS, st.sampled_from([aff1, sl2, action_aff1_line, adjoint_instance]),
+       st.booleans())
 def test_structure_equations_iff_homological_on_twists(rng, make, mutate):
     spec = unipotent_twist(rng, make())
     if mutate:
         spec = mutate_coefficient(rng, spec)
     assert check_structure_equations(spec).passed == is_homological(spec.d).ok
+    assert_structure_matches_tables(spec)
 
 
 @settings(BOUNDED, max_examples=60)
