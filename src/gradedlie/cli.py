@@ -59,7 +59,7 @@ def _emit(args, payload: Dict, lines: List[str]) -> None:
 
 def _cmd_check(args) -> int:
     spec = _load(args.file)
-    # the families are read off the d^2 report, which is printed with them
+    # the families are read off spec.homological, so they pass iff d^2 = 0
     structure = check_structure_equations(spec)
     residuals = {label: str(r)
                  for family in structure.residuals.values()

@@ -30,9 +30,14 @@ _KIND_FOR = {"base": "base", "even": "even_fiber", "odd": "odd_fiber"}
 _WORD_FOR = {v: k for k, v in _KIND_FOR.items()}
 
 
-class Span(NamedTuple):
-    line: int
-    column: int
+# Span and Token are plain classes: the tokenizer makes one of each per
+# token, and a NamedTuple costs about a third more time to tokenize.
+class Span:
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        self.line = line
+        self.column = column
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
@@ -44,10 +49,13 @@ class DslError(ValueError):
         super().__init__(f"{message} ({span})" if span else message)
 
 
-class Token(NamedTuple):
-    kind: str       # IDENT, INT, SYM, EOF
-    text: str
-    span: Span
+class Token:
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span):
+        self.kind = kind    # IDENT, INT, SYM, EOF
+        self.text = text
+        self.span = span
 
 
 _SYMBOLS = "+-*^/()[]="

@@ -77,6 +77,24 @@ def test_jacobi_anchor_term_sign():
     assert report.checked == {"anchor": 3 * 2, "jacobi": 1 * 3}
 
 
+def test_twisted_tangent_bundle_passes():
+    """A twisted degree-2 tangent-graded bundle, d^2 = 0: every Jacobi
+    label vanishes, though the bracket has base-dependent constants
+    (Q_{dx2,dz3}^{dz1} = 3/2 - 6 x1 after the twist), so an anchor term of
+    the wrong sign reads -12 on (dx[1],dx[2],dz[3])->dz[1]."""
+    spec = to_algebroid_spec(parse(
+        "algebroid r degree 2\nbase x weight 0 dim 2\neven z weight 1 dim 3\n"
+        "even u weight 2 dim 1\nodd dx weight 0 dim 2\nodd dz weight 1 dim 3\n"
+        "odd du weight 2 dim 1\n"
+        "d x[1] = dx[1] + 1/2*dx[2] - 2*x[1]*dx[2]\nd x[2] = dx[2] - 2*x[2]*dx[2]\n"
+        "d z[1] = dz[1] + 3*dz[2] - 1/2*dz[3] + 3*x[1]*dz[3]\n"
+        "d z[2] = dz[2] + 1/2*dz[3]\nd z[3] = dz[3]\nd u[1] = du[1]\n"
+        "d dx[1] = 2*dx[1]*dx[2]\n"
+        "d dz[1] = -3*dx[1]*dz[3] - 3/2*dx[2]*dz[3] + 6*x[1]*dx[2]*dz[3]\n"))
+    assert spec.homological.ok
+    assert assert_structure_matches_tables(spec).passed
+
+
 def test_single_coefficient_mutants_fail_both():
     rng = random.Random(33)
     table = sl2().table

@@ -5,9 +5,6 @@ shipped spec texts by a few characters, so most of them still parse and
 reach the checks behind the parser.  Derandomized and bounded, so every run
 draws the same examples."""
 
-import contextlib
-import io
-import pathlib
 import re
 import time
 
@@ -15,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import cli
+from cli_corpus import SPECS, record
 
-SPECS = pathlib.Path(__file__).parent.parent / "specs"
 TEXTS = {path.name: path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.spec"))}
 # what one-character edits draw from: digits, the letters of the shipped
 # generator names, brackets, operators and separators
@@ -52,11 +48,9 @@ def mutate(text, edits):
 
 def run_timed(argv):
     """(exit code, stdout, stderr, seconds) of one `cli.run` call."""
-    out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
+    run = record(argv)
+    return run["exit"], run["stdout"], run["stderr"], time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
