@@ -22,6 +22,7 @@ import sys
 from typing import Dict, List, Optional
 
 from . import constructions
+from .algebra import Element, monomial_str
 from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
 from .cohomology import betti, build_complex
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
@@ -98,6 +99,29 @@ def _reported_d_squared(args, spec: AlgebroidSpec, i: int) -> bool:
     return True
 
 
+def _no_cap_closes(spec: AlgebroidSpec, i: int) -> Optional[str]:
+    """Why no base degree cap closes the weight-i complex, or None: the
+    first D_0 entry m -> term, in `rep`'s order, whose term has a
+    base-variable coefficient.  D_0 terms have no y factor and every term
+    of d(x) has one, so for every base monomial b nothing in d(b*m) cancels
+    b*term, and b*m at base degree cap leaves every cap."""
+    if not i:
+        return None
+    table = spec.table
+    base_cut = table.zero_cuts[0]
+    comp = extract_components(spec, i)
+    for label, key in sorted((monomial_str(table, k), k) for k in comp.basis_keys):
+        value = comp.component(0, key)
+        for term in value.sorted_keys():
+            even = term[0]
+            if even and even[0][0] < base_cut:
+                return (f"no base degree cap closes the complex: the D_0 entry {label} -> "
+                        f"{Element(table, {term: value.terms[term]})} has a base-variable "
+                        f"coefficient and no y factor, so d leaves the cap on {label} "
+                        f"times every base monomial of degree cap")
+    return None
+
+
 def _cmd_decompose(args) -> int:
     spec = _load(args.file)
     i = _positive_weight(args, spec)
@@ -122,7 +146,6 @@ def _cmd_rep(args) -> int:
         return 1
     comp = extract_components(spec, i)
     report = flatness_cascade(comp)
-    from .algebra import monomial_str
     components = {}
     for p in comp.degrees():
         blk = {monomial_str(spec.table, k): str(v)
@@ -160,7 +183,8 @@ def _cmd_cohomology(args) -> int:
         complex_ = build_complex(spec, i, args.cap)
         numbers = betti(complex_)
     except CapClosureError as exc:
-        raise CliError(str(exc))
+        # diagnosed only once a cap has failed, so no other request pays
+        raise CliError(_no_cap_closes(spec, i) or str(exc))
     truncated = complex_.cap is not None
     payload = {"status": "ok", "betti": numbers, "truncated": truncated}
     tag = f" (truncated at base degree {complex_.cap})" if truncated else " (exact)"

@@ -7,21 +7,32 @@ Blocks are stored sparsely on the W-basis monomials; the extension to the
 whole module follows the Leibniz rule
 D_p(w . m) = [p = 1] d_A(w) . m + (-1)^|w| w . D_p(m).
 
-The module operators (the summed D, and a gauge's raising part N) compute
-fraction-free, on vectors of ints keyed by module-monomial ids interned per
-spec.  The Leibniz part L_d d(a).w of each module monomial a.w, where L_d
-is the lcm of d's denominators, is computed once per spec and shared by
-every D over it: the extracted components, every gauged set and every later
-gauge.  Each operator adds only its block part, (-1)^|a| a.D(w) or a.N(w),
-scaled by its own integer L, and keeps each image it computes.  It stores
-its blocks as int vectors over module ids, so a.D(w) is one lookup per term
-in a product table kept per spec: a.m for each weight-zero part a and
-module monomial m, as a sign and an id, or nothing when a and m share a y.
-A spec meets few of either (e7 at weight 2: 11 parts a and 132 monomials),
-so every gauge and cascade over it shares the same products.  A chain of
-operators, phi^-1 D phi in `apply_gauge` and D D in `flatness_cascade`,
-passes int vectors with one tracked denominator, the product of the scales
-of the operators applied, and divides once per output block entry, in
+The module operators compute fraction-free, on vectors of ints keyed by
+module-monomial ids interned per spec.  Each maps an int vector over a
+denominator to another, by `apply(vec, den)` and by `square(vec, den)`;
+`total`, `flatness_cascade` and `apply_gauge` use nothing else.  Two kinds
+share that protocol:
+
+- The Leibniz extension of some blocks (extracted or given components; a
+  gauge's raising part N is the same without the Leibniz part).  The
+  Leibniz part L_d d(a).w of each module monomial a.w, where L_d is the
+  lcm of d's denominators, is computed once per spec and shared by every
+  extension over it.  Each adds only its block part (-1)^|a| a.D(w),
+  scaled by its own integer L, and keeps each image it computes.  Its
+  blocks are int vectors over module ids, so a.D(w) is one lookup per term
+  in a product table kept per spec: a.m for each weight-zero part a and
+  module monomial m, as a sign and an id, or nothing when a and m share a
+  y.  A spec meets few of either (100 e7 gauges at weight 2: 8 parts a and
+  109 monomials).  Its square is two applications.
+- The chain phi^-1 D phi that `apply_gauge` gives its result, over the
+  parent's operator D and phi's N.  phi is module-linear and D obeys
+  Leibniz, so phi^-1 D phi (a.w) = d(a).w + (-1)^|a| a.phi^-1 D phi(w): the
+  chain is exactly the Leibniz extension of the gauged blocks.  Its square
+  is phi^-1 D^2 phi, so a gauged cascade computes images only for N and
+  reuses D's, which every gauge shares.
+
+Operators pass int vectors with one tracked denominator, the product of
+the scales applied, and divide once per output block entry, in
 `_SpecMemo.split`; a passing cascade divides nothing.  The public Element
 entry points (`total`, `apply_to`, `apply_inverse`) convert to and from the
 same int vectors.
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -198,8 +210,8 @@ class _Extension:
     L times the image of a module monomial is the memo's Leibniz image
     times L / L_d, plus the block part a.op(w), read term by term off the
     memo's product table; it is computed once and kept in `images`.  A
-    call maps an int vector v to L op(v), an int vector too: the caller
-    tracks the denominator and divides.  The blocks must not change after
+    call maps an int vector v to L op(v), an int vector too, and `apply`
+    maps v / den to L op(v) / (L den).  The blocks must not change after
     construction."""
 
     def __init__(self, memo: _SpecMemo, blocks: Dict[int, Dict[MonomialKey, Element]],
@@ -251,6 +263,12 @@ class _Extension:
                 acc[k] = acc.get(k, 0) + c * v
         return {k: v for k, v in acc.items() if v}
 
+    def apply(self, vec: Vector, den: int) -> Tuple[Vector, int]:
+        return self(vec), den * self.scale
+
+    def square(self, vec: Vector, den: int) -> Tuple[Vector, int]:
+        return self.apply(*self.apply(vec, den))
+
 
 def _gauge(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
     """phi = 1 + N on vec / den, over den L_N."""
@@ -280,11 +298,29 @@ def _gauge_inverse(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
             out[n] = out.get(n, 0) + sign * c
 
 
+class _Gauged:
+    """The operator phi^-1 D phi, over an operator D (of either kind) and
+    phi's raising part N on D's memo.  It keeps no images of its own: D
+    keeps D's and N keeps N's.  Its square is phi^-1 D^2 phi, one pass
+    through D's square."""
+
+    def __init__(self, D, N: _Extension):
+        self.memo = D.memo
+        self.D = D
+        self.N = N
+
+    def apply(self, vec: Vector, den: int) -> Tuple[Vector, int]:
+        return _gauge_inverse(self.N, *self.D.apply(*_gauge(self.N, vec, den)))
+
+    def square(self, vec: Vector, den: int) -> Tuple[Vector, int]:
+        return _gauge_inverse(self.N, *self.D.square(*_gauge(self.N, vec, den)))
+
+
 class SuperconnectionComponents:
     """The blocks D_p of the weight-i module operator on the W-basis keys.
-    Their per-key sum, scaled to integers, and the image of each module
-    monomial under it are kept on the object: to change a block, build a
-    new object."""
+    The operator they define is built on first use and kept on the object,
+    with the image of each module monomial under it: to change a block,
+    build a new object."""
 
     def __init__(self, spec: AlgebroidSpec, i: int,
                  blocks: Dict[int, Dict[MonomialKey, Element]],
@@ -293,7 +329,12 @@ class SuperconnectionComponents:
         self.i = i
         self.blocks = blocks
         self.basis_keys = [] if basis_keys is None else basis_keys
-        self._extension = _Extension(_memo(spec), blocks, leibniz=True)
+
+    @cached_property
+    def _operator(self):
+        """sum_p D_p, the Leibniz extension of the blocks; `apply_gauge`
+        sets the equal chain phi^-1 D phi in its place."""
+        return _Extension(_memo(self.spec), self.blocks, leibniz=True)
 
     def component(self, p: int, key: MonomialKey) -> Element:
         return self.blocks.get(p, {}).get(key, self.spec.table.zero())
@@ -304,9 +345,8 @@ class SuperconnectionComponents:
 
     def total(self, e: Element) -> Element:
         """The reassembled operator sum_p D_p on a module element."""
-        D = self._extension
-        vec, den = D.memo.vector(e)
-        return D.memo.element(D(vec), den * D.scale)
+        D = self._operator
+        return D.memo.element(*D.apply(*D.memo.vector(e)))
 
 
 def _module_basis_keys(spec: AlgebroidSpec, i: int) -> List[MonomialKey]:
@@ -345,14 +385,15 @@ def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
     """Check sum_{a+b=p} D_a D_b = 0 on every W-basis monomial, per level p.
 
     D_a raises the y-count by exactly a, so level p is the y-count-p part
-    of D(D(m)), which is L^2 D(D(m)) over L^2 with L the operator's scale."""
-    D = c._extension
+    of D^2(m), which the operator's `square` gives as an int vector over
+    its denominator."""
+    D = c._operator
     memo = D.memo
     residuals: Dict[int, Dict[str, Element]] = {}
     for key in c.basis_keys:
-        r = D(D({memo.intern(key): 1}))
+        r, den = D.square({memo.intern(key): 1}, 1)
         if r:
-            for p, part in memo.split(r, D.scale ** 2).items():
+            for p, part in memo.split(r, den).items():
                 residuals.setdefault(p, {})[monomial_str(c.spec.table, key)] = part
     return CascadeReport(not residuals, residuals)
 
@@ -413,19 +454,23 @@ def identity_gauge(spec: AlgebroidSpec, i: int) -> GaugeTransformation:
 def apply_gauge(c: SuperconnectionComponents,
                 phi: GaugeTransformation) -> SuperconnectionComponents:
     """Components of phi^-1 . D . phi, split by A-form degree: one int chain
-    per W-basis monomial, divided once per output block entry."""
+    per W-basis monomial, divided once per output block entry.  The result
+    keeps the chain as its operator, which equals the Leibniz extension of
+    its blocks, so its cascade reuses the images of c's operator.  A gauge
+    of a gauged object chains over that chain, so each level of nesting
+    adds a pass through one more N: to apply many gauges in turn, compose
+    them first (`compose_gauges`)."""
     if phi.spec.table != c.spec.table or phi.i != c.i:
         raise GaugeError("gauge transformation over a different sector family")
-    D = c._extension
-    memo = D.memo
-    N = phi._over(memo)
+    memo = c._operator.memo
+    D = _Gauged(c._operator, phi._over(memo))
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in c.basis_keys:
-        vec, den = _gauge(N, {memo.intern(key): 1}, 1)
-        vec, den = _gauge_inverse(N, D(vec), den * D.scale)
-        for p, part in memo.split(vec, den).items():
+        for p, part in memo.split(*D.apply({memo.intern(key): 1}, 1)).items():
             blocks.setdefault(p, {})[key] = part
-    return SuperconnectionComponents(c.spec, c.i, blocks, list(c.basis_keys))
+    gauged = SuperconnectionComponents(c.spec, c.i, blocks, list(c.basis_keys))
+    gauged._operator = D
+    return gauged
 
 
 def compose_gauges(phi: GaugeTransformation,

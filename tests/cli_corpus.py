@@ -66,6 +66,7 @@ REFUSED = [
     ["cohomology", "refusals/deep.spec", "--weight", "0"],
     ["check", "refusals/digit.spec"],
     ["cohomology", "specs/adjoint.spec", "--weight", "0", "--cap", "1000000000"],
+    ["cohomology", "specs/adjoint.spec", "--weight", "1", "--cap", "1000"],
     ["cohomology", "refusals/wide.spec", "--weight", "0"],
     ["decompose", "refusals/tall.spec", "--weight", "6"],
     ["cohomology", "refusals/gl6.spec", "--weight", "0"],

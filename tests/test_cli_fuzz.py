@@ -19,6 +19,11 @@ TEXTS = {path.name: path.read_text(encoding="utf-8") for path in sorted(SPECS.gl
 # generator names, brackets, operators and separators
 ALPHABET = "0123456789xyzuvwpi[]()+-*^/= \n_"
 DECLARED = re.compile(r"\b(?:dim|weight|degree) (\d+)")
+# A hang detector at the shipped specs' scale, not a bound on every input
+# the size limit admits: aff1.spec with `dim 19` lists a torus block sector
+# of 48 620 monomials, just under MAX_BASIS_SIZE, and its `cohomology
+# --weight 0` takes 1.2-2.1 s (Python 3.11, 2 CPUs).  The derandomized draw
+# does not reach it; gl(5), which needs that limit, takes 7-10 s by design.
 SECONDS = 2.0
 
 EDITS = st.one_of(

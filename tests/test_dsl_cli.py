@@ -210,6 +210,36 @@ def test_cli_cohomology_cap_error(capsys):
     assert "cap" in err
 
 
+def test_cli_cohomology_names_the_d0_entry_no_cap_closes(tmp_path, capsys):
+    """A positive weight over a base whose D_0 has an entry with a
+    base-variable coefficient is refused at every cap by that entry, once
+    the sectors pass the size limit (e7's two base variables at cap 1000 do
+    not).  A cap that fails for another reason keeps the message naming the
+    first term outside the span: here d(x) = x^2*y raises the base degree
+    itself."""
+    named = {("adjoint.spec", "z[2] -> x[1]*p[1]"): ("0", "2", "4", "1000"),
+             ("e7.spec", "z[3] -> x[1]*w[1]"): ("0", "2", "4")}
+    for (name, entry), caps in named.items():
+        for cap in caps:
+            code, out, err = _run(capsys, "cohomology", str(DATA / name),
+                                  "--weight", "1", "--cap", cap)
+            assert (code, out) == (2, "")
+            assert err == (f"error: no base degree cap closes the complex: the D_0 entry "
+                           f"{entry} has a base-variable coefficient and no y factor, so d "
+                           f"leaves the cap on {entry.split(' -> ')[0]} times every base "
+                           f"monomial of degree cap\n")
+    path = tmp_path / "square.spec"
+    path.write_text("algebroid square degree 1\nbase x weight 0 dim 1\n"
+                    "even z weight 1 dim 1\nodd y weight 0 dim 1\nodd p weight 1 dim 1\n"
+                    "d x[1] = x[1]^2*y[1]\nd z[1] = p[1]\n", encoding="utf-8")
+    for weight, leaving in (("0", "d(x[1]^2) contains x[1]^3*y[1]"),
+                            ("1", "d(x[1]^2*z[1]) contains x[1]^3*z[1]*y[1]")):
+        code, out, err = _run(capsys, "cohomology", str(path), "--weight", weight,
+                              "--cap", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: base degree cap 2 does not close the complex: {leaving}\n"
+
+
 def test_cli_cohomology_not_homological(capsys):
     code, out, _ = _run(capsys, "cohomology", str(DATA / "broken.spec"),
                         "--weight", "0", "--format", "json")

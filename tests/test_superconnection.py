@@ -519,7 +519,7 @@ def test_memo_dies_with_its_spec():
     comp = extract_components(spec, 2)
     gauged = apply_gauge(comp, random_gauge(random.Random(62), spec, 2, coprime_coeff))
     assert flatness_cascade(gauged).passed
-    assert gauged._extension.memo is comp._extension.memo is _memo(spec)
+    assert gauged._operator.memo is comp._operator.memo is _memo(spec)
     # the product table is filled, and its entries name the memo's ids
     assert sum(map(len, _memo(spec).rows)) > len(_memo(spec).keys)
     refs = [weakref.ref(spec), weakref.ref(_memo(spec))]
@@ -564,3 +564,73 @@ def product_zero_part(memo, n):
     even, odd = memo.keys[n]
     even_cut, odd_cut = memo.table.zero_cuts
     return (tuple(f for f in even if f[0] < even_cut), tuple(p for p in odd if p < odd_cut))
+
+
+def test_gauged_operator_is_the_leibniz_extension_of_its_blocks():
+    """`apply_gauge` gives its result the chain phi^-1 D phi as operator.
+    phi is module-linear and D obeys Leibniz, so the chain must act as the
+    Leibniz extension of the gauged blocks, which an object built from them
+    uses: `total` on module elements with base and y factors, and the
+    cascade residuals, exactly and as strings.  On flat and perturbed
+    (non-flat) components, rational d's, a gauge of a gauged object, and
+    phi built over the other of e7 and e7_third (one table, two memos)."""
+    rng = random.Random(64)
+    shift = lambda rng: coprime_coeff(rng, zero_bias=0.0)
+    e7 = e7_instance()
+    third = e7_third(e7)
+    cases = [(e7, 2, e7), (adjoint_instance(), 1, None), (e7, 2, third), (third, 2, e7)]
+    cases += [(spec, i, None) for spec, i in rational_d_specs()]
+    failing = mixed = 0
+    for spec, i, over in cases:
+        comp = extract_components(spec, i)
+        for c in (comp, perturbed(rng, comp, shift)):
+            once = apply_gauge(c, random_gauge(rng, over or spec, i, coprime_coeff))
+            twice = apply_gauge(once, random_gauge(rng, over or spec, i, coprime_coeff))
+            for gauged in (once, twice):
+                plain = SuperconnectionComponents(spec, i, gauged.blocks, list(gauged.basis_keys))
+                for _ in range(3):
+                    e = module_element(rng, spec, i, coprime_coeff)
+                    mixed += any(all(split_module_key(spec.table, k)[0]) for k in e.terms)
+                    got, want = gauged.total(e), plain.total(e)
+                    assert got == want
+                    assert str(got) == str(want)
+                got, want = flatness_cascade(gauged), flatness_cascade(plain)
+                assert got.residuals == want.residuals
+                assert as_strings(got.residuals) == as_strings(want.residuals)
+                failing += not got.passed
+    assert failing >= 10
+    assert mixed >= 10
+
+
+def test_gauged_cascade_builds_images_only_for_the_gauge(monkeypatch):
+    """After one warm-up gauge, a gauge of e7 at weight 2 and the cascade
+    of its result compute module images only for the gauge's raising part
+    N: the images of the parent's operator D, through which phi^-1 D phi and
+    its square phi^-1 D^2 phi pass, are kept on D and shared by every
+    gauge.  The warm-up gauge has every term a gauge may have, so it meets
+    every image D is asked for.  On flat components the cascade itself
+    leaves nothing for phi^-1 to map; on perturbed ones it does."""
+    from gradedlie import superconnection
+    rng = random.Random(65)
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    built = {}
+    image = superconnection._Extension.image
+
+    def counted(operator, n):
+        built[operator] = built.get(operator, 0) + 1
+        return image(operator, n)
+
+    monkeypatch.setattr(superconnection._Extension, "image", counted)
+    dense = lambda rng, zero_bias: random_coeff(rng, 0.0)
+    for c, passes in ((comp, True), (perturbed(rng, comp), False)):
+        assert flatness_cascade(apply_gauge(c, random_gauge(rng, spec, 2, dense))).passed == passes
+        for _ in range(5):
+            phi = random_gauge(rng, spec, 2)
+            built.clear()
+            gauged = apply_gauge(c, phi)
+            assert list(built) == [phi._raising]
+            in_gauge = built[phi._raising]
+            assert flatness_cascade(gauged).passed == passes
+            assert list(built) == [phi._raising]
+            assert (built[phi._raising] > in_gauge) == (not passes)
