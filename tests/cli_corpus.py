@@ -43,10 +43,12 @@ CORPUS = HERE / "cli_corpus.json"
 def _refusals() -> Dict[str, str]:
     """Spec texts the CLI refuses: too deep to parse, a non-ASCII digit, a
     sector or a W-basis above the size limit, torus blocks above the size
-    limit (gl(6)) and the state budget (gl(8)), and d^2 != 0 under a
-    weight-1 module whose flatness cascade passes."""
+    limit (gl(6)) and the state budget (gl(8)), d^2 != 0 under a weight-1
+    module whose flatness cascade passes, and DSL errors whose positions
+    are easy to get wrong (`dsl_*`)."""
     d_lines = [line for line in (SPECS / "broken.spec").read_text().splitlines()
                if line.startswith("d ")]
+    head = "algebroid dsl degree 0\nodd xi weight 0 dim 2\n"
     return {
         "deep.spec": ("algebroid deep degree 0\nodd xi weight 0 dim 2\nd xi[2] = "
                       + "(" * 200 + "xi[1]*xi[2]" + ")" * 200 + "\n"),
@@ -58,6 +60,17 @@ def _refusals() -> Dict[str, str]:
         "nonhom.spec": "\n".join(["algebroid nonhom degree 1", "odd xi weight 0 dim 3",
                                   "even z weight 1 dim 1", "odd p weight 1 dim 1"]
                                  + d_lines + ["d z[1] = p[1]", ""]),
+        # end of input after a trailing comment with no newline: the error
+        # sits where the comment starts
+        "dsl_comment_eof.spec": head + "d xi[2] = xi[1]*  # the factor is missing",
+        "dsl_tab.spec": head + "d xi[2] =\txi[1]*xi[2]\t@\n",
+        "dsl_half.spec": head + "d xi[2] = ½*xi[1]*xi[2]\n",
+        "dsl_formfeed.spec": head + "\x0cd xi[2] = xi[1]*xi[2]\n",
+        "dsl_equals.spec": head + "d xi[2] = xi[1] = xi[2]\n",
+        "dsl_bracket_eof.spec": head + "d xi[2] = xi[1]*xi[2",
+        "dsl_zero_denominator.spec": head + "d xi[2] = 1/0*xi[1]*xi[2]\n",
+        "dsl_undeclared.spec": head + "d xi[2] = eta[1]*xi[2]\n",
+        "dsl_reserved.spec": "algebroid dsl degree 0\nodd weight weight 0 dim 2\n",
     }
 
 
@@ -72,7 +85,9 @@ REFUSED = [
     ["cohomology", "refusals/gl6.spec", "--weight", "0"],
     ["cohomology", "refusals/gl8.spec", "--weight", "0"],
     ["rep", "refusals/nonhom.spec", "--weight", "1"],
-]
+] + [["check", f"refusals/dsl_{name}.spec"]
+     for name in ("comment_eof", "tab", "half", "formfeed", "equals", "bracket_eof",
+                  "zero_denominator", "undeclared", "reserved")]
 
 
 # adjoint.spec with x[1]*y[2]*p[1] added to d p[1]: both the anchor and the
