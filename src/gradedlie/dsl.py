@@ -12,10 +12,24 @@ Grammar (whitespace-insensitive, '#' line comments):
                 parentheses.
 
 Odd factors are written with '*'; there is no separate wedge symbol.
+
+Tokens: one regex scan splits the text at spaces, tabs, carriage returns
+and newlines, and drops '#' comments.  A token is an INT (ASCII digits
+only), an IDENT (a letter or '_', then letters, digits and '_' in the
+sense of str.isalnum) or one of the symbols + - * ^ / ( ) [ ] =; any
+other character where a token starts is an error.  The parser works on
+the token strings and reads a token's kind off its first character.
+
+Positions: a message names the line and column (from 1) where its token
+starts.  A `Span` holds the text and the token's index and finds its line
+and column by scanning the text again, only when read, so a spec that
+parses reads no position.  The end of input sits after the last
+character, or at the start of a trailing comment that has no newline.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -29,18 +43,53 @@ RESERVED = {"algebroid", "degree", "base", "even", "odd", "weight", "dim", "d"}
 _KIND_FOR = {"base": "base", "even": "even_fiber", "odd": "odd_fiber"}
 _WORD_FOR = {v: k for k, v in _KIND_FOR.items()}
 
+# A comment matches with an empty group and is dropped; every other
+# non-blank character starts a token.  No quantifier is nested, so the
+# scan cannot backtrack.
+_TOKEN = re.compile(r"#[^\n]*|([0-9]+|\w+|[^ \t\r\n#])")
+_SYMBOLS = "+-*^/()[]="
+# besides letters, what a token may start with: \w also matches "²", "٣"
+# and "½", which int() refuses or reads as a digit
+_STARTS = frozenset("0123456789_" + _SYMBOLS)
 
-# Span and Token are plain classes: the tokenizer makes one of each per
-# token, and a NamedTuple costs about a third more time to tokenize.
-class Span:
-    __slots__ = ("line", "column")
+# Parentheses and unary signs nest the recursive descent; input nested
+# deeper is refused, before it could exhaust the interpreter's stack.
+_MAX_NESTING = 100
 
-    def __init__(self, line: int, column: int):
-        self.line = line
-        self.column = column
+
+def _locate(text: str, index: int) -> Tuple[int, int]:
+    """Line and column of token `index` of `text`, or of the end of input
+    when the text has no more tokens."""
+    count = 0
+    for match in _TOKEN.finditer(text):
+        if match.group(1):
+            if count == index:
+                start = match.start()
+                break
+            count += 1
+    else:
+        start = text.find("#", text.rfind("\n") + 1)
+        if start < 0:
+            start = len(text)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+class Span(NamedTuple):
+    """Where token `index` of `text` starts: `line` and `column`, found by
+    scanning `text` again when read."""
+    text: str
+    index: int
+
+    @property
+    def line(self) -> int:
+        return _locate(self.text, self.index)[0]
+
+    @property
+    def column(self) -> int:
+        return _locate(self.text, self.index)[1]
 
     def __str__(self) -> str:
-        return f"line {self.line}, column {self.column}"
+        return "line {}, column {}".format(*_locate(*self))
 
 
 class DslError(ValueError):
@@ -49,69 +98,18 @@ class DslError(ValueError):
         super().__init__(f"{message} ({span})" if span else message)
 
 
-class Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind    # IDENT, INT, SYM, EOF
-        self.text = text
-        self.span = span
-
-
-_SYMBOLS = "+-*^/()[]="
-# ASCII only: str.isdigit also accepts "²" and "٣", which int() then
-# refuses or reads as a plain digit
-_DIGITS = "0123456789"
-
-# Parentheses and unary signs nest the recursive descent; input nested
-# deeper is refused, before it could exhaust the interpreter's stack.
-_MAX_NESTING = 100
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, col = 1, 1
-    n = 0
-    while n < len(text):
-        ch = text[n]
-        if ch == "\n":
-            line += 1
-            col = 1
-            n += 1
-            continue
-        if ch in " \t\r":
-            n += 1
-            col += 1
-            continue
-        if ch == "#":
-            while n < len(text) and text[n] != "\n":
-                n += 1
-            continue
-        span = Span(line, col)
-        if ch in _DIGITS:
-            m = n
-            while m < len(text) and text[m] in _DIGITS:
-                m += 1
-            tokens.append(Token("INT", text[n:m], span))
-            col += m - n
-            n = m
-            continue
-        if ch.isalpha() or ch == "_":
-            m = n
-            while m < len(text) and (text[m].isalnum() or text[m] == "_"):
-                m += 1
-            tokens.append(Token("IDENT", text[n:m], span))
-            col += m - n
-            n = m
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("SYM", ch, span))
-            n += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("EOF", "", Span(line, col)))
+def tokenize(text: str) -> List[str]:
+    """The tokens of `text`, then "" for the end of input."""
+    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    for n, tok in enumerate(tokens):
+        if tok[0] not in _STARTS and not tok[0].isalpha():
+            raise DslError(f"unexpected character {tok[0]!r}", Span(text, n))
+    tokens.append("")
     return tokens
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 class Declaration(NamedTuple):
@@ -148,82 +146,77 @@ class SpecDocument:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, text: str, tokens: List[str]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: Optional[int] = None) -> DslError:
+        """An error at token `at`, by default the next one."""
+        return DslError(message, Span(self.text, self.pos if at is None else at))
 
-    def next(self) -> Token:
+    def expect(self, want: str) -> str:
+        """Take the next token: any name for 'IDENT', any integer for
+        'INT', else `want` itself."""
         tok = self.tokens[self.pos]
+        if not (_is_name(tok) if want == "IDENT" else tok.isdigit() if want == "INT"
+                else tok == want):
+            raise self.error(f"expected {want!r}, found {tok or 'end of input'!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text or "end of input"
-            raise DslError(f"expected {want!r}, found {got!r}", tok.span)
-        return self.next()
-
-    def expect_int(self) -> int:
-        return int(self.expect("INT").text)
-
-    def enter(self, tok: Token) -> None:
-        """Go one nesting level deeper at `tok`; `depth` is decremented by
-        the caller on the way out."""
+    def enter(self, at: int) -> None:
+        """Go one nesting level deeper at token `at`; `depth` is decremented
+        by the caller on the way out."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise DslError(f"expression nested more than {_MAX_NESTING} deep", tok.span)
+            raise self.error(f"expression nested more than {_MAX_NESTING} deep", at)
 
     # -- statements -------------------------------------------------------
 
     def document(self) -> SpecDocument:
-        if self.peek().kind == "EOF":
-            raise DslError("empty document: missing header", self.peek().span)
-        self.expect("IDENT", "algebroid")
-        name_tok = self.expect("IDENT")
-        if name_tok.text in RESERVED:
-            raise DslError(f"{name_tok.text!r} is a reserved word", name_tok.span)
-        self.expect("IDENT", "degree")
-        degree_tok = self.expect("INT")
-        degree = int(degree_tok.text)
+        tokens = self.tokens
+        if not tokens[0]:
+            raise self.error("empty document: missing header")
+        self.expect("algebroid")
+        name = self.expect("IDENT")
+        if name in RESERVED:
+            raise self.error(f"{name!r} is a reserved word", self.pos - 1)
+        self.expect("degree")
+        degree_at = self.pos
+        degree = int(self.expect("INT"))
 
         declarations: List[Declaration] = []
-        raw_assignments: List[Tuple[Tuple[str, int], Span]] = []
-        assignment_starts: List[int] = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                raise DslError(f"expected a declaration or assignment, found {tok.text!r}",
-                               tok.span)
-            if tok.text in _KIND_FOR:
-                self.next()
+        # (target, token index of its name, token index of its expression)
+        raw_assignments: List[Tuple[Tuple[str, int], int, int]] = []
+        while tokens[self.pos]:
+            at = self.pos
+            tok = tokens[at]
+            if not _is_name(tok):
+                raise self.error(f"expected a declaration or assignment, found {tok!r}")
+            self.pos += 1
+            if tok in _KIND_FOR:
                 ident = self.expect("IDENT")
-                if ident.text in RESERVED:
-                    raise DslError(f"{ident.text!r} is a reserved word", ident.span)
-                self.expect("IDENT", "weight")
-                w = self.expect_int()
-                self.expect("IDENT", "dim")
-                dim = self.expect_int()
-                declarations.append(Declaration(ident.text, _KIND_FOR[tok.text], w, dim,
-                                                tok.span))
-            elif tok.text == "d":
-                self.next()
+                if ident in RESERVED:
+                    raise self.error(f"{ident!r} is a reserved word", at + 1)
+                self.expect("weight")
+                w = int(self.expect("INT"))
+                self.expect("dim")
+                dim = int(self.expect("INT"))
+                declarations.append(Declaration(ident, _KIND_FOR[tok], w, dim,
+                                                Span(self.text, at)))
+            elif tok == "d":
                 ident = self.expect("IDENT")
-                self.expect("SYM", "[")
-                idx = self.expect_int()
-                self.expect("SYM", "]")
-                self.expect("SYM", "=")
-                raw_assignments.append(((ident.text, idx), ident.span))
-                assignment_starts.append(self.pos)
+                self.expect("[")
+                idx = int(self.expect("INT"))
+                self.expect("]")
+                self.expect("=")
+                raw_assignments.append(((ident, idx), at + 1, self.pos))
                 self._skip_expr()
             else:
-                raise DslError(f"unexpected token {tok.text!r} "
-                               "(expected 'base', 'even', 'odd' or 'd')", tok.span)
+                raise self.error(f"unexpected token {tok!r} "
+                                 "(expected 'base', 'even', 'odd' or 'd')", at)
 
         chart = [(d.name, d.kind, d.h_weight, d.dim) for d in declarations]
         try:
@@ -238,115 +231,110 @@ class _Parser:
                     raise DslError(str(exc), decl.span) from exc
             raise
         if table.degree != degree:
-            raise DslError(
+            raise self.error(
                 f"declared degree {degree} does not match the chart degree {table.degree}",
-                degree_tok.span)
+                degree_at)
 
         assignments: List[Assignment] = []
-        declared = {(d.name) for d in declarations}
-        for ((name, idx), span), start in zip(raw_assignments, assignment_starts):
-            if name not in declared:
-                raise DslError(f"assignment target {name!r} is not declared", span)
+        declared = {d.name for d in declarations}
+        for (target, at, start) in raw_assignments:
+            if target[0] not in declared:
+                raise self.error(f"assignment target {target[0]!r} is not declared", at)
             try:
-                table.generator(name, idx)
+                table.generator(*target)
             except AlgebraError as exc:
-                raise DslError(str(exc), span) from exc
+                raise self.error(str(exc), at) from exc
             self.pos = start
-            value = self._expr(table)
-            assignments.append(Assignment((name, idx), value, span))
+            assignments.append(Assignment(target, self._expr(table), Span(self.text, at)))
 
-        return SpecDocument(self.tokens[1].text, degree, declarations, assignments, table)
+        return SpecDocument(name, degree, declarations, assignments, table)
 
     def _skip_expr(self) -> None:
         """First pass: skip expression tokens (declarations may come later)."""
+        tokens = self.tokens
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            tok = tokens[self.pos]
+            # 'd' may only start a statement; generator names are not reserved
+            if not tok or (depth == 0 and tok in RESERVED):
                 return
-            if tok.kind == "IDENT" and tok.text in RESERVED and depth == 0:
-                # 'd' may only start a statement; generator names are not reserved
-                return
-            if tok.kind == "SYM":
-                if tok.text == "(":
-                    depth += 1
-                elif tok.text == ")":
-                    depth -= 1
-                elif tok.text == "=":
-                    raise DslError("unexpected '=' inside expression", tok.span)
-            self.next()
+            if tok == "(":
+                depth += 1
+            elif tok == ")":
+                depth -= 1
+            elif tok == "=":
+                raise self.error("unexpected '=' inside expression")
+            self.pos += 1
 
     # -- expressions ------------------------------------------------------
 
     def _expr(self, table: GeneratorTable) -> Element:
         value = self._term(table)
-        while self.peek().kind == "SYM" and self.peek().text in "+-":
-            op = self.next().text
+        while self.tokens[self.pos] in ("+", "-"):
+            op = self.tokens[self.pos]
+            self.pos += 1
             rhs = self._term(table)
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def _term(self, table: GeneratorTable) -> Element:
-        value = self._unary(table)
-        while self.peek().kind == "SYM" and self.peek().text == "*":
-            self.next()
-            value = value * self._unary(table)
+        value = self._factor(table)
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            value = value * self._factor(table)
         return value
 
-    def _unary(self, table: GeneratorTable) -> Element:
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text in "+-":
-            self.next()
-            self.enter(tok)
-            value = self._unary(table)
+    def _factor(self, table: GeneratorTable) -> Element:
+        """A signed factor, or a primary with an optional '^' INT."""
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "+" or tok == "-":
+            self.pos += 1
+            self.enter(at)
+            value = self._factor(table)
             self.depth -= 1
-            return value if tok.text == "+" else -value
-        return self._power(table)
-
-    def _power(self, table: GeneratorTable) -> Element:
+            return value if tok == "+" else -value
         value = self._primary(table)
-        if self.peek().kind == "SYM" and self.peek().text == "^":
-            self.next()
-            exp = self.expect_int()
-            value = value ** exp
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            value = value ** int(self.expect("INT"))
         return value
 
     def _primary(self, table: GeneratorTable) -> Element:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            num = int(tok.text)
-            if self.peek().kind == "SYM" and self.peek().text == "/":
-                self.next()
-                den = self.expect_int()
-                if den == 0:
-                    raise DslError("zero denominator", tok.span)
-                return table.scalar(Fraction(num, den))
-            return table.scalar(num)
-        if tok.kind == "IDENT":
-            if tok.text in RESERVED:
-                raise DslError(f"unexpected keyword {tok.text!r} in expression", tok.span)
-            self.next()
-            self.expect("SYM", "[")
-            idx = self.expect_int()
-            self.expect("SYM", "]")
-            try:
-                return table.gen(tok.text, idx)
-            except AlgebraError:
-                raise DslError(f"undeclared identifier {tok.text}[{idx}]", tok.span) from None
-        if tok.kind == "SYM" and tok.text == "(":
-            self.next()
-            self.enter(tok)
+        at = self.pos
+        tok = self.tokens[at]
+        if tok.isdigit():
+            self.pos += 1
+            if self.tokens[self.pos] != "/":
+                return table.scalar(int(tok))
+            self.pos += 1
+            den = int(self.expect("INT"))
+            if den == 0:
+                raise self.error("zero denominator", at)
+            return table.scalar(Fraction(int(tok), den))
+        if tok == "(":
+            self.pos += 1
+            self.enter(at)
             value = self._expr(table)
-            self.expect("SYM", ")")
+            self.expect(")")
             self.depth -= 1
             return value
-        raise DslError(f"expected an expression, found {tok.text or 'end of input'!r}",
-                       tok.span)
+        if not _is_name(tok):
+            raise self.error(f"expected an expression, found {tok or 'end of input'!r}")
+        if tok in RESERVED:
+            raise self.error(f"unexpected keyword {tok!r} in expression")
+        self.pos += 1
+        self.expect("[")
+        idx = int(self.expect("INT"))
+        self.expect("]")
+        try:
+            return table.gen(tok, idx)
+        except AlgebraError:
+            raise self.error(f"undeclared identifier {tok}[{idx}]", at) from None
 
 
 def parse(text: str) -> SpecDocument:
-    return _Parser(tokenize(text)).document()
+    return _Parser(text, tokenize(text)).document()
 
 
 def print_document(doc: SpecDocument) -> str:
@@ -374,19 +362,21 @@ def to_algebroid_spec(doc: SpecDocument) -> AlgebroidSpec:
 
 
 def document_from_spec(name: str, spec: AlgebroidSpec) -> SpecDocument:
-    declarations = [Declaration(n, k, w, d, Span(0, 0))
-                    for n, k, w, d in spec.table.blocks]
+    # a document made from a spec has no source text to point into
+    nowhere = Span("", 0)
+    declarations = [Declaration(n, k, w, d, nowhere) for n, k, w, d in spec.table.blocks]
     assignments = []
     for g in spec.table.gens:
         v = spec.d.value(g)
         if not v.is_zero():
-            assignments.append(Assignment((g.name, g.index), v, Span(0, 0)))
+            assignments.append(Assignment((g.name, g.index), v, nowhere))
     return SpecDocument(name, spec.table.degree, declarations, assignments, spec.table)
 
 
 def parse_expression(table: GeneratorTable, text: str) -> Element:
     """Parse a standalone expression over an existing chart (shared syntax)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text, tokenize(text))
     value = parser._expr(table)
-    parser.expect("EOF")
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"expected 'EOF', found {parser.tokens[parser.pos]!r}")
     return value

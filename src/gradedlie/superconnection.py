@@ -29,7 +29,9 @@ share that protocol:
   Leibniz, so phi^-1 D phi (a.w) = d(a).w + (-1)^|a| a.phi^-1 D phi(w): the
   chain is exactly the Leibniz extension of the gauged blocks.  Its square
   is phi^-1 D^2 phi, so a gauged cascade computes images only for N and
-  reuses D's, which every gauge shares.
+  reuses D's, which every gauge shares.  When D is itself a chain, the
+  new chain is built over the Leibniz extension of the gauged blocks
+  instead, so chains never nest.
 
 Operators pass int vectors with one tracked denominator, the product of
 the scales applied, and divide once per output block entry, in
@@ -457,13 +459,16 @@ def apply_gauge(c: SuperconnectionComponents,
     per W-basis monomial, divided once per output block entry.  The result
     keeps the chain as its operator, which equals the Leibniz extension of
     its blocks, so its cascade reuses the images of c's operator.  A gauge
-    of a gauged object chains over that chain, so each level of nesting
-    adds a pass through one more N: to apply many gauges in turn, compose
-    them first (`compose_gauges`)."""
+    of a gauged object chains over the Leibniz extension of c's blocks,
+    the operator equal to c's chain, so a chain is never more than one
+    level deep."""
     if phi.spec.table != c.spec.table or phi.i != c.i:
         raise GaugeError("gauge transformation over a different sector family")
-    memo = c._operator.memo
-    D = _Gauged(c._operator, phi._over(memo))
+    D = c._operator
+    if isinstance(D, _Gauged):
+        D = _Extension(D.memo, c.blocks, leibniz=True)
+    memo = D.memo
+    D = _Gauged(D, phi._over(memo))
     blocks: Dict[int, Dict[MonomialKey, Element]] = {}
     for key in c.basis_keys:
         for p, part in memo.split(*D.apply({memo.intern(key): 1}, 1)).items():

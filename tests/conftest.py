@@ -121,6 +121,47 @@ def structure_by_tables(spec):
     return residuals, checked
 
 
+def tokenize_by_loop(text):
+    """Oracle for `dsl.tokenize`: a character loop that counts lines and
+    columns as it goes.  Returns (tokens, error): each token as (text,
+    line, column), the end of input as ("", line, column), and the message
+    of the first unexpected character with its position, or None.  A
+    comment does not advance the column, so an end of input after a
+    trailing comment with no newline sits where the comment starts."""
+    tokens = []
+    line, col = 1, 1
+    n = 0
+    while n < len(text):
+        ch = text[n]
+        if ch == "\n":
+            line += 1
+            col = 1
+            n += 1
+            continue
+        if ch in " \t\r":
+            n += 1
+            col += 1
+            continue
+        if ch == "#":
+            while n < len(text) and text[n] != "\n":
+                n += 1
+            continue
+        m = n + 1
+        if ch in "0123456789":
+            while m < len(text) and text[m] in "0123456789":
+                m += 1
+        elif ch.isalpha() or ch == "_":
+            while m < len(text) and (text[m].isalnum() or text[m] == "_"):
+                m += 1
+        elif ch not in "+-*^/()[]=":
+            return tokens, f"unexpected character {ch!r} (line {line}, column {col})"
+        tokens.append((text[n:m], line, col))
+        col += m - n
+        n = m
+    tokens.append(("", line, col))
+    return tokens, None
+
+
 def assert_structure_matches_tables(spec):
     """`check_structure_equations` agrees with the table oracle: verdict,
     labels and values of both families, and the label counts; and its

@@ -2,13 +2,18 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedlie import dsl
 from gradedlie.cli import run
 from gradedlie.constructions import EXAMPLES
 from gradedlie.derivations import is_homological
-from gradedlie.dsl import (DslError, parse, parse_expression, print_document,
-                           to_algebroid_spec)
+from gradedlie.dsl import (DslError, Span, document_from_spec, parse, parse_expression,
+                           print_document, to_algebroid_spec, tokenize)
 from gradedlie.weight_modules import Monomials
+
+from conftest import gl_spec, tokenize_by_loop
 
 DATA = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -18,6 +23,58 @@ def spec_text(name):
 
 
 # -- parser -----------------------------------------------------------------
+
+# blanks, comments, digits, letters and symbols, and characters that \w
+# matches but no token may start with (a superscript, an Arabic-Indic digit,
+# a vulgar fraction), a non-ASCII letter and blanks the DSL does not allow
+_ALPHABET = " \t\r\n#0123459axyzd_+-*^/()[]=²٣½é\x0c\u00a0"
+# pieces of spec text, so that long runs of valid tokens are drawn too
+_PIECES = ["d", " ", "\t", "\n", "\r", "xi", "[", "12", "]", "=", "*", "+", "(", ")", "^", "/",
+           "_y0", "é", "#c", "²", "½", "\x0c"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.one_of(st.text(_ALPHABET, max_size=30),
+                 st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)),
+       st.one_of(st.just(""), st.text(_ALPHABET.replace("\n", ""), max_size=8).map("#".__add__)),
+       st.sampled_from(["", "\n"]))
+def test_tokenize_matches_character_loop(body, comment, end):
+    """`tokenize` splits text as the character loop of `tokenize_by_loop`
+    does: the same token texts, every token's and the end marker's line
+    and column, and the same first error with its position.  Inputs may end
+    in a comment, with or without a newline after it."""
+    text = body + comment + end
+    want, error = tokenize_by_loop(text)
+    if error is not None:
+        with pytest.raises(DslError) as err:
+            tokenize(text)
+        assert str(err.value) == error
+        assert f"({err.value.span})" in error
+        return
+    got = tokenize(text)
+    assert got == [tok for tok, _line, _col in want]
+    assert ([(Span(text, n).line, Span(text, n).column) for n in range(len(got))]
+            == [(line, col) for _tok, line, col in want])
+
+
+def test_parsing_resolves_no_span(monkeypatch):
+    """A spec that parses finds no line or column: every shipped spec,
+    every example and printed gl(8) parse and convert with the position
+    finder replaced by one that raises."""
+    texts = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
+    texts += [print_document(document_from_spec(name.replace("-", "_"), maker()))
+              for name, maker in sorted(EXAMPLES.items())]
+    texts.append(print_document(document_from_spec("gl8", gl_spec(8))))
+
+    def no_span(text, index):
+        raise AssertionError(f"a span was resolved for token {index}")
+
+    monkeypatch.setattr(dsl, "_locate", no_span)
+    for text in texts:
+        to_algebroid_spec(parse(text))
+    with pytest.raises(AssertionError):
+        parse(texts[0] + "@")
+
 
 def test_golden_files_parse_and_round_trip():
     for path in sorted(DATA.glob("*.spec")):

@@ -375,6 +375,32 @@ def test_gauge_composition_law():
                 assert lhs.component(p, key) == rhs.component(p, key)
 
 
+def test_nested_gauges_stay_one_chain_deep():
+    """Twenty gauges of e7 at weight 2, each applied to the last result,
+    give the blocks of one gauge by their composite phi_1 ... phi_20 in
+    application order.  The result's operator is one chain over the
+    Leibniz extension of its parent's blocks, not twenty chains deep."""
+    from gradedlie import superconnection
+    rng = random.Random(66)
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    phis = [random_gauge(rng, spec, 2) for _ in range(20)]
+    nested = comp
+    for phi in phis:
+        nested = apply_gauge(nested, phi)
+    composed = phis[0]
+    for phi in phis[1:]:
+        composed = compose_gauges(composed, phi)
+    once = apply_gauge(comp, composed)
+    assert nested.blocks != comp.blocks
+    assert nested.blocks == once.blocks
+    assert as_strings(nested.blocks) == as_strings(once.blocks)
+    operator = nested._operator
+    assert type(operator) is superconnection._Gauged
+    assert type(operator.D) is superconnection._Extension
+    assert flatness_cascade(nested).passed
+
+
 def test_gauge_inverse_round_trip():
     rng = random.Random(53)
     spec = e7_instance()
