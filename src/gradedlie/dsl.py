@@ -59,7 +59,8 @@ _MAX_NESTING = 100
 
 def _locate(text: str, index: int) -> Tuple[int, int]:
     """Line and column of token `index` of `text`, or of the end of input
-    when the text has no more tokens."""
+    when the text has no more tokens: the start of a trailing comment with
+    no newline, else just past the last character."""
     count = 0
     for match in _TOKEN.finditer(text):
         if match.group(1):

@@ -30,8 +30,8 @@ share that protocol:
   chain is exactly the Leibniz extension of the gauged blocks.  Its square
   is phi^-1 D^2 phi, so a gauged cascade computes images only for N and
   reuses D's, which every gauge shares.  When D is itself a chain, the
-  new chain is built over the Leibniz extension of the gauged blocks
-  instead, so chains never nest.
+  new one is built over the Leibniz extension of the gauged object's
+  blocks, which equals D, so chains never nest.
 
 Operators pass int vectors with one tracked denominator, the product of
 the scales applied, and divide once per output block entry, in
