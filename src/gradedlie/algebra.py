@@ -11,6 +11,9 @@ division): int products are far cheaper than `Fraction` ones, and `str`,
 Sign convention: Koszul, with odd factors stored in the global generator
 order and the sign normalised on insertion.  The global order is
 (kind, h_weight, name, index), so all even factors precede all odd ones.
+The odd factors of a monomial are an int mask, so a product of odd parts is
+zero when they meet (a & b), and its sign is one popcount.  Keys sort and
+print by their odd positions in increasing order (`odd_positions`).
 
 Elements are immutable: no operation changes an Element's `terms` after it
 is built, so an operation may return an operand as it is (x + 0 is x).  The
@@ -23,13 +26,17 @@ term, and vectors that are already filtered (`superconnection._SpecMemo`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class AlgebraError(ValueError):
     pass
+
+
+class CoefficientSizeError(AlgebraError):
+    """A coefficient has more digits than str() converts (sys.get_int_max_str_digits())."""
 
 
 class BiWeight(NamedTuple):
@@ -57,9 +64,10 @@ class Generator(NamedTuple):
 
 
 # A monomial key is (even, odd) with even = ((position, exponent), ...) sorted
-# by position, exponent >= 1, and odd = (position, ...) strictly increasing.
+# by position, exponent >= 1, and odd an int mask: bit p is set when the odd
+# generator at position p is a factor.
 EvenPart = Tuple[Tuple[int, int], ...]
-OddPart = Tuple[int, ...]
+OddPart = int
 MonomialKey = Tuple[EvenPart, OddPart]
 
 Scalar = Union[int, Fraction]
@@ -144,27 +152,27 @@ class GeneratorTable:
         hw = 0
         for p, e in key[0]:
             hw += h[p] * e
-        for p in key[1]:
+        for p in odd_positions(key[1]):
             hw += h[p]
         return hw
 
     def key_bi_weight(self, key: MonomialKey) -> BiWeight:
-        return BiWeight(self._h_weight(key), len(key[1]))
+        return BiWeight(self._h_weight(key), key[1].bit_count())
 
     def gen(self, name: str, index: int = 1) -> "Element":
         """The generator as an Element."""
         g = self.generator(name, index)
         if g.form_degree:
-            key: MonomialKey = ((), (g.position,))
+            key: MonomialKey = ((), 1 << g.position)
         else:
-            key = (((g.position, 1),), ())
+            key = (((g.position, 1),), 0)
         return _element(self, {key: 1})
 
     def scalar(self, value: Scalar) -> "Element":
         c = _coefficient(value)
         if c == 0:
             return _element(self, {})
-        return _element(self, {((), ()): c})
+        return _element(self, {((), 0): c})
 
     def zero(self) -> "Element":
         return Element(self, {})
@@ -210,23 +218,28 @@ def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
     return tuple(sorted(acc.items()))
 
 
-def _merge_odd(a: OddPart, b: OddPart) -> Tuple[OddPart, int]:
-    """Merge two sorted odd tuples with no common factor; returns (merged,
-    sign), the sign of the shuffle.
+def odd_positions(odd: OddPart) -> Tuple[int, ...]:
+    """The positions of the factors of an odd part, in increasing order:
+    the order keys sort and print in."""
+    out = []
+    while odd:
+        low = odd & -odd
+        out.append(low.bit_length() - 1)
+        odd ^= low
+    return tuple(out)
 
-    The shorter part is inserted into the other by bisection.  The
-    inversions are the pairs (x of a, y of b) with y < x: the sum of the
-    insert positions of a's factors in b, or len(a) len(b) less the sum of
-    those of b's factors in a, which has the same parity as len(a) len(b)
-    plus that sum."""
-    short, other = (a, b) if len(a) <= len(b) else (b, a)
-    merged = list(other)
-    inversions = 0 if short is a else len(a) * len(b)
-    for x in reversed(short):
-        n = bisect_left(other, x)
-        merged.insert(n, x)
-        inversions += n
-    return tuple(merged), -1 if inversions & 1 else 1
+
+def _parity(odd: OddPart) -> int:
+    """The parity mask of an odd part: bit q is set when an odd number of
+    its factors lie above q, the XOR of the bits of odd >> 1 from q up, by
+    doubling shifts.  popcount(b & _parity(a)) then has the parity of the
+    inversions of the shuffle a.b, the pairs (x of a, y of b) with y < x."""
+    parity = odd >> 1
+    shift = 1
+    while shift < odd.bit_length():
+        parity ^= parity >> shift
+        shift <<= 1
+    return parity
 
 
 def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
@@ -236,32 +249,26 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
 
     One coefficient product per term, an int product when both are ints;
     entries may cancel to zero in `acc`, which the Element built from it
-    drops.  The odd parts of `mono` and a term merge without a loop when
-    they share a factor (the product is zero) or when one lies wholly
-    before the other (concatenation, sign (-1)^(len * len) if reversed)."""
+    drops.  A term whose odd part meets that of `mono` gives zero; the
+    others have sign (-1)^popcount(o & parity(mo)) for mo.o, the shuffle's
+    inversions, and for o.mo that times (-1)^(|o| |mo|), as every pair of
+    factors is an inversion of exactly one of the two shuffles."""
     me, mo = mono
-    seen = None   # the factors of mo, built when a term first needs them
+    parity = None   # the parity mask of mo, built when a term first needs it
     for (e, o), c in terms.items():
-        if not o or not mo:
-            odd = o or mo
-            sign = 1
-        else:
-            if seen is None:
-                seen = frozenset(mo)
-            if not seen.isdisjoint(o):
+        sign = 0
+        if o and mo:
+            if o & mo:
                 continue
-            a, b = (mo, o) if mono_first else (o, mo)
-            if a[-1] < b[0]:
-                odd = a + b
-                sign = 1
-            elif b[-1] < a[0]:
-                odd = b + a
-                sign = -1 if len(a) & len(b) & 1 else 1
-            else:
-                odd, sign = _merge_odd(a, b)
-        key = (_merge_even(me, e), odd)
+            if parity is None:
+                parity = _parity(mo)
+                flip = not mono_first and mo.bit_count() & 1
+            sign = (o & parity).bit_count()
+            if flip:
+                sign += o.bit_count()
+        key = (_merge_even(me, e), o | mo)
         v = coeff * c
-        if sign < 0:
+        if sign & 1:
             v = -v
         old = acc.get(key)
         acc[key] = v if old is None else old + v
@@ -287,7 +294,7 @@ class Element:
     def is_bihomogeneous(self, bw: Tuple[int, int]) -> bool:
         h, j = bw
         weight = self.table._h_weight
-        return all(len(k[1]) == j and weight(k) == h for k in self.terms)
+        return all(k[1].bit_count() == j and weight(k) == h for k in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -383,46 +390,35 @@ class Element:
                         key = (tuple(sorted(rest)), odd)
                         terms[key] = terms.get(key, 0) + c * e
                         break
-            else:
-                if pos in odd:
-                    k = odd.index(pos)
-                    key = (even, odd[:k] + odd[k + 1:])
-                    terms[key] = terms.get(key, 0) + c * (-1) ** k
+            elif odd >> pos & 1:
+                # the sign of moving the factor past the k factors before it
+                k = (odd & ((1 << pos) - 1)).bit_count()
+                key = (even, odd ^ (1 << pos))
+                terms[key] = terms.get(key, 0) + (-c if k & 1 else c)
         return Element(self.table, terms)
 
     def map_to(self, table: GeneratorTable) -> "Element":
         """Translate onto a sub-table by (name, index); missing generators become 0."""
+        moved = {}   # position here -> position in `table`
+        for g in self.table.gens:
+            h = table._by_name.get((g.name, g.index))
+            if h is not None:
+                moved[g.position] = h.position
         terms: dict = {}
         for (even, odd), c in self.terms.items():
-            new_even = []
-            new_odd = []
-            ok = True
-            for p, e in even:
-                g = self.table.gens[p]
-                try:
-                    new_even.append((table.generator(g.name, g.index).position, e))
-                except AlgebraError:
-                    ok = False
-                    break
-            if ok:
-                for p in odd:
-                    g = self.table.gens[p]
-                    try:
-                        new_odd.append(table.generator(g.name, g.index).position)
-                    except AlgebraError:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            # positions in a sub-table preserve relative order, so no sign
-            key = (tuple(sorted(new_even)), tuple(sorted(new_odd)))
-            terms[key] = terms.get(key, 0) + c
+            positions = odd_positions(odd)
+            if all(p in moved for p, _e in even) and all(p in moved for p in positions):
+                # positions in a sub-table preserve relative order, so no sign
+                key = (tuple(sorted((moved[p], e) for p, e in even)),
+                       sum(1 << moved[p] for p in positions))
+                terms[key] = terms.get(key, 0) + c
         return Element(table, terms)
 
     # -- printing --------------------------------------------------------
 
     def sorted_keys(self) -> list:
-        return sorted(self.terms, key=lambda k: (self.table.key_bi_weight(k), k))
+        bi_weight = self.table.key_bi_weight
+        return sorted(self.terms, key=lambda k: (bi_weight(k), k[0], odd_positions(k[1])))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -432,12 +428,12 @@ class Element:
             c = self.terms[key]
             factors = monomial_str(self.table, key)
             mag = abs(c)
-            if factors == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = factors
-            else:
-                body = f"{mag}*{factors}"
+            try:
+                body = str(mag) if factors == "1" else factors if mag == 1 else f"{mag}*{factors}"
+            except ValueError:
+                raise CoefficientSizeError(
+                    f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                    f"too many to print") from None
             if n == 0:
                 chunks.append(body if c > 0 else f"-{body}")
             else:
@@ -462,6 +458,6 @@ def monomial_str(table: GeneratorTable, key: MonomialKey) -> str:
     for p, e in even:
         g = table.gens[p]
         factors.append(f"{g}^{e}" if e > 1 else str(g))
-    for p in odd:
+    for p in odd_positions(odd):
         factors.append(str(table.gens[p]))
     return "*".join(factors) if factors else "1"

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import comb
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .algebra import Element, GenRef, Generator, GeneratorTable
+from .algebra import Element, GenRef, Generator, GeneratorTable, odd_positions
 from .derivations import Derivation, HomologicalReport, is_homological, make_derivation
 
 
@@ -130,8 +130,8 @@ class AlgebroidSpec:
         A = self.table.resolve(A)
         out: Dict = {}
         for (even, odd), c in self.d.value(A).terms.items():
-            if odd == (I.position,):
-                out[(even, ())] = c
+            if odd == 1 << I.position:
+                out[(even, 0)] = c
         return Element(self.table, out)
 
     def bracket_coeff(self, I: GenRef, J: GenRef, K: GenRef) -> Element:
@@ -147,9 +147,9 @@ class AlgebroidSpec:
             sign = -1
         out: Dict = {}
         for (even, odd), c in self.d.value(K).terms.items():
-            if odd == (I.position, J.position):
+            if odd == 1 << I.position | 1 << J.position:
                 # d Y^K = -sum_{I<J} Q_IJ^K Y^I Y^J
-                out[(even, ())] = -c
+                out[(even, 0)] = -c
         return Element(self.table, out) * sign
 
     # -- operations ------------------------------------------------------
@@ -208,12 +208,12 @@ def check_structure_equations(spec: AlgebroidSpec) -> StructureReport:
     """
     table = spec.table
     d_squared = spec.homological.residuals
-    found: Dict = {}   # (odd part, generator position) -> its terms
+    found: Dict = {}   # (odd positions, generator position) -> its terms
     for g in table.gens:
         r = d_squared.get(str(g))
         if r is not None:
             for (even, odd), c in r.terms.items():
-                found.setdefault((odd, g.position), {})[(even, ())] = c
+                found.setdefault((odd_positions(odd), g.position), {})[(even, 0)] = c
     residuals: Dict[str, Dict[str, Element]] = {"anchor": {}, "jacobi": {}}
     for (odd, k), terms in sorted(found.items()):
         g = table.gens[k]

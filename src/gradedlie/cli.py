@@ -22,7 +22,7 @@ import sys
 from typing import Dict, List, Optional
 
 from . import constructions
-from .algebra import Element, monomial_str
+from .algebra import CoefficientSizeError, Element, monomial_str
 from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
 from .cohomology import betti, build_complex
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
@@ -272,7 +272,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliError, SpecError, DslError, CapClosureError, BasisSizeError) as exc:
+    except (CliError, SpecError, DslError, CapClosureError, BasisSizeError,
+            CoefficientSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

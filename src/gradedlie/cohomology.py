@@ -28,12 +28,11 @@ complex and `torus` is empty.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
 from math import gcd, lcm
 from typing import Collection, Dict, List, Optional, Tuple
 
-from .algebra import MonomialKey
+from .algebra import MonomialKey, odd_positions
 from .algebroid import AlgebroidSpec
 from .weight_modules import Column, ColumnBuilder, Monomials, Torus
 
@@ -83,17 +82,16 @@ def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
     i_X(d g) is read off the terms of d g that contain X: each gives one
     term of i_X(d g), and no two give the same one."""
     table = spec.table
-    odd_cut = table.zero_cuts[1]
     # X -> {g: the coefficient of g in i_X(d g)}, while no other term was seen
     scalars = {X.position: {} for X in table.odd_generators() if not X.h_weight}
     for g in table.gens:
-        unit = ((), (g.position,)) if g.form_degree else (((g.position, 1),), ())
+        unit = ((), 1 << g.position) if g.form_degree else (((g.position, 1),), 0)
         for (even, odd), c in spec.d.value(g).terms.items():
-            for k, p in enumerate(odd[:bisect_left(odd, odd_cut)]):
+            for k, p in enumerate(odd_positions(odd)):
                 found = scalars.get(p)
                 if found is None:
                     continue
-                if (even, odd[:k] + odd[k + 1:]) == unit:
+                if (even, odd ^ (1 << p)) == unit:
                     found[g.position] = -c if k & 1 else c
                 else:
                     del scalars[p]

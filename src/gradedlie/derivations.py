@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .algebra import Element, Generator, GeneratorTable, _mul_into
+from .algebra import Element, Generator, GeneratorTable, _mul_into, odd_positions
 
 
 class DerivationError(ValueError):
@@ -95,11 +95,11 @@ def apply(D: Derivation, e: Element) -> Element:
             rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
             _mul_into(out, c * exp if exp > 1 else c, (rest, odd), dv.terms,
                       mono_first=False)
-        for k, p in enumerate(odd):
+        for k, p in enumerate(odd_positions(odd)):
             dv = action.get(p)
             if dv is None or not dv.terms:
                 continue
-            _mul_into(out, -c if k & 1 else c, (even, odd[:k] + odd[k + 1:]), dv.terms,
+            _mul_into(out, -c if k & 1 else c, (even, odd ^ (1 << p)), dv.terms,
                       mono_first=False)
     return Element(e.table, out)
 

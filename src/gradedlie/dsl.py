@@ -17,8 +17,10 @@ Tokens: one regex scan splits the text at spaces, tabs, carriage returns
 and newlines, and drops '#' comments.  A token is an INT (ASCII digits
 only), an IDENT (a letter or '_', then letters, digits and '_' in the
 sense of str.isalnum) or one of the symbols + - * ^ / ( ) [ ] =; any
-other character where a token starts is an error.  The parser works on
-the token strings and reads a token's kind off its first character.
+other character where a token starts is an error, and so is an INT of
+more than MAX_INT_DIGITS digits.  The parser works on the token strings
+and reads a token's kind off its first character.  It refuses a '^'
+exponent above MAX_EXPONENT before computing the power.
 
 Positions: a message names the line and column (from 1) where its token
 starts.  A `Span` holds the text and the token's index and finds its line
@@ -55,6 +57,11 @@ _STARTS = frozenset("0123456789_" + _SYMBOLS)
 # Parentheses and unary signs nest the recursive descent; input nested
 # deeper is refused, before it could exhaust the interpreter's stack.
 _MAX_NESTING = 100
+# int() refuses more than 4300 digits by default, so a longer INT literal is
+# refused while tokenizing; a larger '^' exponent is refused before the power
+# is computed (3^10000000 alone takes seconds).
+MAX_INT_DIGITS = 4000
+MAX_EXPONENT = 64
 
 
 def _locate(text: str, index: int) -> Tuple[int, int]:
@@ -106,6 +113,11 @@ def tokenize(text: str) -> List[str]:
         if tok[0] not in _STARTS and not tok[0].isalpha():
             raise DslError(f"unexpected character {tok[0]!r}", Span(text, n))
     tokens.append("")
+    if max(map(len, tokens)) > MAX_INT_DIGITS:
+        for n, tok in enumerate(tokens):
+            if len(tok) > MAX_INT_DIGITS and tok[0].isdigit():
+                raise DslError(f"integer literal of {len(tok)} digits, above the limit "
+                               f"of {MAX_INT_DIGITS}", Span(text, n))
     return tokens
 
 
@@ -298,7 +310,11 @@ class _Parser:
         value = self._primary(table)
         if self.tokens[self.pos] == "^":
             self.pos += 1
-            value = value ** int(self.expect("INT"))
+            exponent = int(self.expect("INT"))
+            if exponent > MAX_EXPONENT:
+                raise self.error(f"exponent {exponent} is above the limit of {MAX_EXPONENT}",
+                                 self.pos - 1)
+            value = value ** exponent
         return value
 
     def _primary(self, table: GeneratorTable) -> Element:

@@ -62,11 +62,11 @@ class GaugeError(ValueError):
 # A module vector: module-monomial id -> int; its value is the vector over a
 # denominator carried beside it.
 Vector = Dict[int, int]
-_ONE: MonomialKey = ((), ())
+_ONE: MonomialKey = ((), 0)
 
 
 def _y_count(table: GeneratorTable, key: MonomialKey) -> int:
-    return bisect_left(key[1], table.zero_cuts[1])
+    return (key[1] & ((1 << table.zero_cuts[1]) - 1)).bit_count()
 
 
 def _split_key(table: GeneratorTable, key: MonomialKey):
@@ -75,8 +75,8 @@ def _split_key(table: GeneratorTable, key: MonomialKey):
     even, odd = key
     even_cut, odd_cut = table.zero_cuts
     e = bisect_left(even, (even_cut,))
-    o = bisect_left(odd, odd_cut)
-    return (even[:e], odd[:o]), (even[e:], odd[o:])
+    y = odd & ((1 << odd_cut) - 1)
+    return (even[:e], y), (even[e:], odd ^ y)
 
 
 def split_by_y_count(table: GeneratorTable, e: Element) -> Dict[int, Element]:
@@ -113,7 +113,7 @@ class _SpecMemo:
     Every module monomial gets an int id, its index in `keys`; `parts[id]`
     is its split (a, w) at the table's cuts, with the weight-zero part a
     given by its own int id, an index in `zeros`, so that its y-count is
-    the length of zeros[a]'s odd part.  `leibniz(id)` is L_d d(a).w, with
+    the popcount of zeros[a]'s odd mask.  `leibniz(id)` is L_d d(a).w, with
     L_d = `scale` the lcm of d's denominators.  `rows[a]` maps a module id
     m to `times(a, m)`: (sign, id of a.keys[m]) when a.keys[m] = sign
     keys[id], or None when they share a y and the product vanishes; a row
@@ -185,7 +185,7 @@ class _SpecMemo:
         keys, split, zeros = self.keys, self.parts, self.zeros
         parts: Dict[int, Dict] = {}
         for n, v in vec.items():
-            parts.setdefault(len(zeros[split[n][0]][1]), {})[keys[n]] = _quotient(v, den)
+            parts.setdefault(zeros[split[n][0]][1].bit_count(), {})[keys[n]] = _quotient(v, den)
         return {p: _element(self.table, terms) for p, terms in parts.items()}
 
 
@@ -244,7 +244,7 @@ class _Extension:
             image = {k: f * c for k, c in memo.leibniz(n).items()}
         op_w = self.blocks.get(w)
         if op_w:
-            sign = -1 if f and len(memo.zeros[a][1]) & 1 else 1
+            sign = -1 if f and memo.zeros[a][1].bit_count() & 1 else 1
             row = memo.rows[a]
             for m, c in op_w.items():
                 product = row[m] if m in row else memo.times(a, m)

@@ -12,17 +12,19 @@ the weight-i subcomplex, and the torus blocks of `cohomology`.  Base
 generators weigh nothing in h-weight or form degree, so it enumerates the
 fibre monomials and takes the base polynomials of degree <= cap as a free
 factor.  `ColumnBuilder` gives d_E from one such basis to the next, by
-columns.
+columns, with bit operations on the odd parts, which are int masks in
+every key (see `algebra`), so it reads the keys as they are.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
 from typing import (Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, OddPart, Scalar,
-                      _merge_even, monomial_str)
+from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _merge_even,
+                      _parity, monomial_str, odd_positions)
 from .algebroid import AlgebroidSpec
 
 
@@ -117,10 +119,13 @@ class Monomials:
         self._m = m = max([i] + [sum(top * abs(v[c]) for _g, top, v in factors)
                                  for c in range(2 + len(zero))])
         self._base = b = 2 * m + 1
+        # an odd factor is taken before it is left out, so that the walk
+        # lists the odd parts under each even part in position-tuple order
         self._factors = []
         for g, top, v in factors:
             unit = self._code(v)
-            self._factors.append((g, [(e, e * unit) for e in range(top + 1)]))
+            exponents = (1, 0) if g.form_degree else range(top + 1)
+            self._factors.append((g, [(e, e * unit) for e in exponents]))
         # Every target has torus weight zero, so a total of factors k, k+1,
         # ... is kept only if factors 0..k-1 can bring each torus digit back
         # to zero: per digit they reach [sum of top * min(v, 0), sum of
@@ -195,12 +200,14 @@ class Monomials:
         if not self.checked_size(j):
             return []
         fibre: List[MonomialKey] = []
-        self._walk(0, self._code((self.i, j)), [], [], fibre)
+        self._walk(0, self._code((self.i, j)), (), 0, fibre)
         # base positions lead the global order, so a base monomial is a
         # prefix of the even part
         keys = [(prefix + even, odd) for prefix in self._base_monomials()
                 for even, odd in fibre]
-        keys.sort()
+        # stable, so the odd parts under each even part keep the walk's
+        # order: keys sort as (even part, odd positions)
+        keys.sort(key=itemgetter(0))
         return keys
 
     def _base_monomials(self) -> List[Tuple[Tuple[int, int], ...]]:
@@ -219,23 +226,21 @@ class Monomials:
             return f"W^({self.i},{j})"
         return f"sector ({self.i},{j}) at base degree cap {self._cap}"
 
-    def _walk(self, k: int, need: int, even: list, odd: list,
+    def _walk(self, k: int, need: int, even: EvenPart, odd: int,
               keys: List[MonomialKey]) -> None:
         if k == len(self._factors):
-            keys.append((tuple(even), tuple(odd)))
+            keys.append((even, odd))
             return
         g, options = self._factors[k]
         reach = self._reach[k + 1]
         for e, v in options:
             if need - v not in reach:
                 continue
-            if e and g.form_degree:
-                odd.append(g.position)
-            elif e:
-                even.append((g.position, e))
-            self._walk(k + 1, need - v, even, odd, keys)
-            if e:
-                (odd if g.form_degree else even).pop()
+            if g.form_degree:
+                self._walk(k + 1, need - v, even, odd | e << g.position, keys)
+            else:
+                self._walk(k + 1, need - v, even + ((g.position, e),) if e else even, odd,
+                           keys)
 
 
 def w_basis(spec: SpecOrTable, i: int, j: int) -> WeightModuleBasis:
@@ -291,23 +296,15 @@ def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKe
 Column = Dict[int, Scalar]
 
 
-def _mask(odd: OddPart) -> int:
-    """An odd part as an int mask: bit p for the odd generator at position p."""
-    m = 0
-    for p in odd:
-        m |= 1 << p
-    return m
-
-
 class ColumnBuilder:
     """d_E by columns, from the span of one list of monomials to the span of
     another: one {codomain row: coefficient} dict per domain monomial,
     nonzero entries only.
 
-    d(g) is read once per builder.  Odd parts are int masks (`_mask`); each
-    term of d(g) keeps its odd part t and the parity mask of t, the XOR
-    over the bits of t of the bits below each.  A domain monomial with odd mask m is then differentiated one
-    factor at a time, as `derivations.apply` does.  The k-th odd factor p
+    d(g) is read once per builder.  Each term of d(g) keeps its odd mask t
+    and the parity mask of t, the XOR over the bits of t of the bits below
+    each.  A domain monomial with odd mask m is differentiated one factor
+    at a time, as `derivations.apply` does.  The k-th odd factor p
     leaves rest = m ^ (1 << p); a term t of d(p) vanishes when t & rest,
     and otherwise lands on row index[even][rest | t] with sign (-1)^(k +
     popcount(rest & parity(t))), the Leibniz sign times the sign of
@@ -325,15 +322,9 @@ class ColumnBuilder:
         self._cap = cap
         self._d: Dict[int, list] = {}   # position -> [(even, t, parity of t, c), ...]
         for p, value in spec.d.action.items():
-            terms = []
-            for (even, odd), c in value.terms.items():
-                t = parity = 0
-                for q in odd:
-                    t |= 1 << q
-                    parity ^= (1 << q) - 1
-                terms.append((even, t, parity, c))
-            if terms:
-                self._d[p] = terms
+            if value.terms:
+                self._d[p] = [(even, odd, _parity(odd), c)
+                              for (even, odd), c in value.terms.items()]
 
     def __call__(self, domain: Sequence[MonomialKey], codomain: Sequence[MonomialKey],
                  skip: Collection[int] = ()) -> List[Column]:
@@ -341,15 +332,14 @@ class ColumnBuilder:
         the indices in `skip`."""
         index: Dict[EvenPart, Dict[int, int]] = {}
         for n, (even, odd) in enumerate(codomain):
-            index.setdefault(even, {})[_mask(odd)] = n
+            index.setdefault(even, {})[odd] = n
         return [{} if n in skip else self.column(key, index)
                 for n, key in enumerate(domain)]
 
     def column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]]) -> Column:
         """The column of one domain monomial, given the codomain's rows by
         even part and odd mask."""
-        even, odd = key
-        m = _mask(odd)
+        even, m = key
         d = self._d
         # per factor with d(g) != 0: (even part, odd mask of the rest,
         # coefficient, sign parity, terms of d(g)), in apply's order
@@ -359,7 +349,7 @@ class ColumnBuilder:
             if terms:
                 rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
                 parts.append((rest, m, exp, 0, terms))
-        for k, p in enumerate(odd):
+        for k, p in enumerate(odd_positions(m)):
             terms = d.get(p)
             if terms:
                 parts.append((even, m ^ (1 << p), 1, k & 1, terms))
@@ -388,10 +378,8 @@ class ColumnBuilder:
                         del column[row]
                         continue
                 column[row] = v
-        for (e, mask), v in outside.items():
+        for image, v in outside.items():
             if v:
-                image = (e, tuple(g.position for g in self._table.odd_generators()
-                                  if mask >> g.position & 1))
                 raise CapClosureError(
                     f"base degree cap {self._cap} does not close the complex: "
                     f"d({monomial_str(self._table, key)}) contains "

@@ -56,24 +56,25 @@ def random_element(rng, table, terms=4, max_exp=2):
     return out
 
 
-def merge_odd_by_loop(a, b):
-    """Oracle for `algebra._merge_odd`: merge two sorted odd parts with no
-    common factor in one pass, counting for each factor of b the factors of
-    a it passes; returns (merged, sign of the shuffle)."""
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), -1 if inversions & 1 else 1
+def odd_tuple(mask):
+    """Reference for `algebra.odd_positions`: the positions of the set bits
+    of an odd mask, in increasing order, read one bit at a time."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def odd_mask(positions):
+    """The odd mask with a bit at each of `positions`."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
+
+
+def tuple_key(key):
+    """A monomial key with its odd mask as a position tuple: the format
+    whose plain order is the order keys sort and print in."""
+    even, odd = key
+    return even, odd_tuple(odd)
 
 
 def structure_by_tables(spec):
@@ -183,11 +184,11 @@ def algebra_map(table, images):
         for (even, odd), c in e.terms.items():
             term = table.scalar(c)
             for pos, exp in even:
-                img = images.get(pos, Element(table, {(((pos, 1),), ()): Fraction(1)}))
+                img = images.get(pos, Element(table, {(((pos, 1),), 0): Fraction(1)}))
                 for _ in range(exp):
                     term = term * img
-            for pos in odd:
-                img = images.get(pos, Element(table, {((), (pos,)): Fraction(1)}))
+            for pos in odd_tuple(odd):
+                img = images.get(pos, Element(table, {((), 1 << pos): Fraction(1)}))
                 term = term * img
             out = out + term
         return out
@@ -215,9 +216,9 @@ def unipotent_twist(rng, spec, poly_degree=1):
         extra = fwd[g.position] - img
         back = table.zero()
         for (even, odd), c in extra.terms.items():
-            term = Element(table, {(even, ()): c})
-            for pos in odd:
-                term = term * inv.get(pos, Element(table, {((), (pos,)): Fraction(1)}))
+            term = Element(table, {(even, 0): c})
+            for pos in odd_tuple(odd):
+                term = term * inv.get(pos, Element(table, {((), 1 << pos): Fraction(1)}))
             back = back + term
         inv[g.position] = img - back
     phi = algebra_map(table, fwd)
@@ -280,10 +281,11 @@ def _count_even(evens, idx, weight):
 
 
 def brute_force_monomials(table, i, cap=0, torus=None, positive=False):
-    """Oracle for `weight_modules.Monomials`: {form degree j: sorted keys}
-    of the monomials of h-weight i and base degree <= cap, in positive-weight
-    generators only when `positive`, of zero weight under every operator of
-    `torus` (position -> weights; missing positions weigh zero).  Every
+    """Oracle for `weight_modules.Monomials`: {form degree j: keys sorted
+    with their odd parts as position tuples} of the monomials of h-weight i
+    and base degree <= cap, in positive-weight generators only when
+    `positive`, of zero weight under every operator of `torus` (position ->
+    weights; missing positions weigh zero).  Every
     exponent vector in range is tried by itertools.product and filtered.
     A negative cap counts as 0."""
     cap = max(cap, 0)
@@ -303,7 +305,8 @@ def brute_force_monomials(table, i, cap=0, torus=None, positive=False):
         even = tuple((g.position, e) for g, e in zip(gens, exps) if e and not g.form_degree)
         odd = tuple(g.position for g, e in zip(gens, exps) if e and g.form_degree)
         out.setdefault(len(odd), []).append((even, odd))
-    return {j: sorted(keys) for j, keys in out.items()}
+    return {j: [(even, odd_mask(odd)) for even, odd in sorted(keys)]
+            for j, keys in out.items()}
 
 
 def projector_by_derivative(e, k):
@@ -343,7 +346,7 @@ def apply_by_factors(D, e):
     b = D.bi_degree[1]
     out = table.zero()
     for (even, odd), c in e.terms.items():
-        factors = list(even) + [(p, None) for p in odd]
+        factors = list(even) + [(p, None) for p in odd_tuple(odd)]
         prefix_fd = 0
         for n, (p, exp) in enumerate(factors):
             dv = D.action.get(p)
@@ -364,7 +367,7 @@ def apply_by_factors(D, e):
 
 def _factor_monomial(table, factors):
     even = tuple(sorted((p, e) for p, e in factors if e is not None))
-    odd = tuple(sorted(p for p, e in factors if e is None))
+    odd = odd_mask(p for p, e in factors if e is None)
     return Element(table, {(even, odd): Fraction(1)})
 
 
@@ -390,7 +393,7 @@ def mutate_coefficient(rng, spec):
     targets = [g for g in table.gens if spec.d.value(g).terms]
     g = rng.choice(targets)
     v = spec.d.value(g)
-    key = rng.choice(sorted(v.terms))
+    key = rng.choice(sorted(v.terms, key=tuple_key))
     delta = Element(table, {key: Fraction(rng.choice([1, 2, 3]))})
     action = {h: spec.d.value(h) for h in table.gens}
     action[g] = v + delta

@@ -574,3 +574,45 @@ def test_cli_huge_cap_refused_in_bounded_time(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: sector (0,1) at base degree cap 49999 has 100000 basis monomials, "
                    "above the limit of 50000\n")
+
+
+def test_cli_numbers_past_the_interpreter_limits_exit_2(tmp_path, capsys):
+    """Numbers the interpreter would refuse or take long over: an INT
+    literal above MAX_INT_DIGITS (int() refuses 4 300 digits), an exponent
+    above MAX_EXPONENT, of a scalar and of a sum over a base, and a spec
+    whose every literal is allowed but whose d^2 has a coefficient of
+    ~6 000 digits, C^2 - 2C for a 3 000-digit C, past the int-to-str limit.
+    Each exits 2 with one error line, well within a second."""
+    import time
+    head = "algebroid broken degree 0\nodd xi weight 0 dim 3\n"
+    c = "7" * 2999 + "1"
+    cases = [
+        (head + f"d xi[1] = {'3' * 5000}*xi[1]*xi[3]\n",
+         "integer literal of 5000 digits, above the limit of 4000 (line 3, column 11)"),
+        (head + "d xi[1] = 3^10000000*xi[1]*xi[3]\n",
+         "exponent 10000000 is above the limit of 64 (line 3, column 13)"),
+        ("algebroid power degree 0\nbase x weight 0 dim 2\nodd y weight 0 dim 1\n"
+         "d x[1] = (x[1]+x[2])^100000*y[1]\n",
+         "exponent 100000 is above the limit of 64 (line 4, column 22)"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "numbers.spec"
+        path.write_text(text)
+        for command in (["check"], ["cohomology", "--weight", "0"]):
+            t0 = time.perf_counter()
+            code, out, err = _run(capsys, command[0], str(path), *command[1:])
+            assert time.perf_counter() - t0 < 1, message
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}: {message}\n"
+    path = tmp_path / "coefficient.spec"
+    path.write_text(head + f"d xi[1] = {c}*xi[1]*xi[3]\nd xi[2] = -2*xi[2]*xi[3]\n"
+                    f"d xi[3] = -{c}*xi[1]*xi[2]\n")
+    residuals = to_algebroid_spec(parse(path.read_text())).homological.residuals
+    assert {g: r.terms for g, r in residuals.items()} == {
+        "xi[3]": {((), 0b111): int(c) ** 2 - 2 * int(c)}}
+    for command in (["check"], ["check", "--format", "json"], ["cohomology", "--weight", "0"]):
+        t0 = time.perf_counter()
+        code, out, err = _run(capsys, command[0], str(path), *command[1:])
+        assert time.perf_counter() - t0 < 1, command
+        assert (code, out) == (2, "")
+        assert err == "error: a coefficient has more than 4300 digits, too many to print\n"

@@ -1,13 +1,16 @@
 """Property tests: the DSL print/parse round trip, the structure equations
 against d^2 = 0 and the table oracle on twisted specs, and the product
 kernel (Leibniz apply against its factor-by-factor oracle, associativity
-and graded commutativity).  Derandomized and bounded, so every run draws
-the same examples."""
+and graded commutativity), and the order of keys with mask odd parts.
+Derandomized and bounded, so every run draws the same examples."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.algebra import Element
+from gradedlie.algebra import Element, odd_positions
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.constructions import (EXAMPLES, action_aff1_line, adjoint_instance, aff1,
                                      e3_chart, sl2)
@@ -15,9 +18,12 @@ from gradedlie.derivations import apply, is_homological
 from gradedlie.dsl import (document_from_spec, parse, parse_expression,
                            print_document, to_algebroid_spec)
 
-from conftest import (apply_by_factors, assert_structure_matches_tables, mutate_coefficient,
-                      random_chart, random_degree0_tables, random_derivation,
-                      random_element, unipotent_twist)
+from gradedlie.weight_modules import Monomials
+
+from cli_corpus import SPECS
+from conftest import (apply_by_factors, assert_structure_matches_tables, gl_spec,
+                      mutate_coefficient, odd_tuple, random_chart, random_degree0_tables,
+                      random_derivation, random_element, tuple_key, unipotent_twist)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 RANDOMS = st.randoms(use_true_random=False)
@@ -69,7 +75,7 @@ def _parity_parts(e):
     """The even and odd form-degree parts of e."""
     parts = ({}, {})
     for key, c in e.terms.items():
-        parts[len(key[1]) % 2][key] = c
+        parts[key[1].bit_count() % 2][key] = c
     return [Element(e.table, part) for part in parts]
 
 
@@ -82,3 +88,30 @@ def test_product_associative_and_graded_commutative(rng):
     for p, xp in enumerate(_parity_parts(x)):
         for q, yq in enumerate(_parity_parts(y)):
             assert xp * yq == yq * xp * (-1) ** (p * q)
+
+
+@pytest.mark.parametrize("name", [path.name for path in sorted(SPECS.glob("*.spec"))]
+                         + ["gl3", "gl4"])
+def test_keys_sort_in_position_tuple_order(name):
+    """Odd parts are masks, but keys sort as they did when odd parts were
+    position tuples: `sorted_keys` of random elements, which sets printed
+    term order, and every basis `Monomials` lists, which sets basis order
+    and so which columns clearing skips."""
+    if name.startswith("gl"):
+        spec = gl_spec(int(name[2:]))
+    else:
+        spec = to_algebroid_spec(parse((SPECS / name).read_text(encoding="utf-8")))
+    table = spec.table
+    rng = random.Random(name)
+    for _ in range(50):
+        e = random_element(rng, table, terms=rng.randint(0, 6))
+        want = sorted(e.terms, key=lambda k: (table.key_bi_weight(k), tuple_key(k)))
+        assert e.sorted_keys() == want
+        for even, odd in e.terms:
+            assert odd_positions(odd) == odd_tuple(odd)
+    for i in range(spec.degree + 1):
+        for positive in (False, True) if i else (False,):
+            monomials = Monomials(spec, i, 2, positive=positive)
+            for j in range(len(table.odd_generators()) + 1):
+                keys = monomials.basis(j)
+                assert keys == sorted(keys, key=tuple_key)

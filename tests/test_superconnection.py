@@ -19,7 +19,7 @@ from gradedlie.superconnection import (GaugeError, GaugeTransformation,
                                        split_by_y_count)
 from gradedlie.weight_modules import sector_basis, w_basis
 
-from conftest import algebra_map, random_coeff
+from conftest import algebra_map, odd_mask, odd_tuple, random_coeff, tuple_key
 from test_coefficients import rational_specs
 
 
@@ -74,9 +74,9 @@ def random_gauge(rng, spec, i, coeff=random_coeff):
             from itertools import combinations
             for ysub in combinations(ys, p):
                 for wk in w_basis(spec, i, jw).keys:
-                    cand = tuple(sorted(g.position for g in ysub))
-                    full = (wk[0], tuple(sorted(cand + wk[1])))
-                    if len(full[1]) != len(cand) + len(wk[1]):
+                    cand = odd_mask(g.position for g in ysub)
+                    full = (wk[0], cand | wk[1])
+                    if cand & wk[1]:
                         continue
                     if table.key_bi_weight(full) != bw:
                         continue
@@ -112,9 +112,9 @@ def split_module_key(table, key):
     even, odd = key
     zero_weight = lambda pos: table.gens[pos].h_weight == 0
     return ((tuple(f for f in even if zero_weight(f[0])),
-             tuple(pos for pos in odd if zero_weight(pos))),
+             odd_mask(pos for pos in odd_tuple(odd) if zero_weight(pos))),
             (tuple(f for f in even if not zero_weight(f[0])),
-             tuple(pos for pos in odd if not zero_weight(pos))))
+             odd_mask(pos for pos in odd_tuple(odd) if not zero_weight(pos))))
 
 
 def block_apply(c, a, e):
@@ -128,7 +128,7 @@ def block_apply(c, a, e):
         base = Element(table, {base_key: Fraction(1)})
         if a == 1:
             out = out + apply(c.spec.d, base) * Element(table, {w_key: Fraction(1)}) * coeff
-        out = out + base * c.component(a, w_key) * (coeff * (-1) ** len(base_key[1]))
+        out = out + base * c.component(a, w_key) * (coeff * (-1) ** base_key[1].bit_count())
     return out
 
 
@@ -189,7 +189,7 @@ def perturbed(rng, c, shift=lambda rng: rng.choice([-2, -1, 1, 3])):
         for key, v in blk.items():
             if not v.terms or rng.random() < 0.5:
                 continue
-            term = Element(table, {rng.choice(sorted(v.terms)): Fraction(1)})
+            term = Element(table, {rng.choice(sorted(v.terms, key=tuple_key)): Fraction(1)})
             if base and rng.random() < 0.5:
                 term = term * table.gen(base[0].name, base[0].index)
             blocks[p][key] = v + term * shift(rng)
@@ -589,7 +589,8 @@ def product_zero_part(memo, n):
     key: its base factors and its y's."""
     even, odd = memo.keys[n]
     even_cut, odd_cut = memo.table.zero_cuts
-    return (tuple(f for f in even if f[0] < even_cut), tuple(p for p in odd if p < odd_cut))
+    return (tuple(f for f in even if f[0] < even_cut),
+            odd_mask(p for p in odd_tuple(odd) if p < odd_cut))
 
 
 def test_gauged_operator_is_the_leibniz_extension_of_its_blocks():
