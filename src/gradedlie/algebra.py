@@ -16,12 +16,16 @@ zero when they meet (a & b), and its sign is one popcount.  Keys sort and
 print by their odd positions in increasing order (`odd_positions`).
 
 Elements are immutable: no operation changes an Element's `terms` after it
-is built, so an operation may return an operand as it is (x + 0 is x).  The
-public constructor `Element(table, terms)` drops zero coefficients.  The
+is built, so an operation may return an operand as it is (x + 0 is x), and
+`GeneratorTable.gen` returns one shared Element per generator of its table.
+The public constructor `Element(table, terms)` drops zero coefficients.  The
 private `_element(table, terms)` skips that filter and takes `terms` as its
 own; it is used only where no zero can occur: a generator, a nonzero scalar,
 a negation, a nonzero scalar multiple, a product of one term by at most one
-term, and vectors that are already filtered (`superconnection._SpecMemo`).
+term, a sum, and vectors that are already filtered
+(`superconnection._SpecMemo`).  A sum filters only what it cancels: neither
+operand holds a zero, so `__add__` deletes each key whose coefficients add
+to zero and checks no other.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class GeneratorTable:
                  len(self.gens)))
         self._by_name = {(g.name, g.index): g for g in self.gens}
         self._h_weights: Tuple[int, ...] = tuple(g.h_weight for g in self.gens)
+        # (name, index) -> the generator as an Element, built on first `gen`
+        self._elements: dict = {}
 
     @property
     def degree(self) -> int:
@@ -160,13 +166,17 @@ class GeneratorTable:
         return BiWeight(self._h_weight(key), key[1].bit_count())
 
     def gen(self, name: str, index: int = 1) -> "Element":
-        """The generator as an Element."""
-        g = self.generator(name, index)
-        if g.form_degree:
-            key: MonomialKey = ((), 1 << g.position)
-        else:
-            key = (((g.position, 1),), 0)
-        return _element(self, {key: 1})
+        """The generator as an Element: one shared Element per generator of
+        this table, built on first use."""
+        e = self._elements.get((name, index))
+        if e is None:
+            g = self.generator(name, index)
+            if g.form_degree:
+                key: MonomialKey = ((), 1 << g.position)
+            else:
+                key = (((g.position, 1),), 0)
+            e = self._elements[name, index] = _element(self, {key: 1})
+        return e
 
     def scalar(self, value: Scalar) -> "Element":
         c = _coefficient(value)
@@ -252,20 +262,25 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
     drops.  A term whose odd part meets that of `mono` gives zero; the
     others have sign (-1)^popcount(o & parity(mo)) for mo.o, the shuffle's
     inversions, and for o.mo that times (-1)^(|o| |mo|), as every pair of
-    factors is an inversion of exactly one of the two shuffles."""
+    factors is an inversion of exactly one of the two shuffles.  For a
+    one-factor o the inversions are the factors of mo above it,
+    popcount(mo >> o.bit_length()), and no parity mask is built."""
     me, mo = mono
     parity = None   # the parity mask of mo, built when a term first needs it
+    flip = not mono_first and mo.bit_count() & 1
     for (e, o), c in terms.items():
         sign = 0
         if o and mo:
             if o & mo:
                 continue
-            if parity is None:
-                parity = _parity(mo)
-                flip = not mono_first and mo.bit_count() & 1
-            sign = (o & parity).bit_count()
-            if flip:
-                sign += o.bit_count()
+            if o & (o - 1):
+                if parity is None:
+                    parity = _parity(mo)
+                sign = (o & parity).bit_count()
+                if flip:
+                    sign += o.bit_count()
+            else:
+                sign = (mo >> o.bit_length()).bit_count() + flip
         key = (_merge_even(me, e), o | mo)
         v = coeff * c
         if sign & 1:
@@ -315,8 +330,15 @@ class Element:
             # a key new to self keeps c as it is: 0 + c would cost an
             # int + Fraction addition
             old = terms.get(k)
-            terms[k] = c if old is None else old + c
-        return Element(self.table, terms)
+            if old is None:
+                terms[k] = c
+            else:
+                c += old
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+        return _element(self.table, terms)
 
     def __radd__(self, other: Scalar) -> "Element":
         return self + other

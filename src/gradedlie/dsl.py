@@ -22,6 +22,13 @@ more than MAX_INT_DIGITS digits.  The parser works on the token strings
 and reads a token's kind off its first character.  It refuses a '^'
 exponent above MAX_EXPONENT before computing the power.
 
+Budgets: the declarations may name at most MAX_GENERATORS generators in
+all, counted while they are read, before the chart is built.  Before a
+'*' or a '^' is computed, the operands' term counts bound the result: a
+product of s and t terms has at most s t, and the n-th power of t terms
+at most C(t + n - 1, n), the number of multisets of n of them.  A bound
+above MAX_TERMS is refused at the operator.
+
 Positions: a message names the line and column (from 1) where its token
 starts.  A `Span` holds the text and the token's index and finds its line
 and column by scanning the text again, only when read, so a spec that
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import AlgebraError, Element, GeneratorTable
@@ -62,6 +70,11 @@ _MAX_NESTING = 100
 # is computed (3^10000000 alone takes seconds).
 MAX_INT_DIGITS = 4000
 MAX_EXPONENT = 64
+# `check` on 200 000 generators took 1.0 s and 91 MB; on 10 000, 0.12 s.
+MAX_GENERATORS = 10_000
+# (x[1]+x[2]+x[3]+x[4])^16, 969 terms, parses in 0.1 s; its 32nd power,
+# 6 545 terms, took 4.2 s (Python 3.11, 2 CPUs).
+MAX_TERMS = 1000
 
 
 def _locate(text: str, index: int) -> Tuple[int, int]:
@@ -201,6 +214,7 @@ class _Parser:
         degree = int(self.expect("INT"))
 
         declarations: List[Declaration] = []
+        generators = 0
         # (target, token index of its name, token index of its expression)
         raw_assignments: List[Tuple[Tuple[str, int], int, int]] = []
         while tokens[self.pos]:
@@ -217,6 +231,10 @@ class _Parser:
                 w = int(self.expect("INT"))
                 self.expect("dim")
                 dim = int(self.expect("INT"))
+                generators += dim
+                if generators > MAX_GENERATORS:
+                    raise self.error(f"the declarations name {generators} generators, "
+                                     f"above the limit of {MAX_GENERATORS}", at)
                 declarations.append(Declaration(ident, _KIND_FOR[tok], w, dim,
                                                 Span(self.text, at)))
             elif tok == "d":
@@ -293,8 +311,15 @@ class _Parser:
     def _term(self, table: GeneratorTable) -> Element:
         value = self._factor(table)
         while self.tokens[self.pos] == "*":
+            at = self.pos
             self.pos += 1
-            value = value * self._factor(table)
+            rhs = self._factor(table)
+            bound = len(value.terms) * len(rhs.terms)
+            if bound > MAX_TERMS:
+                raise self.error(f"a product of {len(value.terms)} and {len(rhs.terms)} "
+                                 f"terms may have {bound} terms, above the limit of "
+                                 f"{MAX_TERMS}", at)
+            value = value * rhs
         return value
 
     def _factor(self, table: GeneratorTable) -> Element:
@@ -309,11 +334,17 @@ class _Parser:
             return value if tok == "+" else -value
         value = self._primary(table)
         if self.tokens[self.pos] == "^":
+            at = self.pos
             self.pos += 1
             exponent = int(self.expect("INT"))
             if exponent > MAX_EXPONENT:
                 raise self.error(f"exponent {exponent} is above the limit of {MAX_EXPONENT}",
                                  self.pos - 1)
+            t = len(value.terms)
+            bound = comb(t + exponent - 1, exponent) if t else 1
+            if bound > MAX_TERMS:
+                raise self.error(f"power {exponent} of {t} terms may have {bound} terms, "
+                                 f"above the limit of {MAX_TERMS}", at)
             value = value ** exponent
         return value
 

@@ -23,13 +23,16 @@ share that protocol:
   in a product table kept per spec: a.m for each weight-zero part a and
   module monomial m, as a sign and an id, or nothing when a and m share a
   y.  A spec meets few of either (100 e7 gauges at weight 2: 8 parts a and
-  109 monomials).  Its square is two applications.
+  109 monomials).  Its square keeps D^2 of each module monomial it meets,
+  the operator applied to the kept image, and sums these kept squares,
+  which is exact because D is Q-linear.
 - The chain phi^-1 D phi that `apply_gauge` gives its result, over the
   parent's operator D and phi's N.  phi is module-linear and D obeys
   Leibniz, so phi^-1 D phi (a.w) = d(a).w + (-1)^|a| a.phi^-1 D phi(w): the
   chain is exactly the Leibniz extension of the gauged blocks.  Its square
-  is phi^-1 D^2 phi, so a gauged cascade computes images only for N and
-  reuses D's, which every gauge shares.  When D is itself a chain, the
+  is phi^-1 D^2 phi, so a gauged cascade reads D's kept squares, which
+  every gauge shares and which are empty on a flat D, and computes images
+  only for N.  When D is itself a chain, the
   new one is built over the Leibniz extension of the gauged object's
   blocks, which equals D, so chains never nest.
 
@@ -48,8 +51,8 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import (Element, GeneratorTable, MonomialKey, Scalar, _element, _mul_into,
-                      monomial_str)
+from .algebra import (BiWeight, Element, GeneratorTable, MonomialKey, Scalar, _element,
+                      _mul_into, monomial_str)
 from .algebroid import AlgebroidSpec
 from .derivations import apply
 from .weight_modules import Monomials
@@ -112,8 +115,9 @@ class _SpecMemo:
 
     Every module monomial gets an int id, its index in `keys`; `parts[id]`
     is its split (a, w) at the table's cuts, with the weight-zero part a
-    given by its own int id, an index in `zeros`, so that its y-count is
-    the popcount of zeros[a]'s odd mask.  `leibniz(id)` is L_d d(a).w, with
+    given by its own int id, an index in `zeros`.  `y_counts[id]` and
+    `weights[id]` are its y-count and bi-weight, read once when it is
+    interned.  `leibniz(id)` is L_d d(a).w, with
     L_d = `scale` the lcm of d's denominators.  `rows[a]` maps a module id
     m to `times(a, m)`: (sign, id of a.keys[m]) when a.keys[m] = sign
     keys[id], or None when they share a y and the product vanishes; a row
@@ -127,6 +131,8 @@ class _SpecMemo:
         self.ids: Dict[MonomialKey, int] = {}
         self.keys: List[MonomialKey] = []
         self.parts: List[Tuple[int, MonomialKey]] = []
+        self.y_counts: List[int] = []
+        self.weights: List[BiWeight] = []
         self.zero_ids: Dict[MonomialKey, int] = {}
         self.zeros: List[MonomialKey] = []
         self.rows: List[Dict[int, Optional[Tuple[int, int]]]] = []
@@ -144,6 +150,8 @@ class _SpecMemo:
                 self.zeros.append(a)
                 self.rows.append({})
             self.parts.append((z, w))
+            self.y_counts.append(a[1].bit_count())
+            self.weights.append(self.table.key_bi_weight(key))
         return n
 
     def times(self, a: int, m: int) -> Optional[Tuple[int, int]]:
@@ -182,10 +190,10 @@ class _SpecMemo:
 
     def split(self, vec: Vector, den: int) -> Dict[int, Element]:
         """The Element vec / den split by y-count, one division per entry."""
-        keys, split, zeros = self.keys, self.parts, self.zeros
+        keys, y_counts = self.keys, self.y_counts
         parts: Dict[int, Dict] = {}
         for n, v in vec.items():
-            parts.setdefault(zeros[split[n][0]][1].bit_count(), {})[keys[n]] = _quotient(v, den)
+            parts.setdefault(y_counts[n], {})[keys[n]] = _quotient(v, den)
         return {p: _element(self.table, terms) for p, terms in parts.items()}
 
 
@@ -211,10 +219,12 @@ class _Extension:
     denominators and, with the Leibniz part, of L_d (the memo's `scale`).
     L times the image of a module monomial is the memo's Leibniz image
     times L / L_d, plus the block part a.op(w), read term by term off the
-    memo's product table; it is computed once and kept in `images`.  A
-    call maps an int vector v to L op(v), an int vector too, and `apply`
-    maps v / den to L op(v) / (L den).  The blocks must not change after
-    construction."""
+    memo's product table; it is computed once and kept in `images`.  L^2
+    times its square, the operator applied to that image, is kept in
+    `squares` when first asked for.  A call maps an int vector v to
+    L op(v), an int vector too; `apply` maps v / den to L op(v) / (L den),
+    and `square` sums the kept squares into L^2 op^2(v) / (L^2 den).  The
+    blocks must not change after construction."""
 
     def __init__(self, memo: _SpecMemo, blocks: Dict[int, Dict[MonomialKey, Element]],
                  leibniz: bool = False):
@@ -230,6 +240,7 @@ class _Extension:
                     m = memo.intern(k)
                     summed[m] = summed.get(m, 0) + c
         self.images: Dict[int, Vector] = {}
+        self.squares: Dict[int, Vector] = {}
 
     def image(self, n: int) -> Vector:
         """L times the image of the module monomial with id `n`."""
@@ -238,38 +249,51 @@ class _Extension:
             return image
         memo = self.memo
         a, w = memo.parts[n]
-        image = {}
         f = self._leibniz
+        sign = -1 if f and memo.y_counts[n] & 1 else 1
+        row = memo.rows[a]
+        # the block part: a.m is one monomial for each m, so no two of its
+        # terms meet
+        image = {}
+        for m, c in self.blocks.get(w, {}).items():
+            product = row[m] if m in row else memo.times(a, m)
+            if product is not None:
+                image[product[1]] = sign * product[0] * c
         if f:
-            image = {k: f * c for k, c in memo.leibniz(n).items()}
-        op_w = self.blocks.get(w)
-        if op_w:
-            sign = -1 if f and memo.zeros[a][1].bit_count() & 1 else 1
-            row = memo.rows[a]
-            for m, c in op_w.items():
-                product = row[m] if m in row else memo.times(a, m)
-                if product is not None:
-                    s, k = product
-                    image[k] = image.get(k, 0) + sign * s * c
-        image = self.images[n] = {k: c for k, c in image.items() if c}
+            leibniz = {k: f * c for k, c in memo.leibniz(n).items()}
+            for k, c in image.items():
+                leibniz[k] = leibniz.get(k, 0) + c
+            image = {k: c for k, c in leibniz.items() if c}
+        self.images[n] = image
         return image
 
-    def __call__(self, vec: Vector) -> Vector:
-        images = self.images
+    def square_of(self, n: int) -> Vector:
+        """L^2 times the square of the module monomial with id `n`, the
+        operator applied to its kept image."""
+        square = self.squares[n] = self(self.image(n))
+        return square
+
+    def _sum(self, vec: Vector, kept: Dict[int, Vector], make) -> Vector:
+        """sum_n vec[n] kept[n], with `make(n)` filling what is not kept."""
         acc: Vector = {}
         for n, c in vec.items():
-            image = images.get(n)
+            image = kept.get(n)
             if image is None:
-                image = self.image(n)
+                image = make(n)
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + c * v
         return {k: v for k, v in acc.items() if v}
+
+    def __call__(self, vec: Vector) -> Vector:
+        return self._sum(vec, self.images, self.image)
 
     def apply(self, vec: Vector, den: int) -> Tuple[Vector, int]:
         return self(vec), den * self.scale
 
     def square(self, vec: Vector, den: int) -> Tuple[Vector, int]:
-        return self.apply(*self.apply(vec, den))
+        """The kept squares summed: the operator is Q-linear, so this is
+        two applications, over den L^2."""
+        return self._sum(vec, self.squares, self.square_of), den * self.scale ** 2
 
 
 def _gauge(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
@@ -282,29 +306,35 @@ def _gauge(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
 
 
 def _gauge_inverse(N: _Extension, vec: Vector, den: int) -> Tuple[Vector, int]:
-    """The finite Neumann series phi^-1 = sum_k (-N)^k on vec / den: the
-    k-th term is over den L_N^k, so the sum is rescaled before each term."""
-    scale = N.scale
-    out = dict(vec)
-    term = vec
-    sign = 1
+    """The finite Neumann series phi^-1 = sum_k (-N)^k on vec / den.  The
+    k-th term N^k(vec) is over den L_N^k; with K the last nonzero one, the
+    sum is over den L_N^K, and each term is added once, times
+    (-1)^k L_N^(K - k)."""
+    if not vec:
+        return vec, den
+    terms = [vec]
     while True:
-        term = N(term)
+        term = N(terms[-1])
         if not term:
-            return {n: c for n, c in out.items() if c}, den
-        sign = -sign
-        if scale != 1:
-            out = {n: scale * c for n, c in out.items()}
-            den *= scale
+            break
+        terms.append(term)
+    scale = N.scale
+    top = len(terms) - 1
+    out: Vector = {}
+    for k, term in enumerate(terms):
+        f = scale ** (top - k)
+        if k & 1:
+            f = -f
         for n, c in term.items():
-            out[n] = out.get(n, 0) + sign * c
+            out[n] = out.get(n, 0) + f * c
+    return {n: c for n, c in out.items() if c}, den * scale ** top
 
 
 class _Gauged:
     """The operator phi^-1 D phi, over an operator D (of either kind) and
     phi's raising part N on D's memo.  It keeps no images of its own: D
     keeps D's and N keeps N's.  Its square is phi^-1 D^2 phi, one pass
-    through D's square."""
+    through D's kept squares."""
 
     def __init__(self, D, N: _Extension):
         self.memo = D.memo
@@ -413,25 +443,30 @@ class GaugeTransformation:
         self.i = i
         self.blocks = blocks
         table = spec.table
+        # the weights and y-counts of keys and terms, read off the memo
+        memo = _memo(spec)
+        intern, weights, y_counts = memo.intern, memo.weights, memo.y_counts
         for p, blk in blocks.items():
             if p < 1:
                 raise GaugeError("gauge blocks must have p >= 1 (p = 0 is the identity)")
             for key, val in blk.items():
-                bw = table.key_bi_weight(key)
-                if _split_key(table, key)[0] != _ONE or bw.h_weight != self.i:
+                n = intern(key)
+                bw = weights[n]
+                if memo.zeros[memo.parts[n][0]] != _ONE or bw.h_weight != self.i:
                     raise GaugeError(
                         f"gauge block p={p} key {monomial_str(table, key)} is not a "
                         f"weight-{self.i} W-basis monomial")
-                if not (val.is_zero() or val.is_bihomogeneous(bw)):
+                ids = [intern(k) for k in val.terms]
+                if any(weights[m] != bw for m in ids):
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} is not "
                         f"degree preserving")
-                if any(_y_count(table, k) != p for k in val.terms):
+                if any(y_counts[m] != p for m in ids):
                     raise GaugeError(
                         f"gauge block p={p} on {monomial_str(table, key)} has terms "
                         f"with a different A-form degree")
         # N = phi - id, the strictly raising part, extended module-linearly
-        self._raising = _Extension(_memo(self.spec), self.blocks)
+        self._raising = _Extension(memo, self.blocks)
 
     def _over(self, memo: _SpecMemo) -> _Extension:
         """N on the ids of `memo`, a spec over the same table."""

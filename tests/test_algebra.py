@@ -9,7 +9,7 @@ from gradedlie.algebra import AlgebraError, BiWeight, Element, GeneratorTable, _
 from gradedlie.constructions import e3_chart
 from gradedlie.weight_modules import homogenization_projector
 
-from conftest import h_pullback, odd_mask, random_element
+from conftest import h_pullback, odd_mask, random_element, tuple_key
 from test_coefficients import product_by_sorting
 
 
@@ -255,3 +255,36 @@ def test_generators_and_unknown_generators(chart):
         with pytest.raises(AlgebraError) as err:
             chart.gen(name, index)
         assert str(err.value) == f"unknown generator {name}[{index}]"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ELEMENTS, ELEMENTS, st.integers(0, 15))
+def test_sum_holds_no_zero_coefficient(a, b, chosen):
+    """`__add__` filters only the keys it cancels: a plus b with a's terms
+    negated on the keys `chosen` picks (all of them, some or none) cancels
+    exactly those keys, in either order, and a + (-a) is zero."""
+    keys = sorted(a.terms, key=tuple_key)
+    cancelled = {k for n, k in enumerate(keys) if chosen >> n & 1}
+    minus = Element(E3, {**b.terms, **{k: -a.terms[k] for k in cancelled}})
+    for total in (a + minus, minus + a):
+        assert all(c != 0 for c in total.terms.values())
+        assert not cancelled & set(total.terms)
+        assert_same_terms(total, reference_sum(a, minus))
+    assert (a + (-a)).terms == {} and (a - a).terms == {}
+
+
+def test_gen_shares_one_element_per_generator(chart):
+    """`gen` returns one Element per (name, index), equal to the generator
+    built afresh; an equal table builds its own."""
+    twin = GeneratorTable(chart.blocks)
+    assert twin == chart
+    for g in chart.gens:
+        key = ((), 1 << g.position) if g.form_degree else (((g.position, 1),), 0)
+        e = chart.gen(g.name, g.index)
+        assert chart.gen(g.name, g.index) is e
+        assert e == Element(chart, {key: 1})
+        other = twin.gen(g.name, g.index)
+        assert other is not e and other.terms is not e.terms
+        assert other.table is twin and other == Element(twin, {key: 1})
+    name = chart.gens[0].name
+    assert chart.gen(name) is chart.gen(name, 1)

@@ -130,14 +130,18 @@ def test_rational_specs_match_fraction_only_run():
     assert betti(build_complex(gl3, 0)) == poincare_betti([1, 3, 5])
 
 
-MODES = ("ordered", "reversed", "repeat", "any", "empty")
+MODES = ("ordered", "reversed", "repeat", "any", "empty", "one")
 
 
 def term_odd(rng, mono_odd, mode, mono_first):
     """A term's odd part that, in the product, follows the monomial's odd
     part in order ("ordered"), precedes it ("reversed"), shares a factor
-    with it ("repeat"), falls anywhere else ("any") or is empty."""
+    with it ("repeat"), falls anywhere else ("any") or is empty; or one
+    factor anywhere, the monomial's own factors included ("one"), which
+    `_mul_into` signs without a parity mask."""
     free = [p for p in range(4, 20) if p not in mono_odd]
+    if mode == "one":
+        return 1 << rng.choice(free + mono_odd)
     above = [p for p in free if not mono_odd or p > mono_odd[-1]]
     below = [p for p in free if not mono_odd or p < mono_odd[0]]
     after, before = (above, below) if mono_first else (below, above)
@@ -181,8 +185,9 @@ def test_mul_into_matches_sort_and_count(rng, mono_first, integral):
     mono_odd = sorted(rng.sample(range(7, 17), rng.randint(0, 4)))
     mono = (even_part(rng), odd_mask(mono_odd))
     terms = {}
-    for _ in range(rng.randint(1, 6)):
-        odd = term_odd(rng, mono_odd, rng.choice(MODES), mono_first)
+    # every other draw has a one-factor odd part
+    for n in range(rng.randint(1, 6)):
+        odd = term_odd(rng, mono_odd, "one" if n & 1 else rng.choice(MODES), mono_first)
         terms[(even_part(rng), odd)] = scalar(rng, integral)
     coeff = scalar(rng, integral)
     # twice, so that the second call adds onto the entries of the first

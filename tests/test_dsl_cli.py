@@ -616,3 +616,66 @@ def test_cli_numbers_past_the_interpreter_limits_exit_2(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1, command
         assert (code, out) == (2, "")
         assert err == "error: a coefficient has more than 4300 digits, too many to print\n"
+
+
+def test_cli_budgets_exit_2(tmp_path, capsys, monkeypatch):
+    """More generators than MAX_GENERATORS, refused at the declaration that
+    crosses the budget before the chart is built, and products and powers
+    whose operands' term counts bound the result above MAX_TERMS, refused
+    at the operator before it is computed.  Each exits 2 with one error
+    line, well within a second."""
+    import time
+    assert dsl.MAX_GENERATORS == 10_000 and dsl.MAX_TERMS == 1000
+    sum40 = "+".join(f"x[{n}]" for n in range(1, 41))
+    cases = [
+        ("algebroid wide degree 0\nodd y weight 0 dim 200000\n",
+         "the declarations name 200000 generators, above the limit of 10000 "
+         "(line 2, column 1)"),
+        ("algebroid wide degree 1\nodd y weight 0 dim 6000\nodd w weight 1 dim 4000\n"
+         "  even z weight 1 dim 1\n",
+         "the declarations name 10001 generators, above the limit of 10000 "
+         "(line 4, column 3)"),
+        ("algebroid power degree 0\nbase x weight 0 dim 4\nodd y weight 0 dim 1\n"
+         "d x[1] = (x[1]+x[2]+x[3]+x[4])^32*y[1]\n",
+         "power 32 of 4 terms may have 6545 terms, above the limit of 1000 "
+         "(line 4, column 31)"),
+        (f"algebroid product degree 0\nbase x weight 0 dim 40\nodd y weight 0 dim 1\n"
+         f"d x[1] = y[1]*({sum40})*({sum40})\n",
+         "a product of 40 and 40 terms may have 1600 terms, above the limit of 1000 "
+         f"(line 4, column {16 + len(sum40) + 1})"),
+    ]
+
+    def no_chart(*args):
+        raise AssertionError("the chart was built")
+
+    for text, message in cases:
+        path = tmp_path / "budget.spec"
+        path.write_text(text)
+        with monkeypatch.context() as patch:
+            if "generators" in message:
+                patch.setattr(dsl, "GeneratorTable", no_chart)
+            for command in (["check"], ["cohomology", "--weight", "0"]):
+                t0 = time.perf_counter()
+                code, out, err = _run(capsys, command[0], str(path), *command[1:])
+                assert time.perf_counter() - t0 < 1, message
+                assert (code, out) == (2, "")
+                assert err == f"error: {path}: {message}\n"
+
+
+def test_budgets_admit_what_they_bound():
+    """A budget is a bound, not a cut below it: exactly MAX_GENERATORS
+    generators, a product of 40 by 25 terms and a power bounded by 969
+    terms parse, and gl(8) and 100 odd generators sit far below both."""
+    assert len(parse("algebroid wide degree 0\nodd y weight 0 dim 10000\n").table.gens) == 10_000
+    table = parse("algebroid b degree 0\nbase x weight 0 dim 66\n").table
+    sum40 = "+".join(f"x[{n}]" for n in range(1, 41))
+    sum25 = "+".join(f"x[{n}]" for n in range(41, 66))
+    assert len(parse_expression(table, f"({sum40})*({sum25})").terms) == 1000
+    with pytest.raises(DslError, match="a product of 40 and 26 terms may have 1040 terms"):
+        parse_expression(table, f"({sum40})*({sum25}+x[66])")
+    assert len(parse_expression(table, "(x[1]+x[2]+x[3]+x[4])^16").terms) == 969
+    with pytest.raises(DslError, match="power 17 of 4 terms may have 1140 terms"):
+        parse_expression(table, "(x[1]+x[2]+x[3]+x[4])^17")
+    gl8 = parse(print_document(document_from_spec("gl8", gl_spec(8))))
+    assert len(gl8.table.gens) == 64
+    assert parse("algebroid wide degree 0\nodd y weight 0 dim 100\n").table.gens

@@ -1,6 +1,5 @@
 import gc
 import random
-import re
 import weakref
 from fractions import Fraction
 
@@ -412,19 +411,47 @@ def test_gauge_inverse_round_trip():
 
 
 def test_gauge_validation():
+    """Every other GaugeError, word for word: a block below p = 1, a value
+    of another bi-weight or y-count (the bi-weight is named first when
+    both are wrong), and gauges over another sector family.  Blocks are
+    checked in order, and a zero value passes."""
     spec = e7_instance()
     table = spec.table
-    key = w_basis(spec, 1, 0).keys[0]
-    bad = {1: {key: table.gen("z", 1)}}   # y-count 0, not 1
-    with pytest.raises(GaugeError):
-        GaugeTransformation(spec, 1, bad)
-    with pytest.raises(GaugeError):
-        GaugeTransformation(spec, 1, {0: {}})
+    y1, y2 = table.gen("y", 1), table.gen("y", 2)
+    w1, w2 = table.gen("w", 1), table.gen("w", 2)
+    z1, z2 = table.gen("z", 1), table.gen("z", 2)
+    key = lambda e: next(iter(e.terms))
+    cases = [
+        (1, {1: {w_basis(spec, 1, 0).keys[0]: z1}},
+         "gauge block p=1 on z[1] has terms with a different A-form degree"),
+        (1, {0: {}}, "gauge blocks must have p >= 1 (p = 0 is the identity)"),
+        (2, {1: {key(z1 * w1): y1 * z1}}, "gauge block p=1 on z[1]*w[1] is not degree preserving"),
+        (2, {1: {key(z1 * w1): z1 * w1}},
+         "gauge block p=1 on z[1]*w[1] has terms with a different A-form degree"),
+        (2, {2: {key(z1 * w1): y1 * z1 + z1 * w1}},
+         "gauge block p=2 on z[1]*w[1] is not degree preserving"),
+        (2, {1: {key(z1 * w1): y1 * z1 * z2}, 0: {}},
+         "gauge blocks must have p >= 1 (p = 0 is the identity)"),
+    ]
+    for i, blocks, message in cases:
+        with pytest.raises(GaugeError) as err:
+            GaugeTransformation(spec, i, blocks)
+        assert str(err.value) == message
+    assert GaugeTransformation(spec, 2, {1: {key(z1 * w1): table.zero()}}).blocks
+    ok = GaugeTransformation(spec, 2, {1: {key(z1 * w1): y1 * z1 * z2},
+                                       2: {key(w1 * w2): y1 * y2 * z1 * z2}})
+    with pytest.raises(GaugeError) as err:
+        apply_gauge(extract_components(spec, 1), ok)
+    assert str(err.value) == "gauge transformation over a different sector family"
+    with pytest.raises(GaugeError) as err:
+        compose_gauges(ok, identity_gauge(spec, 1))
+    assert str(err.value) == "gauge transformations over different sector families"
 
 
 def test_gauge_rejects_keys_outside_the_w_basis():
     """A block key of h-weight other than i, or with a weight-zero factor,
-    is refused by name, though its value would pass every other check."""
+    is refused by name, word for word, though its value would pass every
+    other check."""
     spec = e7_instance()
     table = spec.table
     y1, y2 = table.gen("y", 1), table.gen("y", 2)
@@ -436,8 +463,10 @@ def test_gauge_rejects_keys_outside_the_w_basis():
              (x1 * z1 * w1, {1: y1 * z1 * z2}, "x[1]*z[1]*w[1]")]
     for monomial, values, label in cases:
         blocks = {p: {key(monomial): v} for p, v in values.items()}
-        with pytest.raises(GaugeError, match=re.escape(f"key {label} is not")):
+        with pytest.raises(GaugeError) as err:
             GaugeTransformation(spec, 2, blocks)
+        (p,) = values
+        assert str(err.value) == f"gauge block p={p} key {label} is not a weight-2 W-basis monomial"
 
 
 def gauge_by_elements(c, phi):
@@ -661,3 +690,67 @@ def test_gauged_cascade_builds_images_only_for_the_gauge(monkeypatch):
             assert flatness_cascade(gauged).passed == passes
             assert list(built) == [phi._raising]
             assert (built[phi._raising] > in_gauge) == (not passes)
+
+
+def test_kept_squares_match_two_applications():
+    """`square` sums the squares kept per module monomial: it equals two
+    `apply` calls and `total_by_terms` applied twice, on flat, perturbed
+    and rational-d components, on the first call, which keeps the squares,
+    and on a second, which reads the same kept vectors back."""
+    rng = random.Random(67)
+    shift = lambda rng: coprime_coeff(rng, zero_bias=0.0)
+    nonzero = fresh = 0
+    for spec, i in [(e7_instance(), 2), (adjoint_instance(), 1)] + rational_d_specs():
+        comp = extract_components(spec, i)
+        for c in (comp, perturbed(rng, comp, shift)):
+            D = c._operator
+            memo = D.memo
+            for _ in range(3):
+                e = module_element(rng, spec, i, coprime_coeff)
+                vec, den = memo.vector(e)
+                twice = memo.element(*D.apply(*D.apply(vec, den)))
+                fresh += sum(n not in D.squares for n in vec)
+                first = memo.element(*D.square(vec, den))
+                kept = {n: D.squares[n] for n in vec}
+                again = memo.element(*D.square(vec, den))
+                assert all(D.squares[n] is square for n, square in kept.items())
+                assert first == again == twice == total_by_terms(c, total_by_terms(c, e))
+                assert str(first) == str(twice)
+                nonzero += not first.is_zero()
+    assert nonzero >= 6 and fresh >= 50
+
+
+def test_flat_gauged_cascade_computes_no_square(monkeypatch):
+    """After one warm-up gauge, which meets every module monomial a gauge
+    of e7 at weight 2 may reach, the cascade of a gauged object reads the
+    flat parent's kept squares, all empty: it computes no new square and
+    does not apply the parent's operator at all."""
+    from gradedlie import superconnection
+    rng = random.Random(68)
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    D = comp._operator
+    dense = lambda rng, zero_bias: random_coeff(rng, 0.0)
+    assert flatness_cascade(apply_gauge(comp, random_gauge(rng, spec, 2, dense))).passed
+    assert D.squares and not any(D.squares.values())
+    squares, calls = [], []
+    square_of, call = superconnection._Extension.square_of, superconnection._Extension.__call__
+
+    def counted_square(operator, n):
+        squares.append(operator)
+        return square_of(operator, n)
+
+    def counted_call(operator, vec):
+        calls.append(operator)
+        return call(operator, vec)
+
+    monkeypatch.setattr(superconnection._Extension, "square_of", counted_square)
+    monkeypatch.setattr(superconnection._Extension, "__call__", counted_call)
+    for n in range(6):
+        phi = random_gauge(rng, spec, 2, coprime_coeff if n % 2 else random_coeff)
+        gauged = apply_gauge(comp, phi)
+        calls.clear()
+        assert flatness_cascade(gauged).passed
+        assert squares == []
+        assert set(calls) == {phi._raising}
+
