@@ -15,6 +15,12 @@ The odd factors of a monomial are an int mask, so a product of odd parts is
 zero when they meet (a & b), and its sign is one popcount.  Keys sort and
 print by their odd positions in increasing order (`odd_positions`).
 
+Two kernels add into a dict of keys to coefficients: `_mul_into`, a
+monomial times some terms, and `_leibniz_into`, a derivation given by its
+values on the generators applied to a monomial by the graded Leibniz rule.
+The second is the only place that rule is written out: `apply`, the
+column builder of the cohomology and `partial_derivative` all call it.
+
 Elements are immutable: no operation changes an Element's `terms` after it
 is built, so an operation may return an operand as it is (x + 0 is x), and
 `GeneratorTable.gen` returns one shared Element per generator of its table.
@@ -253,21 +259,18 @@ def _parity(odd: OddPart) -> int:
 
 
 def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
-              terms: Mapping[MonomialKey, Scalar], mono_first: bool = True) -> None:
-    """Add coeff * (mono * terms), or coeff * (terms * mono) when not
-    `mono_first`, into the dict `acc` of monomial keys to coefficients.
+              terms: Mapping[MonomialKey, Scalar]) -> None:
+    """Add coeff * (mono * terms) into the dict `acc` of monomial keys to
+    coefficients.
 
     One coefficient product per term, an int product when both are ints;
     entries may cancel to zero in `acc`, which the Element built from it
     drops.  A term whose odd part meets that of `mono` gives zero; the
     others have sign (-1)^popcount(o & parity(mo)) for mo.o, the shuffle's
-    inversions, and for o.mo that times (-1)^(|o| |mo|), as every pair of
-    factors is an inversion of exactly one of the two shuffles.  For a
-    one-factor o the inversions are the factors of mo above it,
-    popcount(mo >> o.bit_length()), and no parity mask is built."""
+    inversions.  For a one-factor o the inversions are the factors of mo
+    above it, popcount(mo >> o.bit_length()), and no parity mask is built."""
     me, mo = mono
     parity = None   # the parity mask of mo, built when a term first needs it
-    flip = not mono_first and mo.bit_count() & 1
     for (e, o), c in terms.items():
         sign = 0
         if o and mo:
@@ -277,16 +280,57 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
                 if parity is None:
                     parity = _parity(mo)
                 sign = (o & parity).bit_count()
-                if flip:
-                    sign += o.bit_count()
             else:
-                sign = (mo >> o.bit_length()).bit_count() + flip
+                sign = (mo >> o.bit_length()).bit_count()
         key = (_merge_even(me, e), o | mo)
         v = coeff * c
         if sign & 1:
             v = -v
         old = acc.get(key)
         acc[key] = v if old is None else old + v
+
+
+def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
+                  terms: Mapping[int, list]) -> None:
+    """Add coeff * D(key) into the dict `acc` of monomial keys to
+    coefficients, for the derivation D whose value on the generator at
+    position p is terms[p], absent when zero, listed as one (even part, odd
+    part t, `_parity(t)`, coefficient) per term: the graded Leibniz rule,
+    the one implementation of it (`derivations.apply`,
+    `weight_modules.ColumnBuilder`, `Element.partial_derivative`).
+
+    D(key) is the sum over the factors g of key of D(g) times key with g
+    removed, D(g) first, even factors before odd ones.  An even factor g^n
+    leaves g^(n-1) and contributes n D(g).  The k-th odd factor has sign
+    (-1)^k: the Leibniz sign (-1)^(b_D k) times the sign of moving D(g),
+    of form degree 1 + b_D, to the front.  A term t of D(g) then meets the
+    odd part r of the rest: it gives zero when t & r, and otherwise the
+    sign of the shuffle t.r, (-1)^popcount(r & parity(t)).  One sign test
+    per term, and no product when the factor's coefficient is 1; entries
+    may cancel to zero in `acc`."""
+    even, odd = key
+    # per factor with D(g) != 0: (even part of the rest, odd part of the
+    # rest, coefficient, sign parity, terms of D(g))
+    parts = []
+    for n, (p, exp) in enumerate(even):
+        values = terms.get(p)
+        if values:
+            rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
+            parts.append((rest, odd, coeff * exp if exp > 1 else coeff, 0, values))
+    for k, p in enumerate(odd_positions(odd)):
+        values = terms.get(p)
+        if values:
+            parts.append((even, odd ^ (1 << p), coeff, k & 1, values))
+    for rest_even, rest, factor, sign, values in parts:
+        for e, t, parity, c in values:
+            if t & rest:
+                continue
+            v = c if factor == 1 else factor * c
+            if (sign + (rest & parity).bit_count()) & 1:
+                v = -v
+            image = (_merge_even(rest_even, e) if e else rest_even, rest | t)
+            old = acc.get(image)
+            acc[image] = v if old is None else old + v
 
 
 class Element:
@@ -401,26 +445,21 @@ class Element:
     # -- graded operations ----------------------------------------------
 
     def partial_derivative(self, g: Generator) -> "Element":
-        """Graded left derivative with respect to a single generator."""
+        """Graded left derivative with respect to a single generator: the
+        derivation that takes g to 1 and every other generator to 0."""
+        values = {g.position: [((), 0, 0, 1)]}
         terms: dict = {}
-        pos = g.position
-        for (even, odd), c in self.terms.items():
-            if g.form_degree == 0:
-                for n, (p, e) in enumerate(even):
-                    if p == pos:
-                        rest = even[:n] + (((p, e - 1),) if e > 1 else ()) + even[n + 1:]
-                        key = (tuple(sorted(rest)), odd)
-                        terms[key] = terms.get(key, 0) + c * e
-                        break
-            elif odd >> pos & 1:
-                # the sign of moving the factor past the k factors before it
-                k = (odd & ((1 << pos) - 1)).bit_count()
-                key = (even, odd ^ (1 << pos))
-                terms[key] = terms.get(key, 0) + (-c if k & 1 else c)
+        for key, c in self.terms.items():
+            _leibniz_into(terms, c, key, values)
         return Element(self.table, terms)
 
     def map_to(self, table: GeneratorTable) -> "Element":
-        """Translate onto a sub-table by (name, index); missing generators become 0."""
+        """Translate into another table by (name, index); generators that
+        `table` lacks become 0.  No sign is taken, so both tables must order
+        the generators they share the same way.  That holds when each shared
+        block has the same kind and weight in both, as for the sub-table of
+        `AlgebroidSpec.restricted` and the larger tables of
+        `cotangent_prolongation` and `algebroid_prolongation`."""
         moved = {}   # position here -> position in `table`
         for g in self.table.gens:
             h = table._by_name.get((g.name, g.index))
@@ -430,7 +469,7 @@ class Element:
         for (even, odd), c in self.terms.items():
             positions = odd_positions(odd)
             if all(p in moved for p, _e in even) and all(p in moved for p in positions):
-                # positions in a sub-table preserve relative order, so no sign
+                # shared generators keep their relative order, so no sign
                 key = (tuple(sorted((moved[p], e) for p, e in even)),
                        sum(1 << moved[p] for p in positions))
                 terms[key] = terms.get(key, 0) + c

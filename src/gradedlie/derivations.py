@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .algebra import Element, Generator, GeneratorTable, _mul_into, odd_positions
+from .algebra import Element, Generator, GeneratorTable, _leibniz_into, _parity
 
 
 class DerivationError(ValueError):
@@ -21,6 +22,13 @@ class Derivation:
         self.bi_degree = bi_degree
         self.action = action    # position -> value
 
+    @cached_property
+    def leibniz_terms(self) -> Dict[int, list]:
+        """The nonzero values by position, as `algebra._leibniz_into` reads
+        them: built on first use and kept, as `action` is never changed."""
+        return {p: [(e, t, _parity(t), c) for (e, t), c in v.terms.items()]
+                for p, v in self.action.items() if v.terms}
+
     def value(self, g: Generator) -> Element:
         return self.action.get(g.position, self.table.zero())
 
@@ -33,7 +41,7 @@ class Derivation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.table != other.table:
+        if self.table != other.table or self.bi_degree != other.bi_degree:
             return False
         positions = set(self.action) | set(other.action)
         return all(
@@ -76,31 +84,14 @@ def make_derivation(table: GeneratorTable, bi_degree: Tuple[int, int],
 
 
 def apply(D: Derivation, e: Element) -> Element:
-    """Leibniz extension: D(uv) = D(u)v + (-1)^(b_D * |u|) u D(v).
-
-    On a monomial this is the sum over its factors g of D(g) times the
-    monomial with g removed.  An even factor g^n gives n D(g) g^(n-1).  For
-    the odd factor with k odd factors before it, the Leibniz sign
-    (-1)^(b_D k) and the sign of moving D(g), of form degree 1 + b_D, to the
-    front give (-1)^k together."""
+    """Leibniz extension: D(uv) = D(u)v + (-1)^(b_D * |u|) u D(v), by the
+    one Leibniz kernel, `algebra._leibniz_into`, on each term of `e`."""
     if D.table != e.table:
         raise DerivationError("derivation and element over different tables")
-    action = D.action
+    terms = D.leibniz_terms
     out: dict = {}
-    for (even, odd), c in e.terms.items():
-        for n, (p, exp) in enumerate(even):
-            dv = action.get(p)
-            if dv is None or not dv.terms:
-                continue
-            rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
-            _mul_into(out, c * exp if exp > 1 else c, (rest, odd), dv.terms,
-                      mono_first=False)
-        for k, p in enumerate(odd_positions(odd)):
-            dv = action.get(p)
-            if dv is None or not dv.terms:
-                continue
-            _mul_into(out, -c if k & 1 else c, (even, odd ^ (1 << p)), dv.terms,
-                      mono_first=False)
+    for key, c in e.terms.items():
+        _leibniz_into(out, c, key, terms)
     return Element(e.table, out)
 
 

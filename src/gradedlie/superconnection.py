@@ -173,7 +173,9 @@ class _SpecMemo:
             terms: dict = {}
             if a != _ONE:
                 da = apply(self.d, Element(self.table, {a: 1}))
-                _mul_into(terms, 1, w, _scaled(da, self.scale), mono_first=False)
+                w_terms = {w: 1}
+                for k, c in _scaled(da, self.scale).items():
+                    _mul_into(terms, c, k, w_terms)
             image = self._leibniz[n] = {self.intern(k): c for k, c in terms.items() if c}
         return image
 

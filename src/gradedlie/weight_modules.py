@@ -12,8 +12,9 @@ the weight-i subcomplex, and the torus blocks of `cohomology`.  Base
 generators weigh nothing in h-weight or form degree, so it enumerates the
 fibre monomials and takes the base polynomials of degree <= cap as a free
 factor.  `ColumnBuilder` gives d_E from one such basis to the next, by
-columns, with bit operations on the odd parts, which are int masks in
-every key (see `algebra`), so it reads the keys as they are.
+columns: each column is the image of one monomial under the Leibniz
+kernel, `algebra._leibniz_into`, the one that `derivations.apply` runs,
+looked up among the codomain's rows.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from operator import itemgetter
 from typing import (Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _merge_even,
-                      _parity, monomial_str, odd_positions)
+from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _leibniz_into,
+                      monomial_str)
 from .algebroid import AlgebroidSpec
 
 
@@ -301,16 +302,11 @@ class ColumnBuilder:
     another: one {codomain row: coefficient} dict per domain monomial,
     nonzero entries only.
 
-    d(g) is read once per builder.  Each term of d(g) keeps its odd mask t
-    and the parity mask of t, the XOR over the bits of t of the bits below
-    each.  A domain monomial with odd mask m is differentiated one factor
-    at a time, as `derivations.apply` does.  The k-th odd factor p
-    leaves rest = m ^ (1 << p); a term t of d(p) vanishes when t & rest,
-    and otherwise lands on row index[even][rest | t] with sign (-1)^(k +
-    popcount(rest & parity(t))), the Leibniz sign times the sign of
-    shuffling t in front of rest.  An even factor leaves m whole and its
-    exponent as coefficient.  Even parts multiply by `_merge_even`, so one
-    builder serves every sector, over a point or a base.
+    A column is the image of its domain monomial under the Leibniz kernel,
+    `algebra._leibniz_into`, on d's term lists kept on `spec.d`, with each
+    image term looked up among the codomain's rows.  The kernel multiplies
+    even parts too, so one builder serves every sector, over a point or a
+    base.
 
     Raises CapClosureError when an image term that does not cancel in its
     column is outside the codomain (the truncated span at base-degree cap
@@ -320,11 +316,7 @@ class ColumnBuilder:
     def __init__(self, spec: AlgebroidSpec, cap: Optional[int]):
         self._table = spec.table
         self._cap = cap
-        self._d: Dict[int, list] = {}   # position -> [(even, t, parity of t, c), ...]
-        for p, value in spec.d.action.items():
-            if value.terms:
-                self._d[p] = [(even, odd, _parity(odd), c)
-                              for (even, odd), c in value.terms.items()]
+        self._terms = spec.d.leibniz_terms
 
     def __call__(self, domain: Sequence[MonomialKey], codomain: Sequence[MonomialKey],
                  skip: Collection[int] = ()) -> List[Column]:
@@ -339,51 +331,20 @@ class ColumnBuilder:
     def column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]]) -> Column:
         """The column of one domain monomial, given the codomain's rows by
         even part and odd mask."""
-        even, m = key
-        d = self._d
-        # per factor with d(g) != 0: (even part, odd mask of the rest,
-        # coefficient, sign parity, terms of d(g)), in apply's order
-        parts = []
-        for n, (p, exp) in enumerate(even):
-            terms = d.get(p)
-            if terms:
-                rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
-                parts.append((rest, m, exp, 0, terms))
-        for k, p in enumerate(odd_positions(m)):
-            terms = d.get(p)
-            if terms:
-                parts.append((even, m ^ (1 << p), 1, k & 1, terms))
+        image: dict = {}
+        _leibniz_into(image, 1, key, self._terms)
         column: Column = {}
-        outside: Dict[Tuple[EvenPart, int], Scalar] = {}
-        for rest_even, rest, coeff, sign, terms in parts:
-            rows = index.get(rest_even)
-            for e, t, parity, c in terms:
-                if t & rest:
-                    continue
-                v = c if coeff == 1 else coeff * c
-                if (sign + (rest & parity).bit_count()) & 1:
-                    v = -v
-                image_even = _merge_even(rest_even, e) if e else rest_even
-                target = index.get(image_even) if e else rows
-                row = target.get(rest | t) if target else None
-                if row is None:
-                    term = (image_even, rest | t)
-                    old = outside.get(term)
-                    outside[term] = v if old is None else old + v
-                    continue
-                old = column.get(row)
-                if old is not None:
-                    v += old
-                    if not v:
-                        del column[row]
-                        continue
-                column[row] = v
-        for image, v in outside.items():
-            if v:
+        for term, v in image.items():
+            if not v:
+                continue
+            rows = index.get(term[0])
+            row = rows.get(term[1]) if rows else None
+            if row is None:
                 raise CapClosureError(
                     f"base degree cap {self._cap} does not close the complex: "
                     f"d({monomial_str(self._table, key)}) contains "
-                    f"{monomial_str(self._table, image)}")
+                    f"{monomial_str(self._table, term)}")
+            column[row] = v
         return column
 
 

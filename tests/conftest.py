@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -511,6 +511,50 @@ def gl_spec(n, perm=None):
         if l == i:
             bracket[(e(i, j), e(k, l), e(k, j))] = -1
     return weighted_lie_algebra(table, {}, bracket)
+
+
+def heisenberg_spec(n):
+    """The Heisenberg algebra h_(2n+1) over a point, [X_i, Y_i] = Z, with X_i,
+    Y_i and Z dual to xi[i], xi[n+i] and xi[2n+1]."""
+    from gradedlie.constructions import weighted_lie_algebra
+    table = GeneratorTable([("xi", "odd_fiber", 0, 2 * n + 1)])
+    bracket = {(("xi", i), ("xi", n + i), ("xi", 2 * n + 1)): 1 for i in range(1, n + 1)}
+    return weighted_lie_algebra(table, {}, bracket)
+
+
+def heisenberg_betti(n):
+    """The Betti numbers of h_(2n+1): C(2n, k) - C(2n, k-2) for k <= n,
+    mirrored above n (Santharoubane 1983)."""
+    low = [comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0) for k in range(n + 1)]
+    return low + low[::-1]
+
+
+def upper_nilpotent_spec(n):
+    """n+(gl(n)), the strictly upper triangular n x n matrices over a point,
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, with the E_ij (i < j) dual
+    to xi[1], xi[2], ... in row order."""
+    from gradedlie.constructions import weighted_lie_algebra
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    e = {pair: ("xi", m) for m, pair in enumerate(pairs, 1)}
+    table = GeneratorTable([("xi", "odd_fiber", 0, len(pairs))])
+    bracket = {}
+    for (i, j), (k, l) in itertools.combinations(pairs, 2):
+        if j == k:
+            bracket[(e[i, j], e[k, l], e[i, l])] = 1
+        if l == i:
+            bracket[(e[i, j], e[k, l], e[k, j])] = -1
+    return weighted_lie_algebra(table, {}, bracket)
+
+
+def inversion_counts(n):
+    """The number of permutations of n letters with k inversions, for each k:
+    the coefficients of prod over m <= n of (1 + t + ... + t^(m-1)), the
+    Betti numbers of n+(gl(n)) (Kostant 1961)."""
+    coeffs = [1]
+    for m in range(1, n + 1):
+        coeffs = [sum(coeffs[k - s] for s in range(m) if 0 <= k - s < len(coeffs))
+                  for k in range(len(coeffs) + m - 1)]
+    return coeffs
 
 
 def poincare_betti(degrees):

@@ -209,7 +209,7 @@ def reference_sum(a, b):
 def reference_product(a, b):
     acc = {}
     for key, c in a.terms.items():
-        acc = product_by_sorting(acc, c, key, b.terms, True)
+        acc = product_by_sorting(acc, c, key, b.terms)
     return Element(E3, acc)
 
 

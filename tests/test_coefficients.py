@@ -133,7 +133,7 @@ def test_rational_specs_match_fraction_only_run():
 MODES = ("ordered", "reversed", "repeat", "any", "empty", "one")
 
 
-def term_odd(rng, mono_odd, mode, mono_first):
+def term_odd(rng, mono_odd, mode):
     """A term's odd part that, in the product, follows the monomial's odd
     part in order ("ordered"), precedes it ("reversed"), shares a factor
     with it ("repeat"), falls anywhere else ("any") or is empty; or one
@@ -144,8 +144,7 @@ def term_odd(rng, mono_odd, mode, mono_first):
         return 1 << rng.choice(free + mono_odd)
     above = [p for p in free if not mono_odd or p > mono_odd[-1]]
     below = [p for p in free if not mono_odd or p < mono_odd[0]]
-    after, before = (above, below) if mono_first else (below, above)
-    pool = {"ordered": after, "reversed": before, "repeat": free, "any": free,
+    pool = {"ordered": above, "reversed": below, "repeat": free, "any": free,
             "empty": []}[mode]
     odd = set(rng.sample(pool, rng.randint(1 if pool else 0, min(3, len(pool)))))
     if mode == "repeat" and mono_odd:
@@ -153,13 +152,12 @@ def term_odd(rng, mono_odd, mode, mono_first):
     return odd_mask(odd)
 
 
-def product_by_sorting(acc, coeff, mono, terms, mono_first):
+def product_by_sorting(acc, coeff, mono, terms):
     """Reference for `_mul_into`: concatenate the odd parts in product
     order, drop a repeat, sign by counting inversions, then sort."""
     out = dict(acc)
     for (even, odd), c in terms.items():
-        ours, theirs = odd_tuple(mono[1]), odd_tuple(odd)
-        factors = ours + theirs if mono_first else theirs + ours
+        factors = odd_tuple(mono[1]) + odd_tuple(odd)
         if len(set(factors)) < len(factors):
             continue
         inversions = sum(a > b for a, b in combinations(factors, 2))
@@ -180,22 +178,22 @@ def scalar(rng, integral):
 
 
 @BOUNDED
-@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
-def test_mul_into_matches_sort_and_count(rng, mono_first, integral):
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_mul_into_matches_sort_and_count(rng, integral):
     mono_odd = sorted(rng.sample(range(7, 17), rng.randint(0, 4)))
     mono = (even_part(rng), odd_mask(mono_odd))
     terms = {}
     # every other draw has a one-factor odd part
     for n in range(rng.randint(1, 6)):
-        odd = term_odd(rng, mono_odd, "one" if n & 1 else rng.choice(MODES), mono_first)
+        odd = term_odd(rng, mono_odd, "one" if n & 1 else rng.choice(MODES))
         terms[(even_part(rng), odd)] = scalar(rng, integral)
     coeff = scalar(rng, integral)
     # twice, so that the second call adds onto the entries of the first
-    want = product_by_sorting({}, coeff, mono, terms, mono_first)
-    want = product_by_sorting(want, coeff, mono, terms, mono_first)
+    want = product_by_sorting({}, coeff, mono, terms)
+    want = product_by_sorting(want, coeff, mono, terms)
     acc = {}
-    _mul_into(acc, coeff, mono, terms, mono_first)
-    _mul_into(acc, coeff, mono, terms, mono_first)
+    _mul_into(acc, coeff, mono, terms)
+    _mul_into(acc, coeff, mono, terms)
     assert {k: v for k, v in acc.items() if v} == {k: v for k, v in want.items() if v}
     if integral:
         assert all(type(v) is int for v in acc.values())

@@ -14,7 +14,8 @@ from gradedlie.weight_modules import BasisSizeError, ColumnBuilder, Monomials
 from gradedlie.dsl import parse, to_algebroid_spec
 
 from conftest import (brute_force_rank, count_d_squared, full_complex, gl_spec,
-                      is_closed, poincare_betti, to_dense, unipotent_twist)
+                      heisenberg_betti, heisenberg_spec, inversion_counts, is_closed,
+                      poincare_betti, to_dense, unipotent_twist, upper_nilpotent_spec)
 
 BROKEN = pathlib.Path(__file__).parent.parent / "specs" / "broken.spec"
 
@@ -80,6 +81,24 @@ def test_betti_gl5_closed_form():
     """gl(5) through the torus reduction (247 552 monomials, 35 160 in the
     largest sector), with only the columns clearing keeps built."""
     assert betti(build_complex(gl_spec(5), 0)) == poincare_betti([1, 3, 5, 7, 9])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_betti_heisenberg_closed_form(n):
+    """h_(2n+1) has no diagonal X, so the full complex is built, every
+    column through the Leibniz kernel (h_15: 32 768 monomials)."""
+    c = build_complex(heisenberg_spec(n), 0)
+    assert c.torus == () and sum(c.dims) == 2 ** (2 * n + 1)
+    assert betti(c) == heisenberg_betti(n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_betti_upper_nilpotent_closed_form(n):
+    """n+(gl(n)) has no diagonal X: its b_k is the number of permutations of
+    n letters with k inversions (n+(gl(6)): 32 768 monomials)."""
+    c = build_complex(upper_nilpotent_spec(n), 0)
+    assert c.torus == () and sum(c.dims) == 2 ** (n * (n - 1) // 2)
+    assert betti(c) == inversion_counts(n)
 
 
 def cleared_ranks(c):

@@ -96,3 +96,14 @@ def test_even_form_degree_shift_rejected(chart):
     d = make_derivation(chart, (1, 2), {("x", 1): chart.gen("y") * chart.gen("w")})
     with pytest.raises(DerivationError):
         is_homological(d)
+
+
+def test_equality_agrees_with_hash(chart):
+    """Derivations that differ only in bi-degree are unequal, as their
+    hashes differ; a zero value equals an unassigned one."""
+    a = make_derivation(chart, (0, 1), {})
+    b = make_derivation(chart, (1, 0), {})
+    assert a != b and len({a, b}) == 2
+    c = make_derivation(chart, (0, 1), {("x", 1): chart.gen("y")})
+    same = make_derivation(chart, (0, 1), {("x", 1): chart.gen("y"), ("z", 1): chart.zero()})
+    assert c == same and len({c, same}) == 1

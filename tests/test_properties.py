@@ -1,20 +1,21 @@
 """Property tests: the DSL print/parse round trip, the structure equations
-against d^2 = 0 and the table oracle on twisted specs, and the product
-kernel (Leibniz apply against its factor-by-factor oracle, associativity
-and graded commutativity), and the order of keys with mask odd parts.
+against d^2 = 0 and the table oracle on twisted specs, the Leibniz kernel
+(apply and partial derivatives against the factor-by-factor oracle), the
+product (associativity and graded commutativity), and the order of keys
+with mask odd parts.
 Derandomized and bounded, so every run draws the same examples."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedlie.algebra import Element, odd_positions
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.constructions import (EXAMPLES, action_aff1_line, adjoint_instance, aff1,
                                      e3_chart, sl2)
-from gradedlie.derivations import apply, is_homological
+from gradedlie.derivations import apply, is_homological, make_derivation
 from gradedlie.dsl import (document_from_spec, parse, parse_expression,
                            print_document, to_algebroid_spec)
 
@@ -69,6 +70,22 @@ def test_apply_matches_factor_oracle(rng, weight_shift, form_shift):
     for _ in range(3):
         e = random_element(rng, table, terms=rng.randint(0, 4))
         assert apply(D, e) == apply_by_factors(D, e)
+
+
+@settings(BOUNDED, max_examples=60)
+@given(RANDOMS, st.booleans())
+def test_partial_derivative_matches_factor_oracle(rng, odd):
+    """The derivative by an even or odd generator g is the derivation that
+    takes g to 1 and the other generators to 0."""
+    table = random_chart(rng)
+    gens = [g for g in table.gens if g.form_degree == odd]
+    assume(gens)
+    g = rng.choice(gens)
+    D = make_derivation(table, (-g.h_weight, -g.form_degree), {g: table.one()})
+    for _ in range(3):
+        e = random_element(rng, table, terms=rng.randint(0, 4))
+        for f in (e, e * table.gen(g.name, g.index)):
+            assert f.partial_derivative(g) == apply_by_factors(D, f)
 
 
 def _parity_parts(e):
