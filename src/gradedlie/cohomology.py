@@ -2,12 +2,10 @@
 
 The differentials are column-sparse, one {row: coefficient} dict per basis
 monomial of the domain sector, built by `weight_modules.ColumnBuilder` with
-bit operations on the odd parts.  `FiniteComplex.matrices` is built on
-first access.  Over a point `betti` leaves it unbuilt and builds a column
-only where clearing keeps it (Chen-Kerber 2011; Ripser, Bauer 2021, builds
-coboundary columns the same way), about half of them on gl(n).  Over a
-base `build_complex` builds every column, since a column that clearing
-skips may still leave the cap.
+bit operations on the odd parts.  `build_complex` only lists the sector
+bases; `betti` builds a column only where clearing keeps it (Chen-Kerber
+2011; Ripser, Bauer 2021, builds coboundary columns the same way), about
+half of them on gl(n), over a point and over a base alike.
 
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as
@@ -22,7 +20,7 @@ null-homotopic, so every block of monomials on which some diagonal X has a
 nonzero weight is acyclic (Chevalley-Eilenberg 1948; Hochschild-Serre 1953).
 `build_complex` then lists only the joint weight-zero block, which has the
 same Betti numbers, and names the X's it used in `FiniteComplex.torus`.
-Over a base, with no diagonal X, or with d^2 != 0 it builds the full
+Over a base, with no diagonal X, or with d^2 != 0 it lists the full
 complex and `torus` is empty.
 """
 
@@ -54,12 +52,6 @@ class FiniteComplex:
     @property
     def dims(self) -> List[int]:
         return [len(b) for b in self.sector_bases]
-
-    @cached_property
-    def matrices(self) -> List[List[Column]]:
-        """matrices[j] maps sector j -> j+1, by columns; built on first
-        access."""
-        return [self.columns(j) for j in range(len(self.sector_bases))]
 
     def columns(self, j: int, skip: Collection[int] = ()) -> List[Column]:
         """d_j by columns, left empty and unbuilt at the indices in `skip`;
@@ -109,10 +101,9 @@ def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     """List the sector bases of the weight-i subcomplex: the joint
     weight-zero block of the torus reduction when it applies (it reads
-    d^2 = 0 off `spec.homological`), the full complex otherwise.  Over a
-    nontrivial base the differential matrices are built here too, and
-    CapClosureError is raised when the cap is too small; over a point
-    they are built on demand."""
+    d^2 = 0 off `spec.homological`), the full complex otherwise.  No column
+    is built here: `betti` builds them, and refuses a cap that is too
+    small."""
     table = spec.table
     point = not table.base_generators()
     labels, weights = _torus(spec) if point else ((), {})
@@ -127,12 +118,7 @@ def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
     for j in range(top + 1):
         block.checked_size(j)
     bases = [block.basis(j) for j in range(top + 1)]
-    c = FiniteComplex(spec, i, bases, None if point else cap, labels)
-    if not point:
-        # a column that clearing skips may still leave the cap, so over a
-        # base every column is built here, and CapClosureError raised
-        c.matrices
-    return c
+    return FiniteComplex(spec, i, bases, None if point else cap, labels)
 
 
 def _integral(column: Column) -> Column:
@@ -199,15 +185,22 @@ def betti(c: FiniteComplex) -> List[int]:
     pivot columns of d_(j-1) lie in im d_(j-1), which d_j kills, and are
     triangular on their pivot rows, so with the other basis monomials they
     span sector j.  rank d_j is therefore the rank of the columns of d_j
-    whose index is not a pivot row of d_(j-1), and only those are reduced.
-    Over a point only those are built, too, and `c.matrices` is left
-    unbuilt."""
+    whose index is not a pivot row of d_(j-1), and only those are built
+    and reduced.
+
+    Over a base a column may leave the cap, and CapClosureError names the
+    first that does in sector order, then domain order, as building every
+    column would, since that column is kept.  The pivot column of d_(j-1)
+    with largest row r is v_r = sum over k <= r of c_k e_k with c_r != 0,
+    and v_r = d(u) for some u in sector j-1, so d(v_r) = d^2(u) = 0 and
+    c_r d(e_r) = -sum over k < r of c_k d(e_k): a cleared column leaves
+    the cap only if an earlier column of its sector does."""
     # ColumnBuilder refuses a span that d leaves, so d^2 = 0 closes it
     if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
     ranks = []
     cleared: Collection[int] = ()
     for j in range(len(c.sector_bases)):
-        cleared = _pivots(c.columns(j, cleared) if c.exact else c.matrices[j], cleared)
+        cleared = _pivots(c.columns(j, cleared), cleared)
         ranks.append(len(cleared))
     return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]

@@ -44,8 +44,9 @@ def _refusals() -> Dict[str, str]:
     """Spec texts the CLI refuses: too deep to parse, a non-ASCII digit, a
     sector or a W-basis above the size limit, torus blocks above the size
     limit (gl(6)) and the state budget (gl(8)), d^2 != 0 under a weight-1
-    module whose flatness cascade passes, and DSL errors whose positions
-    are easy to get wrong (`dsl_*`)."""
+    module whose flatness cascade passes, a weight-0 complex that the
+    default cap does not close (d x = x^2 y raises the base degree by one),
+    and DSL errors whose positions are easy to get wrong (`dsl_*`)."""
     d_lines = [line for line in (SPECS / "broken.spec").read_text().splitlines()
                if line.startswith("d ")]
     head = "algebroid dsl degree 0\nodd xi weight 0 dim 2\n"
@@ -60,6 +61,8 @@ def _refusals() -> Dict[str, str]:
         "nonhom.spec": "\n".join(["algebroid nonhom degree 1", "odd xi weight 0 dim 3",
                                   "even z weight 1 dim 1", "odd p weight 1 dim 1"]
                                  + d_lines + ["d z[1] = p[1]", ""]),
+        "square_anchor.spec": ("algebroid square_anchor degree 0\nbase x weight 0 dim 1\n"
+                               "odd y weight 0 dim 1\nd x[1] = x[1]^2*y[1]\n"),
         # end of input after a trailing comment with no newline: the error
         # sits where the comment starts
         "dsl_comment_eof.spec": head + "d xi[2] = xi[1]*  # the factor is missing",
@@ -85,6 +88,8 @@ REFUSED = [
     ["cohomology", "refusals/gl6.spec", "--weight", "0"],
     ["cohomology", "refusals/gl8.spec", "--weight", "0"],
     ["rep", "refusals/nonhom.spec", "--weight", "1"],
+    ["cohomology", "refusals/square_anchor.spec", "--weight", "0"],
+    ["cohomology", "refusals/square_anchor.spec", "--weight", "0", "--cap", "0"],
 ] + [["check", f"refusals/dsl_{name}.spec"]
      for name in ("comment_eof", "tab", "half", "formfeed", "equals", "bracket_eof",
                   "zero_denominator", "undeclared", "reserved")]

@@ -7,7 +7,7 @@ import pytest
 
 from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
-from gradedlie.cohomology import FiniteComplex
+from gradedlie.cohomology import FiniteComplex, _pivots
 from gradedlie.derivations import HomologicalReport, make_derivation
 from gradedlie.weight_modules import sector_basis
 
@@ -481,10 +481,35 @@ def count_d_squared(monkeypatch):
     return calls
 
 
+def all_columns(c):
+    """Every column of every differential of a FiniteComplex, sector by
+    sector: all_columns(c)[j] is d_j, from sector j to sector j + 1."""
+    return [c.columns(j) for j in range(len(c.dims))]
+
+
+def cleared_ranks(columns):
+    """The ranks `betti` takes: each d_j without the columns whose index is
+    a pivot row of d_(j-1)."""
+    ranks, cleared = [], ()
+    for m in columns:
+        cleared = _pivots(m, cleared)
+        ranks.append(len(cleared))
+    return ranks
+
+
+def betti_by_every_column(c):
+    """Oracle for `betti` on a complex with d^2 = 0: every column of every
+    sector built first, in sector order, raising the CapClosureError of the
+    first that leaves the cap; then the ranks taken with clearing."""
+    ranks = cleared_ranks(all_columns(c))
+    return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]
+
+
 def is_closed(c):
     """Oracle for closure: consecutive differentials of a FiniteComplex
     compose to zero."""
-    for first, second in zip(c.matrices, c.matrices[1:]):
+    matrices = all_columns(c)
+    for first, second in zip(matrices, matrices[1:]):
         for column in first:
             image = {}
             for k, a in column.items():
@@ -510,6 +535,46 @@ def gl_spec(n, perm=None):
             bracket[(e(i, j), e(k, l), e(i, l))] = 1
         if l == i:
             bracket[(e(i, j), e(k, l), e(k, j))] = -1
+    return weighted_lie_algebra(table, {}, bracket)
+
+
+def matrix_lie_algebra(basis):
+    """The Lie algebra over a point spanned by `basis`, a list of square
+    rational matrices (lists of rows) closed under the commutator, with
+    basis[k - 1] dual to xi[k].  Each [A, B] = AB - BA is written in the
+    basis by exact elimination on the flattened matrices."""
+    from gradedlie.constructions import weighted_lie_algebra
+    # echelon rows (pivot entry, row, the row as a combination of the basis):
+    # each row is zero at the pivot entries of the rows before it
+    echelon = []
+
+    def reduce(row):
+        """The row less its part in the span of the echelon rows, and that
+        part as a combination of the basis."""
+        coords = {}
+        for pivot, other, by in echelon:
+            f = row[pivot] / other[pivot]
+            if f:
+                row = [a - f * b for a, b in zip(row, other)]
+                for q, v in by.items():
+                    coords[q] = coords.get(q, 0) + f * v
+        return row, coords
+
+    for k, m in enumerate(basis):
+        row, coords = reduce([Fraction(v) for line in m for v in line])
+        pivot = next(n for n, v in enumerate(row) if v)   # StopIteration: dependent
+        echelon.append((pivot, row, {k: 1, **{q: -v for q, v in coords.items()}}))
+    n = len(basis[0])
+    bracket = {}
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        A, B = basis[a], basis[b]
+        rest, coords = reduce([sum(Fraction(A[r][k]) * B[k][s] - Fraction(B[r][k]) * A[k][s]
+                                   for k in range(n)) for r in range(n) for s in range(n)])
+        assert not any(rest), "the basis is not closed under the commutator"
+        for q, v in coords.items():
+            if v:
+                bracket[(("xi", a + 1), ("xi", b + 1), ("xi", q + 1))] = v
+    table = GeneratorTable([("xi", "odd_fiber", 0, len(basis))])
     return weighted_lie_algebra(table, {}, bracket)
 
 

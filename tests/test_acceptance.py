@@ -23,7 +23,7 @@ from gradedlie.superconnection import (apply_gauge, compose_gauges,
                                        extract_components, flatness_cascade)
 from gradedlie.weight_modules import dim_w, homogenization_projector, w_basis
 
-from conftest import (brute_force_rank, brute_force_w_dim, mutate_coefficient,
+from conftest import (all_columns, brute_force_rank, brute_force_w_dim, mutate_coefficient,
                       projector_by_derivative, random_chart,
                       random_degree0_tables, random_element, to_dense,
                       unipotent_twist)
@@ -202,7 +202,8 @@ def test_criterion_8_cohomology_oracles():
             ok = False
         # independent check: brute-force minor-expansion ranks
         dims = c.dims
-        ranks = [brute_force_rank(to_dense(c.matrices[j], dims[j + 1]))
+        matrices = all_columns(c)
+        ranks = [brute_force_rank(to_dense(matrices[j], dims[j + 1]))
                  if j + 1 < len(dims) else 0
                  for j in range(len(dims))]
         check = [dims[j] - ranks[j] - (ranks[j - 1] if j else 0)

@@ -21,7 +21,8 @@ from gradedlie.dsl import document_from_spec, parse, print_document, to_algebroi
 from gradedlie.superconnection import extract_components, flatness_cascade
 from gradedlie.weight_modules import CapClosureError
 
-from conftest import brute_force_rank, gl_spec, odd_mask, odd_tuple, poincare_betti, to_dense
+from conftest import (all_columns, brute_force_rank, gl_spec, odd_mask, odd_tuple, poincare_betti,
+                      to_dense)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -44,7 +45,7 @@ def test_integral_specs_keep_int_coefficients():
     blocks = [v for blk in comp.blocks.values() for v in blk.values()]
     assert blocks and all(type(c) is int for v in blocks for c in coefficients(v))
 
-    columns = [col for m in build_complex(gl3, 0).matrices for col in m]
+    columns = [col for m in all_columns(build_complex(gl3, 0)) for col in m]
     assert any(columns)
     assert all(type(c) is int for col in columns for c in col.values())
 
@@ -93,7 +94,8 @@ def rational_specs():
 
 def outputs(spec):
     """What the pipeline computes from a spec: elements as the CLI prints
-    them, matrices and Betti numbers as values."""
+    them, matrices and Betti numbers as values, or the refusal of a cap
+    that `betti` raises."""
     gens = [spec.table.gen(g.name, g.index) for g in spec.table.gens]
     out = {"d2": {g: str(r) for g, r in is_homological(spec.d).residuals.items()},
            "d": [str(apply(spec.d, g * h)) for g in gens for h in gens]}
@@ -105,12 +107,13 @@ def outputs(spec):
                                for p, level in flatness_cascade(comp).residuals.items()}
     for i in range(spec.degree + 1):
         for cap in (0, 1, 2):
+            c = build_complex(spec, i, cap)
             try:
-                c = build_complex(spec, i, cap)
+                numbers = betti(c)
             except CapClosureError as exc:
                 out[f"complex {i} {cap}"] = str(exc)
                 continue
-            out[f"complex {i} {cap}"] = (c.dims, c.matrices, betti(c))
+            out[f"complex {i} {cap}"] = (c.dims, all_columns(c), numbers)
     return out
 
 

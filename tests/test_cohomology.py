@@ -7,14 +7,16 @@ import pytest
 
 from gradedlie.algebroid import AlgebroidSpec
 from gradedlie.cohomology import _pivots, _torus, betti, build_complex, rank
-from gradedlie.constructions import (abelian_lie_algebra, adjoint_instance, aff1,
-                                     algebroid_prolongation, sl2,
+from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
+                                     aff1, algebroid_prolongation, e7_instance, sl2,
                                      tangent_algebroid)
-from gradedlie.weight_modules import BasisSizeError, ColumnBuilder, Monomials
+from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
+                                      Monomials)
 from gradedlie.dsl import parse, to_algebroid_spec
 
-from conftest import (brute_force_rank, count_d_squared, full_complex, gl_spec,
-                      heisenberg_betti, heisenberg_spec, inversion_counts, is_closed,
+from conftest import (all_columns, betti_by_every_column, brute_force_rank, cleared_ranks,
+                      count_d_squared, full_complex, gl_spec, heisenberg_betti,
+                      heisenberg_spec, inversion_counts, is_closed, matrix_lie_algebra,
                       poincare_betti, to_dense, unipotent_twist, upper_nilpotent_spec)
 
 BROKEN = pathlib.Path(__file__).parent.parent / "specs" / "broken.spec"
@@ -83,6 +85,50 @@ def test_betti_gl5_closed_form():
     assert betti(build_complex(gl_spec(5), 0)) == poincare_betti([1, 3, 5, 7, 9])
 
 
+def unit(n, i, j):
+    """The n x n matrix unit E_ij (1-based)."""
+    return [[int((r, s) == (i, j)) for s in range(1, n + 1)] for r in range(1, n + 1)]
+
+
+def sl_basis(n):
+    """sl(n): the E_ij with i != j and the E_ii - E_(i+1)(i+1)."""
+    basis = [unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for i in range(1, n):
+        a, b = unit(n, i, i), unit(n, i + 1, i + 1)
+        basis.append([[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    return basis
+
+
+def sp4_basis():
+    """Split sp(4), the X with X^T J + J X = 0 for J = [[0, 1], [-1, 0]] in
+    2 x 2 blocks: [[A, B], [C, -A^T]] with B and C symmetric.  The torus
+    diag(1, 0, -1, 0), diag(0, 1, 0, -1) has root weights 1 and 2."""
+    def block(A, B, C):
+        top = [A[r] + B[r] for r in range(2)]
+        bottom = [C[r] + [-A[s][r] for s in range(2)] for r in range(2)]
+        return top + bottom
+    zero = [[0, 0], [0, 0]]
+    units = [[[int((r, s) == (i, j)) for s in range(2)] for r in range(2)]
+             for i in range(2) for j in range(2)]
+    symmetric = [units[0], units[3], [[0, 1], [1, 0]]]
+    return ([block(A, zero, zero) for A in units] + [block(zero, B, zero) for B in symmetric]
+            + [block(zero, zero, C) for C in symmetric])
+
+
+@pytest.mark.parametrize("basis, rank_t, degrees", [
+    (sl_basis(3), 2, [3, 5]),
+    (sl_basis(4), 3, [3, 5, 7]),
+    (sp4_basis(), 2, [3, 7]),
+], ids=["sl3", "sl4", "sp4"])
+def test_betti_matrix_lie_algebras_closed_form(basis, rank_t, degrees):
+    """sl(3), sl(4) and sp(4) from their matrices: the Poincare polynomial
+    of a compact simple Lie algebra is prod (1 + t^(2e + 1)) over its
+    exponents e (Chevalley 1950), and its torus is found."""
+    c = build_complex(matrix_lie_algebra(basis), 0)
+    assert len(c.torus) == rank_t
+    assert betti(c) == poincare_betti(degrees)
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_betti_heisenberg_closed_form(n):
     """h_(2n+1) has no diagonal X, so the full complex is built, every
@@ -101,16 +147,6 @@ def test_betti_upper_nilpotent_closed_form(n):
     assert betti(c) == inversion_counts(n)
 
 
-def cleared_ranks(c):
-    """The ranks `betti` takes: each d_j without the columns whose index is
-    a pivot row of d_(j-1)."""
-    ranks, cleared = [], ()
-    for m in c.matrices:
-        cleared = _pivots(m, cleared)
-        ranks.append(len(cleared))
-    return ranks
-
-
 def test_cleared_ranks_match_rank_and_brute_force():
     """Clearing keeps every rank: on gl(3) and gl(4) (torus blocks), on
     twisted gl(2) and gl(3) (full complexes) and over a base at two caps,
@@ -125,9 +161,10 @@ def test_cleared_ranks_match_rank_and_brute_force():
     complexes += [build_complex(tangent_algebroid(2), 0, cap) for cap in (2, 4)]
     brute = 0
     for c in complexes:
-        ranks = cleared_ranks(c)
-        assert ranks == [rank(m) for m in c.matrices]
-        for m, rows, r in zip(c.matrices, c.dims[1:], ranks):
+        matrices = all_columns(c)
+        ranks = cleared_ranks(matrices)
+        assert ranks == [rank(m) for m in matrices]
+        for m, rows, r in zip(matrices, c.dims[1:], ranks):
             if len(m) * rows <= 36:
                 assert r == brute_force_rank(to_dense(m, rows))
                 brute += 1
@@ -135,10 +172,9 @@ def test_cleared_ranks_match_rank_and_brute_force():
 
 
 def test_betti_builds_only_the_columns_clearing_keeps(monkeypatch):
-    """Over a point, betti builds d_j's columns only at the indices that are
-    not pivot rows of d_(j-1), and leaves `matrices` unbuilt; its ranks are
-    `cleared_ranks` over the fully built matrices.  Over a base,
-    build_complex builds every column."""
+    """build_complex builds no column.  Over a point and over a base alike,
+    betti builds d_j's columns only at the indices that are not pivot rows
+    of d_(j-1); its ranks are `cleared_ranks` over every column."""
     built = []
     column = ColumnBuilder.column
 
@@ -148,28 +184,58 @@ def test_betti_builds_only_the_columns_clearing_keeps(monkeypatch):
 
     monkeypatch.setattr(ColumnBuilder, "column", recording)
     rng = random.Random(66)
-    specs = [gl_spec(3), gl_spec(4), sl2(), aff1(), unipotent_twist(rng, gl_spec(3))]
-    skipped = 0
+    specs = [gl_spec(3), gl_spec(4), sl2(), aff1(), unipotent_twist(rng, gl_spec(3)),
+             adjoint_instance(), e7_instance()]
+    skipped, skipped_over_base = 0, []
     for spec in specs:
         built.clear()
         c = build_complex(spec, 0)
-        assert c.exact and not built
-        full = build_complex(spec, 0)
-        ranks = cleared_ranks(full)
+        assert not built
+        matrices = all_columns(c)
+        ranks = cleared_ranks(matrices)
         kept, cleared = [], ()
-        for basis, m in zip(full.sector_bases[:-1], full.matrices):
+        for basis, m in zip(c.sector_bases[:-1], matrices):
             kept += [key for n, key in enumerate(basis) if n not in cleared]
             cleared = _pivots(m, cleared)
         built.clear()
         assert betti(c) == [dim - ranks[j] - (ranks[j - 1] if j else 0)
                             for j, dim in enumerate(c.dims)]
         assert built == kept
-        assert "matrices" not in vars(c)
         skipped += sum(c.dims[:-1]) - len(kept)
+        if not c.exact:
+            skipped_over_base.append(sum(c.dims[:-1]) - len(kept))
     assert skipped > 1000
-    built.clear()
-    c = build_complex(adjoint_instance(), 0)
-    assert "matrices" in vars(c) and len(built) == sum(c.dims[:-1])
+    # adjoint and e7 at weight 0: 4 of 15 and 14 of 45 columns
+    assert skipped_over_base == [4, 14]
+
+
+def test_betti_over_a_base_matches_building_every_column():
+    """Over a base, betti gives the Betti numbers of building every column
+    and ranking with clearing, or refuses with the same CapClosureError:
+    the first column that leaves the cap is one that clearing keeps.  On
+    every base example and four twists of each (two with linear and two
+    with quadratic coefficients), at every weight and caps 0..4."""
+    rng = random.Random(68)
+    specs = [make() for make in EXAMPLES.values()]
+    specs = [spec for spec in specs if spec.table.base_generators()]
+    assert len(specs) == 5
+    specs += [unipotent_twist(rng, spec, degree) for spec in specs[:5] for degree in (1, 1, 2, 2)]
+    cases = refused = 0
+    for spec in specs:
+        for i in range(spec.degree + 1):
+            for cap in range(5):
+                c = build_complex(spec, i, cap)
+                cases += 1
+                try:
+                    want = betti_by_every_column(c)
+                except CapClosureError as exc:
+                    with pytest.raises(CapClosureError) as err:
+                        betti(c)
+                    assert str(err.value) == str(exc)
+                    refused += 1
+                else:
+                    assert betti(c) == want
+    assert refused >= 100 and cases - refused >= 100
 
 
 def test_gl6_torus_block_refused_in_bounded_time(monkeypatch):
