@@ -15,11 +15,13 @@ The odd factors of a monomial are an int mask, so a product of odd parts is
 zero when they meet (a & b), and its sign is one popcount.  Keys sort and
 print by their odd positions in increasing order (`odd_positions`).
 
-Two kernels add into a dict of keys to coefficients: `_mul_into`, a
-monomial times some terms, and `_leibniz_into`, a derivation given by its
-values on the generators applied to a monomial by the graded Leibniz rule.
-The second is the only place that rule is written out: `apply`, the
-column builder of the cohomology and `partial_derivative` all call it.
+Two kernels add into a dict: `_mul_into`, a monomial times some terms,
+into a dict of keys to coefficients, and `_leibniz_into`, a derivation
+given by its values on the generators applied to a monomial by the graded
+Leibniz rule, into a dict of even parts to dicts of odd masks to
+coefficients, so that each term costs one int-keyed entry.  The second is
+the only place that rule is written out: `apply`, the column builder of
+the cohomology and `partial_derivative` all call it.
 
 Elements are immutable: no operation changes an Element's `terms` after it
 is built, so an operation may return an operand as it is (x + 0 is x), and
@@ -29,9 +31,9 @@ private `_element(table, terms)` skips that filter and takes `terms` as its
 own; it is used only where no zero can occur: a generator, a nonzero scalar,
 a negation, a nonzero scalar multiple, a product of one term by at most one
 term, a sum, and vectors that are already filtered
-(`superconnection._SpecMemo`).  A sum filters only what it cancels: neither
-operand holds a zero, so `__add__` deletes each key whose coefficients add
-to zero and checks no other.
+(`superconnection._SpecMemo`, `_leibniz_element`).  A sum filters only
+what it cancels: neither operand holds a zero, so `__add__` deletes each
+key whose coefficients add to zero and checks no other.
 """
 
 from __future__ import annotations
@@ -292,12 +294,13 @@ def _mul_into(acc: dict, coeff: Scalar, mono: MonomialKey,
 
 def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
                   terms: Mapping[int, list]) -> None:
-    """Add coeff * D(key) into the dict `acc` of monomial keys to
-    coefficients, for the derivation D whose value on the generator at
-    position p is terms[p], absent when zero, listed as one (even part, odd
-    part t, `_parity(t)`, coefficient) per term: the graded Leibniz rule,
-    the one implementation of it (`derivations.apply`,
-    `weight_modules.ColumnBuilder`, `Element.partial_derivative`).
+    """Add coeff * D(key) into `acc`, a dict of even parts to dicts of odd
+    masks to coefficients, for the derivation D whose value on the
+    generator at position p is terms[p], absent when zero, listed by even
+    part: one (even part e, [(odd part t, `_parity(t)`, coefficient), ...])
+    per e.  This is the graded Leibniz rule, the one implementation of it
+    (`derivations.apply`, `weight_modules.ColumnBuilder`,
+    `Element.partial_derivative`).
 
     D(key) is the sum over the factors g of key of D(g) times key with g
     removed, D(g) first, even factors before odd ones.  An even factor g^n
@@ -306,8 +309,11 @@ def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
     of form degree 1 + b_D, to the front.  A term t of D(g) then meets the
     odd part r of the rest: it gives zero when t & r, and otherwise the
     sign of the shuffle t.r, (-1)^popcount(r & parity(t)).  One sign test
-    per term, and no product when the factor's coefficient is 1; entries
-    may cancel to zero in `acc`."""
+    and one int-keyed entry per term, one even-part product per even part
+    that a term reaches, and no product when the factor's coefficient is
+    1; entries may cancel to zero in `acc`.  An even part enters `acc`
+    with its first term, so flattening `acc` lists the terms grouped by
+    even part, in the order their even parts were first reached."""
     even, odd = key
     # per factor with D(g) != 0: (even part of the rest, odd part of the
     # rest, coefficient, sign parity, terms of D(g))
@@ -317,20 +323,40 @@ def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
         if values:
             rest = even[:n] + (((p, exp - 1),) if exp > 1 else ()) + even[n + 1:]
             parts.append((rest, odd, coeff * exp if exp > 1 else coeff, 0, values))
-    for k, p in enumerate(odd_positions(odd)):
-        values = terms.get(p)
+    # the odd factors in increasing position, lowest bit first
+    sign = 0
+    bits = odd
+    while bits:
+        low = bits & -bits
+        values = terms.get(low.bit_length() - 1)
         if values:
-            parts.append((even, odd ^ (1 << p), coeff, k & 1, values))
+            parts.append((even, odd ^ low, coeff, sign, values))
+        bits ^= low
+        sign ^= 1
     for rest_even, rest, factor, sign, values in parts:
-        for e, t, parity, c in values:
-            if t & rest:
-                continue
-            v = c if factor == 1 else factor * c
-            if (sign + (rest & parity).bit_count()) & 1:
-                v = -v
-            image = (_merge_even(rest_even, e) if e else rest_even, rest | t)
-            old = acc.get(image)
-            acc[image] = v if old is None else old + v
+        for e, odds in values:
+            bucket = None
+            for t, parity, c in odds:
+                if t & rest:
+                    continue
+                v = c if factor == 1 else factor * c
+                if (sign + (rest & parity).bit_count()) & 1:
+                    v = -v
+                if bucket is None:
+                    image = _merge_even(rest_even, e) if e else rest_even
+                    bucket = acc.get(image)
+                    if bucket is None:
+                        bucket = acc[image] = {}
+                m = rest | t
+                old = bucket.get(m)
+                bucket[m] = v if old is None else old + v
+
+
+def _leibniz_element(table: GeneratorTable, acc: dict) -> "Element":
+    """The Element of an accumulator filled by `_leibniz_into`, its zero
+    entries dropped."""
+    return _element(table, {(even, odd): v for even, odds in acc.items()
+                            for odd, v in odds.items() if v})
 
 
 class Element:
@@ -447,11 +473,11 @@ class Element:
     def partial_derivative(self, g: Generator) -> "Element":
         """Graded left derivative with respect to a single generator: the
         derivation that takes g to 1 and every other generator to 0."""
-        values = {g.position: [((), 0, 0, 1)]}
-        terms: dict = {}
+        values = {g.position: [((), [(0, 0, 1)])]}
+        acc: dict = {}
         for key, c in self.terms.items():
-            _leibniz_into(terms, c, key, values)
-        return Element(self.table, terms)
+            _leibniz_into(acc, c, key, values)
+        return _leibniz_element(self.table, acc)
 
     def map_to(self, table: GeneratorTable) -> "Element":
         """Translate into another table by (name, index); generators that

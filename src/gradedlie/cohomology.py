@@ -2,10 +2,11 @@
 
 The differentials are column-sparse, one {row: coefficient} dict per basis
 monomial of the domain sector, built by `weight_modules.ColumnBuilder` with
-bit operations on the odd parts.  `build_complex` only lists the sector
-bases; `betti` builds a column only where clearing keeps it (Chen-Kerber
-2011; Ripser, Bauer 2021, builds coboundary columns the same way), about
-half of them on gl(n), over a point and over a base alike.
+bit operations on the odd parts.  `build_complex` only counts the sectors,
+and lists none; a sector is listed when first read.  `betti` builds a
+column only where clearing keeps it (Chen-Kerber 2011; Ripser, Bauer
+2021, builds coboundary columns the same way), about half of them on
+gl(n), over a point and over a base alike.
 
 Exact when the base is a point; over a nontrivial base the sectors are
 truncated at a base-polynomial degree cap and the results are tagged as
@@ -22,32 +23,56 @@ nonzero weight is acyclic (Chevalley-Eilenberg 1948; Hochschild-Serre 1953).
 same Betti numbers, and names the X's it used in `FiniteComplex.torus`.
 Over a base, with no diagonal X, or with d^2 != 0 it lists the full
 complex and `torus` is empty.
+
+Poincare duality.  Over a point at weight 0 the complex is the
+Chevalley-Eilenberg complex of the Lie algebra dual to the weight-zero
+odd generators, and its top sector n is spanned by their product.  The
+product of sectors j and n - j into sector n is a perfect pairing, on a
+torus block too once the top monomial lies in it.  d_(n-1) takes the
+monomial without Y to tr ad_Y times the top one, up to sign, where
+tr ad_Y is the sum over the weight-zero odd g of the coefficient of g in
+i_Y(d g).  When every tr ad_Y vanishes (the algebra is unimodular), d
+of a product into sector n is zero, so d_(n-1-j) is the adjoint of d_j
+up to sign and rank d_(n-1-j) = rank d_j (Koszul 1950; Hazewinkel 1970).
+`_torus` reads the traces in its pass over d's terms.  When the top
+sector has dimension 1 and every trace is zero, `betti` builds and
+reduces d_0 ... d_((n-1)//2) only, which lists sectors 0 ... (n-1)//2 + 1,
+and mirrors the other ranks.  aff(1), whose trace is not zero, has Betti
+numbers [1, 1, 0], not the mirror image of its dimensions [1, 2, 1].
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import MonomialKey, odd_positions
+from .algebra import MonomialKey, Scalar
 from .algebroid import AlgebroidSpec
-from .weight_modules import Column, ColumnBuilder, Monomials, Torus
+from .weight_modules import Column, ColumnBuilder, LazyBasis, Monomials, Torus, top_degree
 
 
 class FiniteComplex:
-    def __init__(self, spec: AlgebroidSpec, i: int, sector_bases: List[List[MonomialKey]],
-                 cap: Optional[int], torus: Tuple[str, ...] = ()):
+    """The weight-i subcomplex over `spec`, or its torus block, by sectors:
+    `sector_bases[j]` is the basis of sector j, `cap` the base-degree cap
+    (None over a point), `torus` the diagonal X's of the torus reduction
+    and `traces` those of `_torus(spec)` when the maker has read them
+    (`betti` reads them itself otherwise).
+
+    `build_complex` lists its sectors lazily: every sector is counted when
+    the complex is made, but listed only when something first reads it,
+    so `dims` lists nothing and `betti` lists only the sectors it
+    reduces."""
+
+    def __init__(self, spec: AlgebroidSpec, i: int, sector_bases: Sequence[Sequence[MonomialKey]],
+                 cap: Optional[int], torus: Tuple[str, ...] = (),
+                 traces: Optional[Mapping[int, Scalar]] = None):
         self.spec = spec
         self.i = i
         self.sector_bases = sector_bases
-        self.cap = cap          # None when the base is a point
-        self.torus = torus      # the diagonal X's of the torus reduction
-
-    @property
-    def exact(self) -> bool:
-        """Over a point no cap truncates the sectors."""
-        return self.cap is None
+        self.cap = cap
+        self.torus = torus
+        self.traces = traces
 
     @property
     def dims(self) -> List[int]:
@@ -58,7 +83,7 @@ class FiniteComplex:
         the top sector maps to zero."""
         bases = self.sector_bases
         if j + 1 == len(bases):
-            return [{} for _ in bases[j]]
+            return [{} for _ in range(len(bases[j]))]
         return self._builder(bases[j], bases[j + 1], skip)
 
     @cached_property
@@ -66,59 +91,77 @@ class FiniteComplex:
         return ColumnBuilder(self.spec, self.cap)
 
 
-def _torus(spec: AlgebroidSpec) -> Tuple[Tuple[str, ...], Torus]:
-    """The diagonal weight-zero odd generators X (see the module docstring),
-    and per generator position its weight under each, scaled per X to
-    integers.
+class TorusScan(NamedTuple):
+    labels: Tuple[str, ...]     # the diagonal weight-zero odd generators X
+    weights: Torus              # per generator position, its weight under each X
+    traces: Dict[int, Scalar]   # per weight-zero odd Y, sum of the coefficients of
+                                # g in i_Y(d g) over the weight-zero odd g
 
-    i_X(d g) is read off the terms of d g that contain X: each gives one
-    term of i_X(d g), and no two give the same one."""
+
+def _torus(spec: AlgebroidSpec) -> TorusScan:
+    """The diagonal weight-zero odd generators X (see the module docstring),
+    per generator position its weight under each, scaled per X to
+    integers (no position when there is no X), and per weight-zero odd Y
+    the trace that decides Poincare duality.
+
+    i_X(d g) is read off d's term lists: a term t of d g that contains X
+    gives one term of i_X(d g), and no two give the same one, so X is
+    diagonal when every such t is X g, up to its coefficient c.  i_X
+    takes X to the front, past the factors of t below it: |t| - 1 less
+    those above it, whose parity is bit X of t's parity mask, and |t| is
+    1 + the form degree of g.  So g has coefficient -c or c in i_X(d g)."""
     table = spec.table
-    # X -> {g: the coefficient of g in i_X(d g)}, while no other term was seen
-    scalars = {X.position: {} for X in table.odd_generators() if not X.h_weight}
+    zero = [X.position for X in table.odd_generators() if not X.h_weight]
+    candidates = sum(1 << p for p in zero)
+    diagonal = candidates   # the X's no term has ruled out so far
+    # X -> {g: the coefficient of g in i_X(d g)}
+    scalars: Dict[int, Dict[int, Scalar]] = {p: {} for p in zero}
+    traces: Dict[int, Scalar] = dict.fromkeys(zero, 0)
+    terms = spec.d.leibniz_terms
     for g in table.gens:
-        unit = ((), 1 << g.position) if g.form_degree else (((g.position, 1),), 0)
-        for (even, odd), c in spec.d.value(g).terms.items():
-            for k, p in enumerate(odd_positions(odd)):
-                found = scalars.get(p)
-                if found is None:
-                    continue
-                if (even, odd ^ (1 << p)) == unit:
-                    found[g.position] = -c if k & 1 else c
+        # the factors of g as a term: (even part, odd mask)
+        unit, bit = ((), 1 << g.position) if g.form_degree else (((g.position, 1),), 0)
+        traced = g.position in traces
+        for e, odds in terms.get(g.position, ()):
+            for t, parity, c in odds:
+                x = t ^ bit
+                if e == unit and t & bit == bit and x & candidates and not x & (x - 1):
+                    # t = X g: every other factor of t is ruled out
+                    diagonal &= ~t | x
+                    p = x.bit_length() - 1
+                    v = -c if (parity >> p) + g.form_degree & 1 else c
+                    scalars[p][g.position] = v
+                    if traced:
+                        traces[p] += v
                 else:
-                    del scalars[p]
+                    diagonal &= ~t
     labels = []
     weights = []
     for p, found in scalars.items():
-        if found:
+        if found and diagonal >> p & 1:
             scale = lcm(*(c.denominator for c in found.values()))
             weights.append({q: int(c * scale) for q, c in found.items()})
             labels.append(str(table.gens[p]))
-    return tuple(labels), {g.position: tuple(w.get(g.position, 0) for w in weights)
-                           for g in table.gens}
+    columns = [[w.get(q, 0) for q in range(len(table.gens))] for w in weights]
+    return TorusScan(tuple(labels), dict(enumerate(zip(*columns))), traces)
 
 
 def build_complex(spec: AlgebroidSpec, i: int, cap: int = 4) -> FiniteComplex:
-    """List the sector bases of the weight-i subcomplex: the joint
-    weight-zero block of the torus reduction when it applies (it reads
-    d^2 = 0 off `spec.homological`), the full complex otherwise.  No column
-    is built here: `betti` builds them, and refuses a cap that is too
-    small."""
+    """The weight-i subcomplex: the joint weight-zero block of the torus
+    reduction when it applies (it reads d^2 = 0 off `spec.homological`),
+    the full complex otherwise.  Every sector is counted, and the first
+    above the size limit refused, before any is listed; a sector is listed
+    only when first read, and no column is built here: `betti` builds
+    them, and refuses a cap that is too small."""
     table = spec.table
     point = not table.base_generators()
-    labels, weights = _torus(spec) if point else ((), {})
+    labels, weights, traces = _torus(spec) if point else ((), {}, None)
     if labels and not spec.homological.ok:
         labels = ()
     # the full sectors set the length, so the Betti list keeps its zeros
-    full = Monomials(spec, i, cap)
-    top = max((j for j in range(len(table.odd_generators()) + 1) if full.size(j)), default=0)
-    block = Monomials(spec, i, cap, weights) if labels else full
-    # every sector is counted, and the first above the limit refused,
-    # before any is listed
-    for j in range(top + 1):
-        block.checked_size(j)
-    bases = [block.basis(j) for j in range(top + 1)]
-    return FiniteComplex(spec, i, bases, None if point else cap, labels)
+    block = Monomials(spec, i, cap, weights if labels else None)
+    bases = [LazyBasis(block, j) for j in range(top_degree(spec, i) + 1)]
+    return FiniteComplex(spec, i, bases, None if point else cap, labels, traces)
 
 
 def _integral(column: Column) -> Column:
@@ -178,6 +221,17 @@ def _pivots(columns: List[Column], cleared: Collection[int] = ()) -> Dict[int, C
     return pivots
 
 
+def _mirrors(c: FiniteComplex, dims: List[int]) -> bool:
+    """Whether Poincare duality gives the upper half of the ranks of c,
+    whose sectors have dimensions `dims`: over a point at weight 0, with a
+    one-dimensional top sector and every trace of `_torus` zero (see the
+    module docstring)."""
+    if c.cap is not None or c.i or dims[-1] != 1:
+        return False
+    traces = _torus(c.spec).traces if c.traces is None else c.traces
+    return not any(traces.values())
+
+
 def betti(c: FiniteComplex) -> List[int]:
     """dim ker d_j minus rank d_(j-1), per sector.
 
@@ -187,6 +241,13 @@ def betti(c: FiniteComplex) -> List[int]:
     span sector j.  rank d_j is therefore the rank of the columns of d_j
     whose index is not a pivot row of d_(j-1), and only those are built
     and reduced.
+
+    Poincare duality.  Over a point at weight 0, when the top sector n has
+    dimension 1 and every tr ad_Y vanishes, rank d_(n-1-j) = rank d_j (see
+    the module docstring).  Then only d_0 ... d_((n-1)//2) are built and
+    reduced, so only sectors 0 ... (n-1)//2 + 1 are listed, and the other
+    ranks are mirrored; every sector's dimension is its count.  A base, a
+    positive weight or a nonzero trace (aff(1)) takes every rank.
 
     Over a base a column may leave the cap, and CapClosureError names the
     first that does in sector order, then domain order, as building every
@@ -198,9 +259,14 @@ def betti(c: FiniteComplex) -> List[int]:
     # ColumnBuilder refuses a span that d leaves, so d^2 = 0 closes it
     if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
+    dims = c.dims
+    n = len(dims) - 1
+    reduced = (n + 1) // 2 if _mirrors(c, dims) else n + 1
     ranks = []
     cleared: Collection[int] = ()
-    for j in range(len(c.sector_bases)):
+    for j in range(reduced):
         cleared = _pivots(c.columns(j, cleared), cleared)
         ranks.append(len(cleared))
-    return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(c.dims)]
+    # rank d_j = rank d_(n-1-j), and the top sector maps to zero
+    ranks += [ranks[n - 1 - j] if j < n else 0 for j in range(reduced, n + 1)]
+    return [dim - ranks[j] - (ranks[j - 1] if j else 0) for j, dim in enumerate(dims)]

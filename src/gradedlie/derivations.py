@@ -5,7 +5,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .algebra import Element, Generator, GeneratorTable, _leibniz_into, _parity
+from .algebra import (Element, EvenPart, Generator, GeneratorTable, _leibniz_element,
+                      _leibniz_into, _parity)
 
 
 class DerivationError(ValueError):
@@ -25,9 +26,16 @@ class Derivation:
     @cached_property
     def leibniz_terms(self) -> Dict[int, list]:
         """The nonzero values by position, as `algebra._leibniz_into` reads
-        them: built on first use and kept, as `action` is never changed."""
-        return {p: [(e, t, _parity(t), c) for (e, t), c in v.terms.items()]
-                for p, v in self.action.items() if v.terms}
+        them, their terms grouped by even part: built on first use and
+        kept, as `action` is never changed."""
+        out = {}
+        for p, v in self.action.items():
+            groups: Dict[EvenPart, list] = {}
+            for (e, t), c in v.terms.items():
+                groups.setdefault(e, []).append((t, _parity(t), c))
+            if groups:
+                out[p] = list(groups.items())
+        return out
 
     def value(self, g: Generator) -> Element:
         return self.action.get(g.position, self.table.zero())
@@ -89,10 +97,10 @@ def apply(D: Derivation, e: Element) -> Element:
     if D.table != e.table:
         raise DerivationError("derivation and element over different tables")
     terms = D.leibniz_terms
-    out: dict = {}
+    acc: dict = {}
     for key, c in e.terms.items():
-        _leibniz_into(out, c, key, terms)
-    return Element(e.table, out)
+        _leibniz_into(acc, c, key, terms)
+    return _leibniz_element(e.table, acc)
 
 
 def graded_commutator(D1: Derivation, D2: Derivation) -> Derivation:

@@ -19,10 +19,12 @@ looked up among the codomain's rows.
 
 from __future__ import annotations
 
+from collections import abc
+from functools import cached_property
 from math import comb
 from operator import itemgetter
-from typing import (Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _leibniz_into,
                       monomial_str)
@@ -38,8 +40,9 @@ class BasisSizeError(ValueError):
     count needs more than MAX_DP_STATES states."""
 
 
-# Bases are listed eagerly, so a larger one is refused after counting it.
-# The limit is several times the largest sector of gl(4) (12 870 monomials).
+# A basis is counted before it is listed, so a larger one is refused before
+# any of it is listed.  The limit is several times the largest sector of
+# gl(4) (12 870 monomials).
 MAX_BASIS_SIZE = 50_000
 # The counting DP keeps its states for listing, so a block whose count needs
 # more of them is refused while it is counted.  The budget is several times
@@ -129,26 +132,51 @@ class Monomials:
             self._factors.append((g, [(e, e * unit) for e in exponents]))
         # Every target has torus weight zero, so a total of factors k, k+1,
         # ... is kept only if factors 0..k-1 can bring each torus digit back
-        # to zero: per digit they reach [sum of top * min(v, 0), sum of
-        # top * max(v, 0)], so the total must lie in boxes[k], its negative.
-        boxes = [[(0, 0)] * len(zero)]
+        # to zero: per digit they reach [low, high], the sums over them of
+        # top * min(v, 0) and of top * max(v, 0), so the total must lie in
+        # [-high, -low].  A total of factors k+1, ... already lies in that
+        # range for factors 0..k, which differs only at the digits where
+        # factor k weighs something, so checks[k] lists those digits with
+        # the range for factors 0..k-1: (B^digit, m - high, m - low).
+        # Every digit of a total lies in [-m, m], so total + off, with off
+        # the code of (m, m, ...), has digit d of the total plus m in its
+        # base-B digit d, with no carry.
+        low, high = [0] * len(zero), [0] * len(zero)
+        checks = []
         for _g, top, v in factors:
-            boxes.append([(lo - top * max(t, 0), hi - top * min(t, 0))
-                          for (lo, hi), t in zip(boxes[-1], v[2:])])
+            weighs = [(d, t) for d, t in enumerate(v[2:]) if t]
+            checks.append([(b ** (2 + d), m - high[d], m - low[d]) for d, _t in weighs])
+            for d, t in weighs:
+                if t > 0:
+                    high[d] += top * t
+                else:
+                    low[d] += top * t
+        off = self._code([m] * (2 + len(zero)))
         reach: Dict[int, int] = {0: 1}
         self._reach = [reach]
         states = 1
         for k in range(len(factors) - 1, -1, -1):
             g, options = self._factors[k]
-            nxt: Dict[int, int] = {}
-            for state, n in reach.items():
-                for _e, v in options:
+            # leaving factor k out keeps every total, whose h-weight is at
+            # most i already
+            nxt: Dict[int, int] = dict(reach)
+            for e, v in options:
+                if not e:
+                    continue
+                for state, n in reach.items():
                     s = state + v
                     if not g.h_weight or s % b <= i:
                         nxt[s] = nxt.get(s, 0) + n
-            if torus:
-                box = boxes[k]
-                nxt = {s: n for s, n in nxt.items() if self._inside(s, box)}
+            if checks[k]:
+                kept = {}
+                for s, n in nxt.items():
+                    x = s + off
+                    for power, lo, hi in checks[k]:
+                        if not lo <= x // power % b <= hi:
+                            break
+                    else:
+                        kept[s] = n
+                nxt = kept
             reach = nxt
             self._reach.append(reach)
             states += len(reach)
@@ -156,21 +184,6 @@ class Monomials:
                 raise BasisSizeError(f"{self._label('*')} is too large to count: it needs "
                                      f"more than the budget of {MAX_DP_STATES} states")
         self._reach.reverse()   # _reach[k]: the totals of factors k, k+1, ...
-
-    def _inside(self, code: int, box: Sequence[Tuple[int, int]]) -> bool:
-        """Whether the torus digits of `code` lie in `box`, one (low, high)
-        per digit.  Digits 0-1 are never negative, so the torus digits are
-        the balanced base-B digits of code // B^2, each in [-m, m]."""
-        b, m = self._base, self._m
-        rest = code // b ** 2
-        for lo, hi in box:
-            digit = rest % b
-            if digit > m:
-                digit -= b
-            if not lo <= digit <= hi:
-                return False
-            rest = (rest - digit) // b
-        return True
 
     def _code(self, vector: Sequence[int]) -> int:
         code = 0
@@ -200,8 +213,7 @@ class Monomials:
         MAX_BASIS_SIZE after counting them."""
         if not self.checked_size(j):
             return []
-        fibre: List[MonomialKey] = []
-        self._walk(0, self._code((self.i, j)), (), 0, fibre)
+        fibre = self._walk(self._code((self.i, j)))
         # base positions lead the global order, so a base monomial is a
         # prefix of the even part
         keys = [(prefix + even, odd) for prefix in self._base_monomials()
@@ -227,21 +239,85 @@ class Monomials:
             return f"W^({self.i},{j})"
         return f"sector ({self.i},{j}) at base degree cap {self._cap}"
 
-    def _walk(self, k: int, need: int, even: EvenPart, odd: int,
-              keys: List[MonomialKey]) -> None:
-        if k == len(self._factors):
-            keys.append((even, odd))
-            return
-        g, options = self._factors[k]
-        reach = self._reach[k + 1]
-        for e, v in options:
-            if need - v not in reach:
-                continue
+    def _walk(self, total: int) -> List[MonomialKey]:
+        """The fibre monomials whose factors' contributions sum to `total`,
+        in the order of a depth-first walk over the factors, found level by
+        level: each partial monomial is extended by each option of the next
+        factor in turn, and kept only while the factors after it can still
+        reach what is left, so no level holds more than the result.  A
+        factor left out keeps the partial monomial as it is."""
+        level = [(total, (), 0)]   # (left to reach, even part, odd part)
+        for k, (g, options) in enumerate(self._factors):
+            reach = self._reach[k + 1]
+            p = g.position
+            nxt: List[Tuple[int, EvenPart, int]] = []
+            append = nxt.append
             if g.form_degree:
-                self._walk(k + 1, need - v, even, odd | e << g.position, keys)
+                bit, unit = 1 << p, options[0][1]   # taken, then left out
+                for item in level:
+                    need, even, odd = item
+                    if need - unit in reach:
+                        append((need - unit, even, odd | bit))
+                    if need in reach:
+                        append(item)
             else:
-                self._walk(k + 1, need - v, even + ((g.position, e),) if e else even, odd,
-                           keys)
+                for item in level:
+                    need, even, odd = item
+                    for e, v in options:
+                        if need - v in reach:
+                            append((need - v, even + ((p, e),), odd) if e else item)
+            level = nxt
+        return [(even, odd) for _left, even, odd in level]
+
+
+class LazyBasis(abc.Sequence):
+    """The basis of sector (i, j) of a `Monomials`: counted, and refused
+    with BasisSizeError above MAX_BASIS_SIZE, when made; listed by
+    `Monomials.basis` when first read.  Its length is the count, so it is
+    known without listing."""
+
+    def __init__(self, monomials: Monomials, j: int):
+        self._monomials, self._j = monomials, j
+        self._size = monomials.checked_size(j)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def keys(self) -> List[MonomialKey]:
+        return self._monomials.basis(self._j)
+
+    def __getitem__(self, n):
+        return self.keys[n]
+
+    def __iter__(self) -> Iterator[MonomialKey]:
+        return iter(self.keys)
+
+
+def top_degree(spec: SpecOrTable, i: int) -> int:
+    """The largest form degree of a monomial of h-weight i, 0 when there is
+    none: every weight-zero odd generator, and the most positive-weight
+    odd generators whose weights leave a sum of even fibre weights.  Base
+    factors change neither, so the cap does not enter."""
+    if i < 0:
+        return 0
+    table = _table(spec)
+    evens = {g.h_weight for g in table.gens if g.kind == "even_fiber" and g.h_weight <= i}
+    # filled[w]: w is a sum of even fibre weights
+    filled = [True] + [False] * i
+    for w in range(1, i + 1):
+        filled[w] = any(filled[w - e] for e in evens if e <= w)
+    zero = 0
+    most = {0: 0}   # weight of some positive-weight odd factors -> most factors
+    for g in table.odd_generators():
+        if not g.h_weight:
+            zero += 1
+            continue
+        for w, n in list(most.items()):
+            if w + g.h_weight <= i and most.get(w + g.h_weight, -1) <= n:
+                most[w + g.h_weight] = n + 1
+    best = [n for w, n in most.items() if filled[i - w]]
+    return zero + max(best) if best else 0
 
 
 def w_basis(spec: SpecOrTable, i: int, j: int) -> WeightModuleBasis:
@@ -330,21 +406,20 @@ class ColumnBuilder:
 
     def column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]]) -> Column:
         """The column of one domain monomial, given the codomain's rows by
-        even part and odd mask."""
+        even part and odd mask: the kernel's image is keyed the same way,
+        so each term's row is one lookup by odd mask."""
         image: dict = {}
         _leibniz_into(image, 1, key, self._terms)
         column: Column = {}
-        for term, v in image.items():
-            if not v:
-                continue
-            rows = index.get(term[0])
-            row = rows.get(term[1]) if rows else None
-            if row is None:
+        for even, odds in image.items():
+            rows = index.get(even, {})
+            try:
+                column.update({rows[odd]: v for odd, v in odds.items() if v})
+            except KeyError as missing:
                 raise CapClosureError(
                     f"base degree cap {self._cap} does not close the complex: "
                     f"d({monomial_str(self._table, key)}) contains "
-                    f"{monomial_str(self._table, term)}")
-            column[row] = v
+                    f"{monomial_str(self._table, (even, missing.args[0]))}") from None
         return column
 
 

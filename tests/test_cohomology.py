@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gradedlie.algebroid import AlgebroidSpec
-from gradedlie.cohomology import _pivots, _torus, betti, build_complex, rank
+from gradedlie.cohomology import _mirrors, _pivots, _torus, betti, build_complex, rank
 from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
                                      aff1, algebroid_prolongation, e7_instance, sl2,
                                      tangent_algebroid)
@@ -34,7 +34,7 @@ def test_rank_against_brute_force_random():
 
 def test_betti_abelian_plane():
     c = build_complex(abelian_lie_algebra(2), 0)
-    assert c.exact
+    assert c.cap is None
     assert c.dims == [1, 2, 1]
     assert betti(c) == [1, 2, 1]
 
@@ -53,7 +53,7 @@ def test_betti_gl3():
     spec = gl_spec(3)
     assert full_complex(spec, 0).dims == [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
     c = build_complex(spec, 0)
-    assert c.exact
+    assert c.cap is None
     # the diagonal E_11, E_22, E_33 cut each sector to its weight-zero block
     assert c.torus == ("xi[1]", "xi[5]", "xi[9]")
     assert c.dims == [1, 3, 6, 12, 18, 18, 12, 6, 3, 1]
@@ -99,26 +99,38 @@ def sl_basis(n):
     return basis
 
 
-def sp4_basis():
-    """Split sp(4), the X with X^T J + J X = 0 for J = [[0, 1], [-1, 0]] in
-    2 x 2 blocks: [[A, B], [C, -A^T]] with B and C symmetric.  The torus
-    diag(1, 0, -1, 0), diag(0, 1, 0, -1) has root weights 1 and 2."""
-    def block(A, B, C):
-        top = [A[r] + B[r] for r in range(2)]
-        bottom = [C[r] + [-A[s][r] for s in range(2)] for r in range(2)]
-        return top + bottom
-    zero = [[0, 0], [0, 0]]
-    units = [[[int((r, s) == (i, j)) for s in range(2)] for r in range(2)]
-             for i in range(2) for j in range(2)]
-    symmetric = [units[0], units[3], [[0, 1], [1, 0]]]
-    return ([block(A, zero, zero) for A in units] + [block(zero, B, zero) for B in symmetric]
-            + [block(zero, zero, C) for C in symmetric])
+def sp_basis(n):
+    """Split sp(2n), the X with X^T J + J X = 0 for J = [[0, 1], [-1, 0]] in
+    n x n blocks: [[A, B], [C, -A^T]] with B and C symmetric.  A runs over
+    the matrix units in row order, and B and C over the E_ii, then the
+    E_ij + E_ji with i < j.  On sp(4) the torus diag(1, 0, -1, 0),
+    diag(0, 1, 0, -1) has root weights 1 and 2."""
+    def unit2(i, j):
+        return [[int((r, s) == (i, j)) for s in range(2 * n)] for r in range(2 * n)]
+
+    def add(a, b):
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    symmetric = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = [add(unit2(i, j), [[-x for x in r] for r in unit2(n + j, n + i)])
+             for i in range(n) for j in range(n)]
+    basis += [unit2(i, n + j) if i == j else add(unit2(i, n + j), unit2(j, n + i))
+              for i, j in symmetric]
+    basis += [unit2(n + i, j) if i == j else add(unit2(n + i, j), unit2(n + j, i))
+              for i, j in symmetric]
+    return basis
+
+
+@pytest.fixture(scope="session")
+def sp6():
+    """sp(6) from its matrices, its structure constants made once."""
+    return matrix_lie_algebra(sp_basis(3))
 
 
 @pytest.mark.parametrize("basis, rank_t, degrees", [
     (sl_basis(3), 2, [3, 5]),
     (sl_basis(4), 3, [3, 5, 7]),
-    (sp4_basis(), 2, [3, 7]),
+    (sp_basis(2), 2, [3, 7]),
 ], ids=["sl3", "sl4", "sp4"])
 def test_betti_matrix_lie_algebras_closed_form(basis, rank_t, degrees):
     """sl(3), sl(4) and sp(4) from their matrices: the Poincare polynomial
@@ -127,6 +139,14 @@ def test_betti_matrix_lie_algebras_closed_form(basis, rank_t, degrees):
     c = build_complex(matrix_lie_algebra(basis), 0)
     assert len(c.torus) == rank_t
     assert betti(c) == poincare_betti(degrees)
+
+
+def test_betti_sp6_closed_form(sp6):
+    """sp(6), exponents 1, 3, 5: (1+t^3)(1+t^7)(1+t^11), through the torus
+    block (21 odd generators, 4 476 monomials in the largest sector)."""
+    c = build_complex(sp6, 0)
+    assert len(c.torus) == 3 and max(c.dims) == 4476
+    assert betti(c) == poincare_betti([3, 7, 11])
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -172,41 +192,81 @@ def test_cleared_ranks_match_rank_and_brute_force():
 
 
 def test_betti_builds_only_the_columns_clearing_keeps(monkeypatch):
-    """build_complex builds no column.  Over a point and over a base alike,
-    betti builds d_j's columns only at the indices that are not pivot rows
-    of d_(j-1); its ranks are `cleared_ranks` over every column."""
-    built = []
-    column = ColumnBuilder.column
+    """build_complex builds no column and lists no sector.  Over a point
+    and over a base alike, betti builds d_j's columns only at the indices
+    that are not pivot rows of d_(j-1); its ranks are `cleared_ranks` over
+    every column.  Where Poincare duality holds (over a point at weight 0
+    with a one-dimensional top sector n and d_(n-1) = 0), it builds only
+    the columns of d_0 ... d_((n-1)//2) and lists only sectors 0 ...
+    (n-1)//2 + 1; elsewhere it lists every sector."""
+    built, listed = [], []
+    column, basis = ColumnBuilder.column, Monomials.basis
 
     def recording(self, key, index):
         built.append(key)
         return column(self, key, index)
 
+    def listing(self, j):
+        listed.append(j)
+        return basis(self, j)
+
     monkeypatch.setattr(ColumnBuilder, "column", recording)
+    monkeypatch.setattr(Monomials, "basis", listing)
     rng = random.Random(66)
     specs = [gl_spec(3), gl_spec(4), sl2(), aff1(), unipotent_twist(rng, gl_spec(3)),
              adjoint_instance(), e7_instance()]
-    skipped, skipped_over_base = 0, []
+    skipped, skipped_over_base, mirrored = 0, [], 0
     for spec in specs:
         built.clear()
+        listed.clear()
         c = build_complex(spec, 0)
-        assert not built
-        matrices = all_columns(c)
+        assert not built and not listed
+        every = build_complex(spec, 0)
+        matrices = all_columns(every)
+        n = len(c.dims) - 1
+        dual = c.cap is None and c.dims[-1] == 1 and not any(matrices[n - 1])
+        mirrored += dual
+        reduced = (n + 1) // 2 if dual else n
         ranks = cleared_ranks(matrices)
         kept, cleared = [], ()
-        for basis, m in zip(c.sector_bases[:-1], matrices):
-            kept += [key for n, key in enumerate(basis) if n not in cleared]
+        for keys, m in zip(every.sector_bases[:reduced], matrices):
+            kept += [key for k, key in enumerate(keys) if k not in cleared]
             cleared = _pivots(m, cleared)
         built.clear()
+        listed.clear()
         assert betti(c) == [dim - ranks[j] - (ranks[j - 1] if j else 0)
                             for j, dim in enumerate(c.dims)]
         assert built == kept
+        assert sorted(listed) == list(range(reduced + 1))
         skipped += sum(c.dims[:-1]) - len(kept)
-        if not c.exact:
+        if c.cap is not None:
             skipped_over_base.append(sum(c.dims[:-1]) - len(kept))
+    # gl(3), gl(4), sl(2) and twisted gl(3); not aff(1) or a base
+    assert mirrored == 4
     assert skipped > 1000
     # adjoint and e7 at weight 0: 4 of 15 and 14 of 45 columns
     assert skipped_over_base == [4, 14]
+
+
+def test_poincare_duality_matches_every_rank():
+    """Where betti mirrors the upper ranks, on gl(3) relabelled by seeded
+    shuffles and on twists of sl(2), it gives the Betti numbers of the
+    full complex with every column built and reduced."""
+    rng = random.Random(69)
+    specs = [gl_spec(3, rng.sample(range(1, 10), 9)) for _ in range(3)]
+    specs += [unipotent_twist(rng, sl2()) for _ in range(4)]
+    for spec in specs:
+        c = build_complex(spec, 0)
+        assert _mirrors(c, c.dims)
+        assert betti(c) == betti_by_every_column(full_complex(spec, 0))
+
+
+def test_betti_aff1_full_complex_is_not_mirrored():
+    """aff(1) is not unimodular: d_1 is not zero, and its Betti numbers are
+    not the mirror image of its dimensions."""
+    c = full_complex(aff1(), 0)
+    assert c.dims == [1, 2, 1]
+    assert betti(c) == [1, 1, 0]
 
 
 def test_betti_over_a_base_matches_building_every_column():
@@ -282,7 +342,7 @@ def test_torus_detection_matches_definition():
     specs += [unipotent_twist(rng, make()) for make in (sl2, aff1) for _ in range(4)]
     for spec in specs:
         table = spec.table
-        labels, weights = _torus(spec)
+        labels, weights, traces = _torus(spec)
         found = []
         for X in table.odd_generators():
             if X.h_weight:
@@ -299,6 +359,14 @@ def test_torus_detection_matches_definition():
                 assert ratio > 0 and column == [ratio * c for c in scalars]
                 found.append(str(X))
         assert labels == tuple(found)
+        # tr ad_Y: the coefficient of g in i_Y(d g), summed over the
+        # weight-zero odd g; all zero exactly when d_(n-1) = 0 at weight 0
+        zero = [g for g in table.odd_generators() if not g.h_weight]
+        want = {Y.position: sum(spec.d.value(g).partial_derivative(Y).terms.get(
+                    ((), 1 << g.position), 0) for g in zero) for Y in zero}
+        assert traces == want
+        c = full_complex(spec, 0)
+        assert any(want.values()) == any(c.columns(len(c.dims) - 2))
 
 
 def test_torus_reduction_keeps_betti():
@@ -353,7 +421,6 @@ def test_betti_invariant_under_twist():
 def test_truncated_tangent_line():
     # de Rham on the line, truncated at polynomial degree cap
     c = build_complex(tangent_algebroid(1), 0, cap=3)
-    assert not c.exact
     assert c.cap == 3
     # kernel of d/dx on polynomials of degree <= 3 is the constants;
     # the image misses the top-degree form
@@ -382,6 +449,6 @@ def test_weighted_lie_algebra_exact_sectors():
     spec = AlgebroidSpec.from_differential(
         table, {("z", 1): table.gen("w", 1)})
     c = build_complex(spec, 1)
-    assert c.exact
+    assert c.cap is None
     # d z = w is acyclic in weight 1
     assert betti(c) == [0] * len(c.dims)

@@ -15,7 +15,7 @@ from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
                                      e7_instance, sl2, tangent_graded_bundle)
 from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
                                       Monomials, dim_w, homogenization_projector,
-                                      sector_basis, w_basis)
+                                      sector_basis, top_degree, w_basis)
 
 from conftest import (apply_by_factors, brute_force_monomials, brute_force_w_dim, gl_spec,
                       odd_tuple, projector_by_derivative, random_chart, random_element,
@@ -70,6 +70,21 @@ def test_sector_size_matches_enumeration():
                     assert Monomials(spec, i, cap).size(j) == len(keys), (name, i, j, cap)
 
 
+def test_top_degree_matches_sector_sizes():
+    """top_degree is the last nonempty sector of the counting DP (0 when
+    every sector is empty), on every example and on random charts with
+    gaps in their weights, at weights -1 .. degree + 2."""
+    rng = random.Random(24)
+    tables = [make().table for make in EXAMPLES.values()]
+    tables += [random_chart(rng, max_dim=2) for _ in range(40)]
+    for table in tables:
+        for i in range(-1, table.degree + 3):
+            sizes = Monomials(table, i, 1)
+            want = max((j for j in range(len(table.odd_generators()) + 1) if sizes.size(j)),
+                       default=0)
+            assert top_degree(table, i) == want, (table, i)
+
+
 def test_w_basis_matches_enumeration_random():
     rng = random.Random(23)
     for _ in range(20):
@@ -104,7 +119,7 @@ def test_torus_block_count_listing_and_filter_agree():
     sector filtered by torus weight are the same."""
     prolonged = algebroid_prolongation(sl2(), [("z", 1, 1), ("u", 2, 1)])
     for spec, weights in [(gl_spec(3), [0]), (gl_spec(4), [0]), (prolonged, [1, 2])]:
-        labels, torus = _torus(spec)
+        labels, torus, _traces = _torus(spec)
         assert labels
         for i in weights:
             block = Monomials(spec, i, torus=torus)
