@@ -25,10 +25,8 @@ from .dsl import (DslError, SpecDocument, document_from_spec, parse,
 from .superconnection import (CascadeReport, GaugeError, GaugeTransformation,
                               SuperconnectionComponents, apply_gauge,
                               compose_gauges, extract_components,
-                              flatness_cascade, identity_gauge,
-                              split_by_y_count)
-from .weight_modules import (BasisSizeError, CapClosureError, WeightModuleBasis,
-                             dim_w, homogenization_projector, sector_basis,
-                             w_basis)
+                              flatness_cascade, split_by_y_count)
+from .weight_modules import (BasisSizeError, CapClosureError, Monomials, dim_w,
+                             homogenization_projector)
 
 __version__ = "0.1.0"

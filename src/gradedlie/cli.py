@@ -27,8 +27,7 @@ from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
 from .cohomology import betti, build_complex
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
-from .weight_modules import (BasisSizeError, CapClosureError, Monomials,
-                             WeightModuleBasis)
+from .weight_modules import BasisSizeError, CapClosureError, Monomials
 
 
 class CliError(Exception):
@@ -129,10 +128,10 @@ def _cmd_decompose(args) -> int:
     lines = [f"decompose {args.file} weight {i}:"]
     monomials = Monomials(spec, i, positive=True)
     for j in range(i + 1):
-        basis = WeightModuleBasis(i, j, monomials.basis(j), spec)
+        basis = monomials.basis(j)
         n = len(basis)
         dims[f"({i},{j})"] = n
-        labels = ", ".join(basis.labels()) or "-"
+        labels = ", ".join(monomial_str(spec.table, k) for k in basis) or "-"
         lines.append(f"  W^({i},{j}) dim {n}: {labels}")
     payload = {"status": "ok", "dims": dims}
     _emit(args, payload, lines)

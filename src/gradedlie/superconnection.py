@@ -351,18 +351,20 @@ class _Gauged:
 
 
 class SuperconnectionComponents:
-    """The blocks D_p of the weight-i module operator on the W-basis keys.
+    """The blocks D_p of the weight-i module operator on the W-basis keys,
+    and those keys, `basis_keys`: the monomials that `flatness_cascade`
+    checks and `apply_gauge` gauges.
     The operator they define is built on first use and kept on the object,
     with the image of each module monomial under it: to change a block,
     build a new object."""
 
     def __init__(self, spec: AlgebroidSpec, i: int,
                  blocks: Dict[int, Dict[MonomialKey, Element]],
-                 basis_keys: Optional[List[MonomialKey]] = None):
+                 basis_keys: List[MonomialKey]):
         self.spec = spec
         self.i = i
         self.blocks = blocks
-        self.basis_keys = [] if basis_keys is None else basis_keys
+        self.basis_keys = basis_keys
 
     @cached_property
     def _operator(self):
@@ -416,7 +418,8 @@ class CascadeReport(NamedTuple):
 
 
 def flatness_cascade(c: SuperconnectionComponents) -> CascadeReport:
-    """Check sum_{a+b=p} D_a D_b = 0 on every W-basis monomial, per level p.
+    """Check sum_{a+b=p} D_a D_b = 0 on every monomial of `c.basis_keys`,
+    per level p.
 
     D_a raises the y-count by exactly a, so level p is the y-count-p part
     of D^2(m), which the operator's `square` gives as an int vector over
@@ -484,10 +487,6 @@ class GaugeTransformation:
         """Finite Neumann series (1 + N)^-1 = sum (-N)^k."""
         memo = self._raising.memo
         return memo.element(*_gauge_inverse(self._raising, *memo.vector(e)))
-
-
-def identity_gauge(spec: AlgebroidSpec, i: int) -> GaugeTransformation:
-    return GaugeTransformation(spec, i, {})
 
 
 def apply_gauge(c: SuperconnectionComponents,

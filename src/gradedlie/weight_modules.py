@@ -7,8 +7,10 @@ the quotient of weight-i forms by the ideal generated by weight-zero forms
 of positive form degree.
 
 Every basis here is the set of monomials of one multi-degree, so one
-enumerator, `Monomials`, counts and lists them all: W-bases, the sectors of
-the weight-i subcomplex, and the torus blocks of `cohomology`.  Base
+enumerator, `Monomials`, counts and lists them all, and
+`Monomials(spec, i, cap, torus, positive).basis(j)` is the one way to list
+one: the W^(i,j) bases (`positive=True`), the sectors of the weight-i
+subcomplex, and the torus blocks of `cohomology`.  Base
 generators weigh nothing in h-weight or form degree, so it enumerates the
 fibre monomials and takes the base polynomials of degree <= cap as a free
 factor.  `ColumnBuilder` gives d_E from one such basis to the next, by
@@ -23,8 +25,8 @@ from collections import abc
 from functools import cached_property
 from math import comb
 from operator import itemgetter
-from typing import (Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _leibniz_into,
                       monomial_str)
@@ -55,24 +57,6 @@ SpecOrTable = Union[AlgebroidSpec, GeneratorTable]
 
 def _table(spec: SpecOrTable) -> GeneratorTable:
     return spec.table if isinstance(spec, AlgebroidSpec) else spec
-
-
-class WeightModuleBasis(NamedTuple):
-    i: int
-    j: int
-    keys: List[MonomialKey]            # coefficient-1 monomials, graded-lex order
-    spec: SpecOrTable
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def elements(self) -> List[Element]:
-        table = _table(self.spec)
-        return [Element(table, {k: 1}) for k in self.keys]
-
-    def labels(self) -> List[str]:
-        table = _table(self.spec)
-        return [monomial_str(table, k) for k in self.keys]
 
 
 Torus = Mapping[int, Tuple[int, ...]]   # generator position -> integer weights
@@ -320,14 +304,6 @@ def top_degree(spec: SpecOrTable, i: int) -> int:
     return zero + max(best) if best else 0
 
 
-def w_basis(spec: SpecOrTable, i: int, j: int) -> WeightModuleBasis:
-    """Monomial basis of W^(i,j): products of positive-weight generators with
-    total bi-weight (i, j)."""
-    if i < 1:
-        raise ValueError("w_basis requires weight i >= 1")
-    return WeightModuleBasis(i, j, Monomials(spec, i, positive=True).basis(j), spec)
-
-
 def _multichoose(n: int, k: int) -> int:
     if k == 0:
         return 1
@@ -361,13 +337,6 @@ def dim_w(spec: SpecOrTable, i: int, j: int) -> int:
     if i == 0:
         return 1 if j == 0 else 0
     return rec(1, i, j)
-
-
-def sector_basis(spec: SpecOrTable, i: int, j: int, cap: int) -> List[MonomialKey]:
-    """Monomial basis of the (i, j) sector of the weight-i subcomplex:
-    base polynomials of degree <= cap, times exterior products of weight-0
-    odd generators, times W^(i, .) monomials."""
-    return Monomials(spec, i, cap).basis(j)
 
 
 Column = Dict[int, Scalar]

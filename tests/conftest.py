@@ -9,7 +9,7 @@ from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.cohomology import FiniteComplex, _pivots
 from gradedlie.derivations import HomologicalReport, make_derivation
-from gradedlie.weight_modules import sector_basis
+from gradedlie.weight_modules import Monomials
 
 
 @pytest.fixture
@@ -255,7 +255,7 @@ def random_degree0_tables(rng, max_base=2, max_rank=3):
 
 def brute_force_w_dim(table, i, j):
     """Count bi-weight (i, j) monomials in positive-weight generators by
-    direct enumeration (independent of w_basis)."""
+    direct enumeration (independent of Monomials)."""
     from itertools import combinations
     evens = [g for g in table.even_generators() if g.h_weight > 0]
     odds = [g for g in table.odd_generators() if g.h_weight > 0]
@@ -381,7 +381,7 @@ def random_derivation(rng, table, bi_degree, cap=2):
         i, j = g.h_weight + a, g.form_degree + b
         if i < 0 or j < 0 or rng.random() < 0.3:
             continue
-        keys = sector_basis(table, i, j, cap)
+        keys = Monomials(table, i, cap).basis(j)
         chosen = rng.sample(keys, min(len(keys), rng.randint(1, 4)))
         action[g] = Element(table, {k: random_coeff(rng, zero_bias=0.0) for k in chosen})
     return make_derivation(table, bi_degree, action)
@@ -460,7 +460,8 @@ def full_complex(spec, i, cap=4):
     monomial of every sector of the weight-i subcomplex, trailing empty
     sectors dropped."""
     point = not spec.table.base_generators()
-    bases = [sector_basis(spec, i, j, cap) for j in range(len(spec.table.odd_generators()) + 2)]
+    monomials = Monomials(spec, i, cap)
+    bases = [monomials.basis(j) for j in range(len(spec.table.odd_generators()) + 2)]
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
     return FiniteComplex(spec, i, bases, None if point else cap)

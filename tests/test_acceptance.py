@@ -21,7 +21,7 @@ from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra,
                                      e7_instance, sl2)
 from gradedlie.superconnection import (apply_gauge, compose_gauges,
                                        extract_components, flatness_cascade)
-from gradedlie.weight_modules import dim_w, homogenization_projector, w_basis
+from gradedlie.weight_modules import Monomials, dim_w, homogenization_projector
 
 from conftest import (all_columns, brute_force_rank, brute_force_w_dim, mutate_coefficient,
                       projector_by_derivative, random_chart,
@@ -109,14 +109,15 @@ def test_criterion_4_dimension_formula():
           and dim_w(t, 2, 1) == 7 and dim_w(t, 2, 2) == 1)
     for i in range(1, 5):
         for j in range(i + 1, i + 3):
-            ok = ok and dim_w(t, i, j) == 0 and len(w_basis(t, i, j)) == 0
+            ok = ok and dim_w(t, i, j) == 0 and len(Monomials(t, i, positive=True).basis(j)) == 0
     rng = random.Random(104)
     for _ in range(50):
         c = random_chart(rng)
         for i in range(1, 5):
             for j in range(0, i + 2):
                 n = dim_w(c, i, j)
-                if n != brute_force_w_dim(c, i, j) or n != len(w_basis(c, i, j)):
+                if (n != brute_force_w_dim(c, i, j)
+                        or n != len(Monomials(c, i, positive=True).basis(j))):
                     ok = False
     report("4 dimension formula (E3 chart + 50 random charts, i <= 4)", ok)
 

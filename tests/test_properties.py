@@ -1,11 +1,13 @@
 """Property tests: the DSL print/parse round trip, the structure equations
 against d^2 = 0 and the table oracle on twisted specs, the Leibniz kernel
 (apply and partial derivatives against the factor-by-factor oracle), the
-product (associativity and graded commutativity), and the order of keys
-with mask odd parts.
+product (associativity and graded commutativity), the order of keys
+with mask odd parts, and Betti numbers under a relabelling of the
+generators.
 Derandomized and bounded, so every run draws the same examples."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from gradedlie.algebra import Element, odd_positions
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
+from gradedlie.cohomology import betti, build_complex
 from gradedlie.constructions import (EXAMPLES, action_aff1_line, adjoint_instance, aff1,
                                      e3_chart, sl2)
 from gradedlie.derivations import apply, is_homological, make_derivation
@@ -23,8 +26,9 @@ from gradedlie.weight_modules import Monomials
 
 from cli_corpus import SPECS
 from conftest import (apply_by_factors, assert_structure_matches_tables, gl_spec,
-                      mutate_coefficient, odd_tuple, random_chart, random_degree0_tables,
-                      random_derivation, random_element, tuple_key, unipotent_twist)
+                      heisenberg_spec, mutate_coefficient, odd_tuple, random_chart,
+                      random_degree0_tables, random_derivation, random_element, tuple_key,
+                      unipotent_twist, upper_nilpotent_spec)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 RANDOMS = st.randoms(use_true_random=False)
@@ -49,6 +53,33 @@ def test_spec_print_parse_round_trip(rng, name, from_tables):
     doc = parse(text)
     assert print_document(doc) == text
     assert to_algebroid_spec(doc) == spec
+
+
+def relabelled(text, rng):
+    """A printed spec with the indices within each generator block permuted
+    at random, by rewriting its text."""
+    dims = re.findall(r"^\w+ (\w+) weight -?\d+ dim (\d+)$", text, re.M)
+    perms = {name: rng.sample(range(1, int(n) + 1), int(n)) for name, n in dims}
+    return re.sub(r"(\w+)\[(\d+)\]",
+                  lambda m: f"{m[1]}[{perms[m[1]][int(m[2]) - 1]}]", text)
+
+
+LABELLED_SPECS = {"sl2": sl2, "aff1": aff1, "h7": lambda: heisenberg_spec(3),
+                  "n4": lambda: upper_nilpotent_spec(4), "gl3": lambda: gl_spec(3)}
+
+
+@settings(BOUNDED, max_examples=25)
+@given(RANDOMS, st.sampled_from(sorted(LABELLED_SPECS)))
+def test_betti_numbers_do_not_depend_on_the_labelling(rng, name):
+    """Permuting the indices within each generator block keeps the Betti
+    numbers, on twists of sl(2) and aff(1), h_7, n+(gl(4)) and gl(3).  The
+    permutation rewrites the printed spec, which is parsed again."""
+    spec = LABELLED_SPECS[name]()
+    if name in ("sl2", "aff1"):
+        spec = unipotent_twist(rng, spec)
+    text = relabelled(print_document(document_from_spec(name, spec)), rng)
+    spec_relabelled = to_algebroid_spec(parse(text))
+    assert betti(build_complex(spec_relabelled, 0)) == betti(build_complex(spec, 0))
 
 
 @settings(BOUNDED, max_examples=30)

@@ -14,9 +14,8 @@ from gradedlie.constructions import adjoint_instance, cotangent_prolongation, e7
 from gradedlie.superconnection import (GaugeError, GaugeTransformation,
                                        SuperconnectionComponents, apply_gauge,
                                        compose_gauges, extract_components,
-                                       flatness_cascade, identity_gauge,
-                                       split_by_y_count)
-from gradedlie.weight_modules import sector_basis, w_basis
+                                       flatness_cascade, split_by_y_count)
+from gradedlie.weight_modules import Monomials
 
 from conftest import algebra_map, odd_mask, odd_tuple, random_coeff, tuple_key
 from test_coefficients import rational_specs
@@ -56,9 +55,10 @@ def random_gauge(rng, spec, i, coeff=random_coeff):
     A-form grading target by p, raising y-count by p."""
     table = spec.table
     blocks = {}
+    monomials = Monomials(spec, i, positive=True)
     keys = []
     for j in range(i + 1):
-        keys.extend(w_basis(spec, i, j).keys)
+        keys.extend(monomials.basis(j))
     ys = [g for g in table.odd_generators() if g.h_weight == 0]
     for p in range(1, len(ys) + 1):
         blk = {}
@@ -72,7 +72,7 @@ def random_gauge(rng, spec, i, coeff=random_coeff):
                 continue
             from itertools import combinations
             for ysub in combinations(ys, p):
-                for wk in w_basis(spec, i, jw).keys:
+                for wk in monomials.basis(jw):
                     cand = odd_mask(g.position for g in ysub)
                     full = (wk[0], cand | wk[1])
                     if cand & wk[1]:
@@ -104,6 +104,21 @@ def test_flatness_cascade_examples():
             comp = extract_components(spec, i)
             report = flatness_cascade(comp)
             assert report.passed, report.residuals
+
+
+def test_hand_built_components_carry_the_basis_their_cascade_checks():
+    """Components built by hand must be given the basis keys their cascade
+    checks: without them there is nothing to check, so the cascade of e7's
+    weight-2 components with every D_1 entry doubled would pass."""
+    spec = e7_instance()
+    comp = extract_components(spec, 2)
+    bad = {p: {key: v * 2 if p == 1 else v for key, v in blk.items()}
+           for p, blk in comp.blocks.items()}
+    with pytest.raises(TypeError):
+        SuperconnectionComponents(spec, 2, bad)
+    report = flatness_cascade(SuperconnectionComponents(spec, 2, bad, list(comp.basis_keys)))
+    assert not report.passed
+    assert report.residuals
 
 
 def split_module_key(table, key):
@@ -142,8 +157,9 @@ def total_by_terms(c, e):
 def module_element(rng, spec, i, coeff=random_coeff):
     """Random element of the weight-i module: a few monomials (base degree
     <= 2) times random coefficients."""
+    sector = Monomials(spec, i, 2)
     keys = [k for j in range(len(spec.table.odd_generators()) + 1)
-            for k in sector_basis(spec, i, j, 2)]
+            for k in sector.basis(j)]
     chosen = rng.sample(keys, rng.randint(1, 5))
     return Element(spec.table, {k: coeff(rng, zero_bias=0.0) for k in chosen})
 
@@ -342,7 +358,7 @@ def test_split_by_y_count_partition():
 def test_identity_gauge_is_noop():
     spec = e7_instance()
     comp = extract_components(spec, 2)
-    gauged = apply_gauge(comp, identity_gauge(spec, 2))
+    gauged = apply_gauge(comp, GaugeTransformation(spec, 2, {}))
     for p, blk in comp.blocks.items():
         for key, val in blk.items():
             assert gauged.component(p, key) == val
@@ -422,7 +438,7 @@ def test_gauge_validation():
     z1, z2 = table.gen("z", 1), table.gen("z", 2)
     key = lambda e: next(iter(e.terms))
     cases = [
-        (1, {1: {w_basis(spec, 1, 0).keys[0]: z1}},
+        (1, {1: {Monomials(spec, 1, positive=True).basis(0)[0]: z1}},
          "gauge block p=1 on z[1] has terms with a different A-form degree"),
         (1, {0: {}}, "gauge blocks must have p >= 1 (p = 0 is the identity)"),
         (2, {1: {key(z1 * w1): y1 * z1}}, "gauge block p=1 on z[1]*w[1] is not degree preserving"),
@@ -444,7 +460,7 @@ def test_gauge_validation():
         apply_gauge(extract_components(spec, 1), ok)
     assert str(err.value) == "gauge transformation over a different sector family"
     with pytest.raises(GaugeError) as err:
-        compose_gauges(ok, identity_gauge(spec, 1))
+        compose_gauges(ok, GaugeTransformation(spec, 1, {}))
     assert str(err.value) == "gauge transformations over different sector families"
 
 

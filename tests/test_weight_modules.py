@@ -15,7 +15,7 @@ from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
                                      e7_instance, sl2, tangent_graded_bundle)
 from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
                                       Monomials, dim_w, homogenization_projector,
-                                      sector_basis, top_degree, w_basis)
+                                      top_degree)
 
 from conftest import (apply_by_factors, brute_force_monomials, brute_force_w_dim, gl_spec,
                       odd_tuple, projector_by_derivative, random_chart, random_element,
@@ -31,8 +31,9 @@ def test_e3_dimensions():
     assert dim_w(t, 2, 0) == 7
     assert dim_w(t, 2, 1) == 7
     assert dim_w(t, 2, 2) == 1
-    assert len(w_basis(t, 2, 2)) == 1
-    assert w_basis(t, 2, 2).labels() == ["w[1]*w[2]"]
+    basis = Monomials(t, 2, positive=True).basis(2)
+    assert len(basis) == 1
+    assert [monomial_str(t, k) for k in basis] == ["w[1]*w[2]"]
 
 
 def test_empty_above_diagonal():
@@ -40,7 +41,7 @@ def test_empty_above_diagonal():
     for i in range(1, 5):
         for j in range(i + 1, i + 4):
             assert dim_w(t, i, j) == 0
-            assert len(w_basis(t, i, j)) == 0
+            assert len(Monomials(t, i, positive=True).basis(j)) == 0
 
 
 def test_dim_matches_basis_and_brute_force_random():
@@ -50,7 +51,7 @@ def test_dim_matches_basis_and_brute_force_random():
         for i in range(1, 5):
             for j in range(0, i + 2):
                 n = dim_w(c, i, j)
-                assert n == len(w_basis(c, i, j))
+                assert n == len(Monomials(c, i, positive=True).basis(j))
                 assert n == brute_force_w_dim(c, i, j)
 
 
@@ -65,7 +66,7 @@ def test_sector_size_matches_enumeration():
             for cap in range(-1, top + 1):
                 oracle = brute_force_monomials(spec.table, i, cap)
                 for j in range(len(spec.table.odd_generators()) + 2):
-                    keys = sector_basis(spec, i, j, cap)
+                    keys = Monomials(spec, i, cap).basis(j)
                     assert keys == oracle.get(j, []), (name, i, j, cap)
                     assert Monomials(spec, i, cap).size(j) == len(keys), (name, i, j, cap)
 
@@ -92,7 +93,7 @@ def test_w_basis_matches_enumeration_random():
         for i in range(1, 4):
             oracle = brute_force_monomials(c, i, positive=True)
             for j in range(0, i + 2):
-                assert w_basis(c, i, j).keys == oracle.get(j, [])
+                assert Monomials(c, i, positive=True).basis(j) == oracle.get(j, [])
 
 
 def test_basis_size_guard_counts_before_listing(monkeypatch):
@@ -104,13 +105,13 @@ def test_basis_size_guard_counts_before_listing(monkeypatch):
     assert sizes == [comb(40, j) for j in range(41)]
     assert sum(sizes) == 2 ** 40
     with pytest.raises(BasisSizeError) as err:
-        sector_basis(wide, 0, 20, 4)
+        Monomials(wide, 0, 4).basis(20)
     assert str(err.value) == ("sector (0,20) at base degree cap 4 has 137846528820 "
                               "basis monomials, above the limit of 50000")
     tall = GeneratorTable([("s", "even_fiber", 1, 40), ("z", "even_fiber", 6, 1)])
     assert dim_w(tall, 6, 0) == comb(45, 6) + 1
     with pytest.raises(BasisSizeError) as err:
-        w_basis(tall, 6, 0)
+        Monomials(tall, 6, positive=True).basis(0)
     assert str(err.value).startswith("W^(6,0) has 8145061 basis monomials")
 
 
@@ -221,7 +222,7 @@ def test_dp_states_do_not_depend_on_the_cap():
 
 def test_basis_keys_positive_weight_only():
     t = e3_chart()
-    for key in w_basis(t, 2, 1).keys:
+    for key in Monomials(t, 2, positive=True).basis(1):
         for pos, _exp in key[0]:
             assert t.gens[pos].h_weight > 0
         for pos in odd_tuple(key[1]):
@@ -230,12 +231,13 @@ def test_basis_keys_positive_weight_only():
 
 def test_wedge_of_weight_modules_lands_in_higher_weight():
     t = e3_chart()
-    for a in w_basis(t, 1, 1).elements():
-        for b in w_basis(t, 1, 0).elements():
+    weight1 = Monomials(t, 1, positive=True)
+    for a in [Element(t, {k: 1}) for k in weight1.basis(1)]:
+        for b in [Element(t, {k: 1}) for k in weight1.basis(0)]:
             prod = a * b
             if prod.is_zero():
                 continue
-            keys2 = set(w_basis(t, 2, 1).keys)
+            keys2 = set(Monomials(t, 2, positive=True).basis(1))
             assert set(prod.terms) <= keys2
 
 
@@ -252,14 +254,15 @@ def test_subcomplex_preserved():
     spec = e7_instance()
     for i in range(1, 3):
         for j in range(len(spec.table.odd_generators()) + 1):
-            domain = sector_basis(spec, i, j, 2)
-            ColumnBuilder(spec, 3)(domain, sector_basis(spec, i, j + 1, 3))
+            domain = Monomials(spec, i, 2).basis(j)
+            ColumnBuilder(spec, 3)(domain, Monomials(spec, i, 3).basis(j + 1))
 
 
 def _sector_matrix(spec, i, j, cap):
     """(domain, codomain, columns) of d_E from sector (i, j) to (i, j+1)."""
-    domain = sector_basis(spec, i, j, cap)
-    codomain = sector_basis(spec, i, j + 1, cap)
+    sector = Monomials(spec, i, cap)
+    domain = sector.basis(j)
+    codomain = sector.basis(j + 1)
     return domain, codomain, ColumnBuilder(spec, cap)(domain, codomain)
 
 
