@@ -11,7 +11,7 @@ from .algebra import (AlgebraError, BiWeight, Element, Generator,
 from .algebroid import (AlgebroidSpec, SpecError, StructureReport,
                         check_structure_equations, degree_zero_restriction,
                         tower_truncation)
-from .cohomology import FiniteComplex, betti, build_complex, rank
+from .cohomology import CapClosureError, FiniteComplex, betti, build_complex, rank
 from .constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
                             aff1, algebroid_prolongation,
                             cotangent_prolongation, e3_chart, e7_instance, sl2,
@@ -26,7 +26,6 @@ from .superconnection import (CascadeReport, GaugeError, GaugeTransformation,
                               SuperconnectionComponents, apply_gauge,
                               compose_gauges, extract_components,
                               flatness_cascade, split_by_y_count)
-from .weight_modules import (BasisSizeError, CapClosureError, Monomials, dim_w,
-                             homogenization_projector)
+from .weight_modules import BasisSizeError, Monomials, dim_w, homogenization_projector
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ into a dict of keys to coefficients, and `_leibniz_into`, a derivation
 given by its values on the generators applied to a monomial by the graded
 Leibniz rule, into a dict of even parts to dicts of odd masks to
 coefficients, so that each term costs one int-keyed entry.  The second is
-the only place that rule is written out: `apply`, the column builder of
-the cohomology and `partial_derivative` all call it.
+the only place that rule is written out: `apply`,
+`cohomology.FiniteComplex.columns` and `partial_derivative` all call it.
 
 Elements are immutable: no operation changes an Element's `terms` after it
 is built, so an operation may return an operand as it is (x + 0 is x), and
@@ -299,7 +299,7 @@ def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
     generator at position p is terms[p], absent when zero, listed by even
     part: one (even part e, [(odd part t, `_parity(t)`, coefficient), ...])
     per e.  This is the graded Leibniz rule, the one implementation of it
-    (`derivations.apply`, `weight_modules.ColumnBuilder`,
+    (`derivations.apply`, `cohomology.FiniteComplex.columns`,
     `Element.partial_derivative`).
 
     D(key) is the sum over the factors g of key of D(g) times key with g

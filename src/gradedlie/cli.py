@@ -24,10 +24,10 @@ from typing import Dict, List, Optional
 from . import constructions
 from .algebra import CoefficientSizeError, Element, monomial_str
 from .algebroid import AlgebroidSpec, SpecError, check_structure_equations
-from .cohomology import betti, build_complex
+from .cohomology import CapClosureError, betti, build_complex
 from .dsl import DslError, document_from_spec, parse, print_document, to_algebroid_spec
 from .superconnection import extract_components, flatness_cascade
-from .weight_modules import BasisSizeError, CapClosureError, Monomials
+from .weight_modules import BasisSizeError, Monomials
 
 
 class CliError(Exception):

@@ -1,8 +1,8 @@
 """Desk-scale cohomology: exact Betti numbers over Q on finite sector bases.
 
 The differentials are column-sparse, one {row: coefficient} dict per basis
-monomial of the domain sector, built by `weight_modules.ColumnBuilder` with
-bit operations on the odd parts.  `build_complex` only counts the sectors,
+monomial of the domain sector, built by `FiniteComplex.columns` with bit
+operations on the odd parts.  `build_complex` only counts the sectors,
 and lists none; a sector is listed when first read.  `betti` builds a
 column only where clearing keeps it (Chen-Kerber 2011; Ripser, Bauer
 2021, builds coboundary columns the same way), about half of them on
@@ -43,13 +43,45 @@ numbers [1, 1, 0], not the mirror image of its dimensions [1, 2, 1].
 
 from __future__ import annotations
 
+from collections import abc
 from functools import cached_property
 from math import gcd, lcm
-from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .algebra import MonomialKey, Scalar
+from .algebra import EvenPart, MonomialKey, Scalar, _leibniz_into, monomial_str
 from .algebroid import AlgebroidSpec
-from .weight_modules import Column, ColumnBuilder, LazyBasis, Monomials, Torus, top_degree
+from .weight_modules import Monomials, Torus, top_degree
+
+Column = Dict[int, Scalar]
+
+
+class CapClosureError(RuntimeError):
+    """The base-polynomial degree cap does not close the complex."""
+
+
+class LazyBasis(abc.Sequence):
+    """The basis of sector (i, j) of a `Monomials`: counted, and refused
+    with BasisSizeError above MAX_BASIS_SIZE, when made; listed by
+    `Monomials.basis` when first read.  Its length is the count, so it is
+    known without listing."""
+
+    def __init__(self, monomials: Monomials, j: int):
+        self._monomials, self._j = monomials, j
+        self._size = monomials.checked_size(j)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def keys(self) -> List[MonomialKey]:
+        return self._monomials.basis(self._j)
+
+    def __getitem__(self, n):
+        return self.keys[n]
+
+    def __iter__(self) -> Iterator[MonomialKey]:
+        return iter(self.keys)
 
 
 class FiniteComplex:
@@ -57,7 +89,7 @@ class FiniteComplex:
     `sector_bases[j]` is the basis of sector j, `cap` the base-degree cap
     (None over a point), `torus` the diagonal X's of the torus reduction
     and `traces` those of `_torus(spec)` when the maker has read them
-    (`betti` reads them itself otherwise).
+    (without them `betti` takes every rank).
 
     `build_complex` lists its sectors lazily: every sector is counted when
     the complex is made, but listed only when something first reads it,
@@ -79,16 +111,49 @@ class FiniteComplex:
         return [len(b) for b in self.sector_bases]
 
     def columns(self, j: int, skip: Collection[int] = ()) -> List[Column]:
-        """d_j by columns, left empty and unbuilt at the indices in `skip`;
-        the top sector maps to zero."""
+        """d_j by columns: one {row of sector j+1: coefficient} dict per
+        monomial of sector j, nonzero entries only, left empty and unbuilt
+        at the indices in `skip`; the top sector maps to zero.
+
+        A column is the image of its monomial under the Leibniz kernel,
+        `algebra._leibniz_into`, on d's term lists kept on `spec.d`, with
+        each image term looked up among the rows of sector j+1.  The kernel
+        multiplies even parts too, so this serves every sector, over a point
+        or a base.
+
+        Raises CapClosureError when an image term that does not cancel in
+        its column is outside sector j+1 (the truncated span at base-degree
+        cap `cap` does not close); it names the first such term in
+        `apply`'s term order."""
         bases = self.sector_bases
         if j + 1 == len(bases):
             return [{} for _ in range(len(bases[j]))]
-        return self._builder(bases[j], bases[j + 1], skip)
+        index: Dict[EvenPart, Dict[int, int]] = {}
+        for n, (even, odd) in enumerate(bases[j + 1]):
+            index.setdefault(even, {})[odd] = n
+        terms = self.spec.d.leibniz_terms
+        return [{} if n in skip else self._column(key, index, terms)
+                for n, key in enumerate(bases[j])]
 
-    @cached_property
-    def _builder(self) -> ColumnBuilder:
-        return ColumnBuilder(self.spec, self.cap)
+    def _column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]],
+                terms: Mapping[int, list]) -> Column:
+        """The column of one monomial, given the rows of the next sector by
+        even part and odd mask: the kernel's image is keyed the same way,
+        so each term's row is one lookup by odd mask."""
+        image: dict = {}
+        _leibniz_into(image, 1, key, terms)
+        column: Column = {}
+        for even, odds in image.items():
+            rows = index.get(even, {})
+            try:
+                column.update({rows[odd]: v for odd, v in odds.items() if v})
+            except KeyError as missing:
+                table = self.spec.table
+                raise CapClosureError(
+                    f"base degree cap {self.cap} does not close the complex: "
+                    f"d({monomial_str(table, key)}) contains "
+                    f"{monomial_str(table, (even, missing.args[0]))}") from None
+        return column
 
 
 class TorusScan(NamedTuple):
@@ -225,11 +290,10 @@ def _mirrors(c: FiniteComplex, dims: List[int]) -> bool:
     """Whether Poincare duality gives the upper half of the ranks of c,
     whose sectors have dimensions `dims`: over a point at weight 0, with a
     one-dimensional top sector and every trace of `_torus` zero (see the
-    module docstring)."""
-    if c.cap is not None or c.i or dims[-1] != 1:
+    module docstring), read off the traces the complex carries."""
+    if c.cap is not None or c.i or dims[-1] != 1 or c.traces is None:
         return False
-    traces = _torus(c.spec).traces if c.traces is None else c.traces
-    return not any(traces.values())
+    return not any(c.traces.values())
 
 
 def betti(c: FiniteComplex) -> List[int]:
@@ -247,7 +311,8 @@ def betti(c: FiniteComplex) -> List[int]:
     the module docstring).  Then only d_0 ... d_((n-1)//2) are built and
     reduced, so only sectors 0 ... (n-1)//2 + 1 are listed, and the other
     ranks are mirrored; every sector's dimension is its count.  A base, a
-    positive weight or a nonzero trace (aff(1)) takes every rank.
+    positive weight, a nonzero trace (aff(1)) or a complex made without
+    its traces takes every rank.
 
     Over a base a column may leave the cap, and CapClosureError names the
     first that does in sector order, then domain order, as building every
@@ -256,7 +321,7 @@ def betti(c: FiniteComplex) -> List[int]:
     and v_r = d(u) for some u in sector j-1, so d(v_r) = d^2(u) = 0 and
     c_r d(e_r) = -sum over k < r of c_k d(e_k): a cleared column leaves
     the cap only if an earlier column of its sector does."""
-    # ColumnBuilder refuses a span that d leaves, so d^2 = 0 closes it
+    # FiniteComplex.columns refuses a span that d leaves, so d^2 = 0 closes it
     if not c.spec.homological.ok:
         raise ValueError("complex is not closed (d^2 != 0)")
     dims = c.dims

@@ -13,8 +13,7 @@ from .algebroid import AlgebroidSpec, SpecError
 from .derivations import make_derivation
 
 
-def cotangent_prolongation(a: AlgebroidSpec, fiber_name: str = "z",
-                           momentum_name: str = "p") -> AlgebroidSpec:
+def cotangent_prolongation(a: AlgebroidSpec) -> AlgebroidSpec:
     """The cotangent prolongation T*A of a degree-0 algebroid A: the
     cotangent lift of d_A (Grabowski-Urbanski, Ann. Global Anal. Geom. 15,
     1997).
@@ -33,17 +32,16 @@ def cotangent_prolongation(a: AlgebroidSpec, fiber_name: str = "z",
     base = a.table.base_generators()
     odds = a.table.odd_generators()
     used = {b[0] for b in a.table.blocks}
-    for name in (fiber_name, momentum_name):
+    for name in ("z", "p"):
         if name in used:
             raise SpecError(f"generator name {name!r} already used in the base chart")
-    decls = list(a.table.blocks) + [
-        (fiber_name, "even_fiber", 1, len(odds))]
+    decls = list(a.table.blocks) + [("z", "even_fiber", 1, len(odds))]
     if base:
-        decls.append((momentum_name, "odd_fiber", 1, len(base)))
+        decls.append(("p", "odd_fiber", 1, len(base)))
     table = GeneratorTable(decls)
 
-    momenta = [(g, (fiber_name, n + 1)) for n, g in enumerate(odds)]
-    momenta += [(g, (momentum_name, n + 1)) for n, g in enumerate(base)]
+    momenta = [(g, ("z", n + 1)) for n, g in enumerate(odds)]
+    momenta += [(g, ("p", n + 1)) for n, g in enumerate(base)]
     action: Dict[GenRef, Element] = {}
     hamiltonian = table.zero()
     for g, pi in momenta:
@@ -118,9 +116,9 @@ def weighted_lie_algebra(table: GeneratorTable, anchor: Mapping,
 
 # -- canned instances -----------------------------------------------------
 
-def tangent_algebroid(dim: int, base_name: str = "x") -> AlgebroidSpec:
+def tangent_algebroid(dim: int) -> AlgebroidSpec:
     """A = TM with d x^a = dx^a."""
-    return tangent_graded_bundle([(base_name, 0, dim)])
+    return tangent_graded_bundle([("x", 0, dim)])
 
 
 def abelian_lie_algebra(dim: int) -> AlgebroidSpec:

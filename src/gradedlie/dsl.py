@@ -426,5 +426,5 @@ def parse_expression(table: GeneratorTable, text: str) -> Element:
     parser = _Parser(text, tokenize(text))
     value = parser._expr(table)
     if parser.tokens[parser.pos]:
-        raise parser.error(f"expected 'EOF', found {parser.tokens[parser.pos]!r}")
+        raise parser.error(f"expected end of input, found {parser.tokens[parser.pos]!r}")
     return value

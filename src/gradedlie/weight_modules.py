@@ -13,28 +13,18 @@ one: the W^(i,j) bases (`positive=True`), the sectors of the weight-i
 subcomplex, and the torus blocks of `cohomology`.  Base
 generators weigh nothing in h-weight or form degree, so it enumerates the
 fibre monomials and takes the base polynomials of degree <= cap as a free
-factor.  `ColumnBuilder` gives d_E from one such basis to the next, by
-columns: each column is the image of one monomial under the Leibniz
-kernel, `algebra._leibniz_into`, the one that `derivations.apply` runs,
-looked up among the codomain's rows.
+factor.  d_E maps each sector to the next; `cohomology.FiniteComplex.columns`
+builds it by columns.
 """
 
 from __future__ import annotations
 
-from collections import abc
-from functools import cached_property
 from math import comb
 from operator import itemgetter
-from typing import (Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, EvenPart, GeneratorTable, MonomialKey, Scalar, _leibniz_into,
-                      monomial_str)
+from .algebra import Element, EvenPart, GeneratorTable, MonomialKey
 from .algebroid import AlgebroidSpec
-
-
-class CapClosureError(RuntimeError):
-    """The base-polynomial degree cap does not close the complex."""
 
 
 class BasisSizeError(ValueError):
@@ -254,30 +244,6 @@ class Monomials:
         return [(even, odd) for _left, even, odd in level]
 
 
-class LazyBasis(abc.Sequence):
-    """The basis of sector (i, j) of a `Monomials`: counted, and refused
-    with BasisSizeError above MAX_BASIS_SIZE, when made; listed by
-    `Monomials.basis` when first read.  Its length is the count, so it is
-    known without listing."""
-
-    def __init__(self, monomials: Monomials, j: int):
-        self._monomials, self._j = monomials, j
-        self._size = monomials.checked_size(j)
-
-    def __len__(self) -> int:
-        return self._size
-
-    @cached_property
-    def keys(self) -> List[MonomialKey]:
-        return self._monomials.basis(self._j)
-
-    def __getitem__(self, n):
-        return self.keys[n]
-
-    def __iter__(self) -> Iterator[MonomialKey]:
-        return iter(self.keys)
-
-
 def top_degree(spec: SpecOrTable, i: int) -> int:
     """The largest form degree of a monomial of h-weight i, 0 when there is
     none: every weight-zero odd generator, and the most positive-weight
@@ -337,59 +303,6 @@ def dim_w(spec: SpecOrTable, i: int, j: int) -> int:
     if i == 0:
         return 1 if j == 0 else 0
     return rec(1, i, j)
-
-
-Column = Dict[int, Scalar]
-
-
-class ColumnBuilder:
-    """d_E by columns, from the span of one list of monomials to the span of
-    another: one {codomain row: coefficient} dict per domain monomial,
-    nonzero entries only.
-
-    A column is the image of its domain monomial under the Leibniz kernel,
-    `algebra._leibniz_into`, on d's term lists kept on `spec.d`, with each
-    image term looked up among the codomain's rows.  The kernel multiplies
-    even parts too, so one builder serves every sector, over a point or a
-    base.
-
-    Raises CapClosureError when an image term that does not cancel in its
-    column is outside the codomain (the truncated span at base-degree cap
-    `cap` does not close); it names the first such term in `apply`'s term
-    order."""
-
-    def __init__(self, spec: AlgebroidSpec, cap: Optional[int]):
-        self._table = spec.table
-        self._cap = cap
-        self._terms = spec.d.leibniz_terms
-
-    def __call__(self, domain: Sequence[MonomialKey], codomain: Sequence[MonomialKey],
-                 skip: Collection[int] = ()) -> List[Column]:
-        """The columns of the domain monomials, left empty and unbuilt at
-        the indices in `skip`."""
-        index: Dict[EvenPart, Dict[int, int]] = {}
-        for n, (even, odd) in enumerate(codomain):
-            index.setdefault(even, {})[odd] = n
-        return [{} if n in skip else self.column(key, index)
-                for n, key in enumerate(domain)]
-
-    def column(self, key: MonomialKey, index: Mapping[EvenPart, Mapping[int, int]]) -> Column:
-        """The column of one domain monomial, given the codomain's rows by
-        even part and odd mask: the kernel's image is keyed the same way,
-        so each term's row is one lookup by odd mask."""
-        image: dict = {}
-        _leibniz_into(image, 1, key, self._terms)
-        column: Column = {}
-        for even, odds in image.items():
-            rows = index.get(even, {})
-            try:
-                column.update({rows[odd]: v for odd, v in odds.items() if v})
-            except KeyError as missing:
-                raise CapClosureError(
-                    f"base degree cap {self._cap} does not close the complex: "
-                    f"d({monomial_str(self._table, key)}) contains "
-                    f"{monomial_str(self._table, (even, missing.args[0]))}") from None
-        return column
 
 
 def homogenization_projector(e: Element, k: int) -> Element:

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from gradedlie.algebra import Element, GeneratorTable, _mul_into
 from gradedlie.algebroid import AlgebroidSpec
-from gradedlie.cohomology import betti, build_complex, rank
+from gradedlie.cohomology import CapClosureError, betti, build_complex, rank
 from gradedlie.constructions import cotangent_prolongation, e7_instance
 from gradedlie.derivations import Derivation, apply, is_homological
 from gradedlie.dsl import document_from_spec, parse, print_document, to_algebroid_spec
 from gradedlie.superconnection import extract_components, flatness_cascade
-from gradedlie.weight_modules import CapClosureError
 
 from conftest import (all_columns, brute_force_rank, gl_spec, odd_mask, odd_tuple, poincare_betti,
                       to_dense)

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from gradedlie.algebroid import AlgebroidSpec
-from gradedlie.cohomology import _mirrors, _pivots, _torus, betti, build_complex, rank
+from gradedlie.cohomology import (CapClosureError, FiniteComplex, _mirrors, _pivots, _torus,
+                                  betti, build_complex, rank)
 from gradedlie.constructions import (EXAMPLES, abelian_lie_algebra, adjoint_instance,
                                      aff1, algebroid_prolongation, e7_instance, sl2,
                                      tangent_algebroid)
-from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
-                                      Monomials)
+from gradedlie.weight_modules import BasisSizeError, Monomials
 from gradedlie.dsl import parse, to_algebroid_spec
 
 from conftest import (all_columns, betti_by_every_column, brute_force_rank, cleared_ranks,
@@ -200,17 +200,17 @@ def test_betti_builds_only_the_columns_clearing_keeps(monkeypatch):
     the columns of d_0 ... d_((n-1)//2) and lists only sectors 0 ...
     (n-1)//2 + 1; elsewhere it lists every sector."""
     built, listed = [], []
-    column, basis = ColumnBuilder.column, Monomials.basis
+    column, basis = FiniteComplex._column, Monomials.basis
 
-    def recording(self, key, index):
+    def recording(self, key, index, terms):
         built.append(key)
-        return column(self, key, index)
+        return column(self, key, index, terms)
 
     def listing(self, j):
         listed.append(j)
         return basis(self, j)
 
-    monkeypatch.setattr(ColumnBuilder, "column", recording)
+    monkeypatch.setattr(FiniteComplex, "_column", recording)
     monkeypatch.setattr(Monomials, "basis", listing)
     rng = random.Random(66)
     specs = [gl_spec(3), gl_spec(4), sl2(), aff1(), unipotent_twist(rng, gl_spec(3)),
@@ -259,6 +259,21 @@ def test_poincare_duality_matches_every_rank():
         c = build_complex(spec, 0)
         assert _mirrors(c, c.dims)
         assert betti(c) == betti_by_every_column(full_complex(spec, 0))
+
+
+def test_betti_reads_no_spec_scan(monkeypatch):
+    """betti reads the traces that build_complex found in its one `_torus`
+    pass and scans the spec no more; a complex made without its traces
+    takes every rank."""
+    c = build_complex(gl_spec(3), 0)
+    full = full_complex(gl_spec(3), 0)
+
+    def scan(spec):
+        raise AssertionError("betti scanned the spec")
+
+    monkeypatch.setattr("gradedlie.cohomology._torus", scan)
+    assert _mirrors(c, c.dims) and not _mirrors(full, full.dims)
+    assert betti(c) == betti(full) == poincare_betti([1, 3, 5])
 
 
 def test_betti_aff1_full_complex_is_not_mirrored():

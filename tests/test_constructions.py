@@ -110,6 +110,16 @@ def test_cotangent_prolongation_homological_iff_input_valid():
     assert not is_homological(cotangent_prolongation(broken).d).ok
 
 
+def test_cotangent_prolongation_refuses_a_used_name():
+    """The momenta are named z and p, so a base chart with a block of
+    either name is refused."""
+    for blocks in ([("z", "odd_fiber", 0, 1)],
+                   [("p", "base", 0, 1), ("y", "odd_fiber", 0, 1)]):
+        spec = AlgebroidSpec.from_differential(GeneratorTable(blocks), {})
+        with pytest.raises(SpecError, match="already used in the base chart"):
+            cotangent_prolongation(spec)
+
+
 def test_prolongation_then_restriction_round_trip():
     a = action_aff1_line()
     back = degree_zero_restriction(cotangent_prolongation(a))
@@ -140,7 +150,7 @@ def test_tangent_graded_restriction_is_tangent_algebroid():
 
 def test_algebroid_prolongation_reduces_to_tangent_case():
     blocks = [("z", 1, 2)]
-    via_tm = algebroid_prolongation(tangent_algebroid(1, base_name="x"), blocks)
+    via_tm = algebroid_prolongation(tangent_algebroid(1), blocks)
     assert is_homological(via_tm.d).ok
     direct = tangent_graded_bundle([("x", 0, 1), ("z", 1, 2)])
     for g in direct.table.gens:

@@ -112,6 +112,15 @@ def test_rational_literals_and_precedence():
     assert parse_expression(table, "(1 - x[1])^2") == 1 - 2 * x + x ** 2
 
 
+def test_expression_trailing_token_error():
+    """A standalone expression names the end of input in the words the
+    document parser uses, and points at the token that is left over."""
+    table = parse("algebroid a degree 0\nodd xi weight 0 dim 2\n").table
+    with pytest.raises(DslError) as err:
+        parse_expression(table, "xi[1] xi[2]")
+    assert str(err.value) == "expected end of input, found 'xi' (line 1, column 7)"
+
+
 def test_undeclared_identifier_error():
     with pytest.raises(DslError) as err:
         parse("algebroid a degree 0\nbase x weight 0 dim 1\n"

@@ -8,14 +8,13 @@ import pytest
 from gradedlie import weight_modules
 from gradedlie.algebra import Element, GeneratorTable, monomial_str
 from gradedlie.algebroid import AlgebroidSpec
-from gradedlie.cohomology import _torus, betti, build_complex
+from gradedlie.cohomology import CapClosureError, FiniteComplex, _torus, betti, build_complex
 from gradedlie.derivations import apply
 from gradedlie.dsl import parse, to_algebroid_spec
 from gradedlie.constructions import (EXAMPLES, algebroid_prolongation, e3_chart,
                                      e7_instance, sl2, tangent_graded_bundle)
-from gradedlie.weight_modules import (BasisSizeError, CapClosureError, ColumnBuilder,
-                                      Monomials, dim_w, homogenization_projector,
-                                      top_degree)
+from gradedlie.weight_modules import (BasisSizeError, Monomials, dim_w,
+                                      homogenization_projector, top_degree)
 
 from conftest import (apply_by_factors, brute_force_monomials, brute_force_w_dim, gl_spec,
                       odd_tuple, projector_by_derivative, random_chart, random_element,
@@ -248,14 +247,15 @@ def test_tangent_graded_bundle_dims():
 
 
 def test_subcomplex_preserved():
-    """d maps sector (i, j) into sector (i, j+1): ColumnBuilder refuses any
-    image term outside the codomain.  d raises the base degree of e7 by at
-    most 1, so the codomain takes cap 3 over a domain at cap 2."""
+    """d maps sector (i, j) into sector (i, j+1): FiniteComplex.columns
+    refuses any image term outside the codomain.  d raises the base degree
+    of e7 by at most 1, so the codomain takes cap 3 over a domain at cap
+    2."""
     spec = e7_instance()
     for i in range(1, 3):
         for j in range(len(spec.table.odd_generators()) + 1):
             domain = Monomials(spec, i, 2).basis(j)
-            ColumnBuilder(spec, 3)(domain, Monomials(spec, i, 3).basis(j + 1))
+            FiniteComplex(spec, i, [domain, Monomials(spec, i, 3).basis(j + 1)], 3).columns(0)
 
 
 def _sector_matrix(spec, i, j, cap):
@@ -263,7 +263,7 @@ def _sector_matrix(spec, i, j, cap):
     sector = Monomials(spec, i, cap)
     domain = sector.basis(j)
     codomain = sector.basis(j + 1)
-    return domain, codomain, ColumnBuilder(spec, cap)(domain, codomain)
+    return domain, codomain, FiniteComplex(spec, i, [domain, codomain], cap).columns(0)
 
 
 def test_induced_matrix_squares_to_zero():
@@ -278,15 +278,14 @@ def test_induced_matrix_squares_to_zero():
             assert sum(a[r][k] * b[k][c] for k in range(len(b))) == 0
 
 
-def _columns_match_factors(spec, domain, codomain, cap):
-    """ColumnBuilder against `apply_by_factors`, which shares no code with
-    the Leibniz kernel: each column is the image of its domain monomial,
-    or, when the image has a term outside the codomain, building the
-    column raises CapClosureError naming such a term, the first in
+def _columns_match_factors(spec, i, domain, codomain, cap):
+    """FiniteComplex.columns against `apply_by_factors`, which shares no
+    code with the Leibniz kernel: each column is the image of its domain
+    monomial, or, when the image has a term outside the codomain, building
+    the column raises CapClosureError naming such a term, the first in
     `apply`'s term order.  Returns the number of refused columns."""
     table = spec.table
     rows = {k: n for n, k in enumerate(codomain)}
-    builder = ColumnBuilder(spec, cap)
     expected, refused = [], set()
     for n, key in enumerate(domain):
         image = apply_by_factors(spec.d, Element(table, {key: 1}))
@@ -296,7 +295,7 @@ def _columns_match_factors(spec, domain, codomain, cap):
                          if k not in rows)
             assert first in outside
             with pytest.raises(CapClosureError) as err:
-                builder([key], codomain)
+                FiniteComplex(spec, i, [[key], codomain], cap).columns(0)
             assert str(err.value) == (
                 f"base degree cap {cap} does not close the complex: d({monomial_str(table, key)}) "
                 f"contains {monomial_str(table, first)}")
@@ -305,7 +304,7 @@ def _columns_match_factors(spec, domain, codomain, cap):
         else:
             expected.append({rows[k]: c for k, c in image.terms.items()})
     # one call builds every column that is not refused
-    assert builder(domain, codomain, refused) == expected
+    assert FiniteComplex(spec, i, [domain, codomain], cap).columns(0, refused) == expected
     return len(refused)
 
 
@@ -324,13 +323,13 @@ def test_matrix_columns_match_direct_application():
                 monomials = Monomials(spec, i, cap)
                 bases = [monomials.basis(j) for j in range(top + 2)]
                 for j in range(top + 1):
-                    refused += _columns_match_factors(spec, bases[j], bases[j + 1], cap)
+                    refused += _columns_match_factors(spec, i, bases[j], bases[j + 1], cap)
                     sectors += 1
     assert sectors > 200 and refused
     for n in (3, 4):
         bases = build_complex(gl_spec(n), 0).sector_bases
         for j in range(len(bases) - 1):
-            assert not _columns_match_factors(gl_spec(n), bases[j], bases[j + 1], None)
+            assert not _columns_match_factors(gl_spec(n), 0, bases[j], bases[j + 1], None)
     rng = random.Random(65)
     for _ in range(2):
         spec = unipotent_twist(rng, gl_spec(3))
@@ -338,7 +337,7 @@ def test_matrix_columns_match_direct_application():
         assert any(type(c) is Fraction for v in spec.d.action.values() for c in v.terms.values())
         bases = [Monomials(spec, 0).basis(j) for j in range(10)]
         for j in range(9):
-            assert not _columns_match_factors(spec, bases[j], bases[j + 1], None)
+            assert not _columns_match_factors(spec, 0, bases[j], bases[j + 1], None)
 
 
 def test_cap_closure_error():
@@ -393,14 +392,14 @@ def test_cap_closure_error_only_for_a_surviving_term():
     j, key, image, order, first = found
     codomain = [k for k in bases[j + 1] if k != order[first]]
     rows = {k: n for n, k in enumerate(codomain)}
-    assert ColumnBuilder(spec, 4)([key], codomain) == [
+    assert FiniteComplex(spec, 0, [[key], codomain], 4).columns(0) == [
         {rows[k]: c for k, c in image.terms.items()}]
     # drop the terms that come after the cancelled one too
     gone = set(order[first:])
     codomain = [k for k in bases[j + 1] if k not in gone]
     survivor = next(k for k in image.terms if k in gone)
     with pytest.raises(CapClosureError) as err:
-        ColumnBuilder(spec, 4)([key], codomain)
+        FiniteComplex(spec, 0, [[key], codomain], 4).columns(0)
     assert str(err.value) == ("base degree cap 4 does not close the complex: "
                               f"d({monomial_str(table, key)}) contains "
                               f"{monomial_str(table, survivor)}")
