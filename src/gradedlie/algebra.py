@@ -166,8 +166,14 @@ class GeneratorTable:
         hw = 0
         for p, e in key[0]:
             hw += h[p] * e
-        for p in odd_positions(key[1]):
-            hw += h[p]
+        # the odd factors below the cut weigh 0; the others are read off
+        # the mask bit by bit
+        cut = self.zero_cuts[1]
+        odd = key[1] >> cut
+        while odd:
+            low = odd & -odd
+            hw += h[cut + low.bit_length() - 1]
+            odd ^= low
         return hw
 
     def key_bi_weight(self, key: MonomialKey) -> BiWeight:
@@ -375,6 +381,11 @@ class Element:
 
     def bi_weights(self) -> set:
         return {self.table.key_bi_weight(k) for k in self.terms}
+
+    def bi_weights_str(self) -> str:
+        """The bi-weights of the terms, sorted and written as messages write
+        a wanted bi-weight: "(0, 1), (1, 1)"."""
+        return ", ".join(f"({h}, {j})" for h, j in sorted(self.bi_weights()))
 
     def is_bihomogeneous(self, bw: Tuple[int, int]) -> bool:
         h, j = bw

@@ -76,7 +76,7 @@ class AlgebroidSpec:
             if not q.is_bihomogeneous((slot, 0)):
                 raise SpecError(
                     f"anchor coefficient for ({A}, {I}) must be bi-homogeneous of "
-                    f"bi-weight ({slot}, 0), got weights {sorted(q.bi_weights())}")
+                    f"bi-weight ({slot}, 0), got weights {q.bi_weights_str()}")
             action[A] = action.get(A, table.zero()) + table.gen(I.name, I.index) * q
 
         seen: Dict[Tuple[int, int, int], Element] = {}
@@ -98,7 +98,7 @@ class AlgebroidSpec:
             if not q.is_bihomogeneous((slot, 0)):
                 raise SpecError(
                     f"bracket coefficient for ({I}, {J}, {K}) must be bi-homogeneous of "
-                    f"bi-weight ({slot}, 0), got weights {sorted(q.bi_weights())}")
+                    f"bi-weight ({slot}, 0), got weights {q.bi_weights_str()}")
             key = (I.position, J.position, K.position)
             if key in seen:
                 if seen[key] != q:

@@ -87,7 +87,7 @@ def make_derivation(table: GeneratorTable, bi_degree: Tuple[int, int],
         if not val.is_bihomogeneous(want):
             raise DerivationError(
                 f"value for {g} must be bi-homogeneous of bi-weight {want}, "
-                f"got weights {sorted(val.bi_weights())}")
+                f"got weights {val.bi_weights_str()}")
     return Derivation(table, (a, b), resolved)
 
 

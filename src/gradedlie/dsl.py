@@ -22,6 +22,17 @@ more than MAX_INT_DIGITS digits.  The parser works on the token strings
 and reads a token's kind off its first character.  It refuses a '^'
 exponent above MAX_EXPONENT before computing the power.
 
+Terms: a term is read in one pass of token compares.  Its atoms, name[INT]
+or INT or INT/INT with an optional '^' INT, multiply into one running
+monomial (a coefficient, an even part and an odd mask, with the Koszul
+sign of each odd factor), so no Element is built per factor.  Only a
+parenthesised group is an Element, combined by Element '*' and '**'.  A sum
+adds each term into one dict in place, so a sum of t terms costs O(t), and
+its terms come in the order `Element.__add__` would give them.  The
+budgets and the nesting limit below count atoms and unary signs as they
+count groups, and each error names the token it would name if every
+factor were an Element.
+
 Budgets: the declarations may name at most MAX_GENERATORS generators in
 all, counted while they are read, before the chart is built.  Before a
 '*' or a '^' is computed, the operands' term counts bound the result: a
@@ -41,9 +52,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import AlgebraError, Element, GeneratorTable
+from .algebra import (AlgebraError, Element, EvenPart, GeneratorTable, Scalar, _coefficient,
+                      _element, _merge_even)
 from .algebroid import AlgebroidSpec
 from .derivations import Derivation, DerivationError, make_derivation
 
@@ -54,9 +67,10 @@ _KIND_FOR = {"base": "base", "even": "even_fiber", "odd": "odd_fiber"}
 _WORD_FOR = {v: k for k, v in _KIND_FOR.items()}
 
 # A comment matches with an empty group and is dropped; every other
-# non-blank character starts a token.  No quantifier is nested, so the
-# scan cannot backtrack.
-_TOKEN = re.compile(r"#[^\n]*|([0-9]+|\w+|[^ \t\r\n#])")
+# non-blank character starts a token.  The alternatives start with disjoint
+# characters, the symbols first as the most common tokens, and no
+# quantifier is nested, so the scan cannot backtrack.
+_TOKEN = re.compile(r"([-+*^/()\[\]=]|[0-9]+|\w+|[^ \t\r\n#])|#[^\n]*")
 _SYMBOLS = "+-*^/()[]="
 # besides letters, what a token may start with: \w also matches "²", "٣"
 # and "½", which int() refuses or reads as a digit
@@ -121,12 +135,17 @@ class DslError(ValueError):
 
 def tokenize(text: str) -> List[str]:
     """The tokens of `text`, then "" for the end of input."""
-    tokens = [tok for tok in _TOKEN.findall(text) if tok]
-    for n, tok in enumerate(tokens):
-        if tok[0] not in _STARTS and not tok[0].isalpha():
-            raise DslError(f"unexpected character {tok[0]!r}", Span(text, n))
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = list(filter(None, tokens))
+    # the distinct first characters are checked at once; the tokens are
+    # walked one by one only to find the first bad one
+    if any(not ch.isalpha() for ch in set(map(itemgetter(0), tokens)) - _STARTS):
+        for n, tok in enumerate(tokens):
+            if tok[0] not in _STARTS and not tok[0].isalpha():
+                raise DslError(f"unexpected character {tok[0]!r}", Span(text, n))
     tokens.append("")
-    if max(map(len, tokens)) > MAX_INT_DIGITS:
+    if len(text) > MAX_INT_DIGITS and max(map(len, tokens)) > MAX_INT_DIGITS:
         for n, tok in enumerate(tokens):
             if len(tok) > MAX_INT_DIGITS and tok[0].isdigit():
                 raise DslError(f"integer literal of {len(tok)} digits, above the limit "
@@ -223,14 +242,22 @@ class _Parser:
             if not _is_name(tok):
                 raise self.error(f"expected a declaration or assignment, found {tok!r}")
             self.pos += 1
+            # a statement header is read by direct compares; `expect` reads
+            # it again only to raise the error of the first token at fault
             if tok in _KIND_FOR:
-                ident = self.expect("IDENT")
-                if ident in RESERVED:
-                    raise self.error(f"{ident!r} is a reserved word", at + 1)
-                self.expect("weight")
-                w = int(self.expect("INT"))
-                self.expect("dim")
-                dim = int(self.expect("INT"))
+                ident = tokens[at + 1]
+                if not (_is_name(ident) and ident not in RESERVED
+                        and tokens[at + 2] == "weight" and tokens[at + 3].isdigit()
+                        and tokens[at + 4] == "dim" and tokens[at + 5].isdigit()):
+                    if self.expect("IDENT") in RESERVED:
+                        raise self.error(f"{ident!r} is a reserved word", at + 1)
+                    self.expect("weight")
+                    self.expect("INT")
+                    self.expect("dim")
+                    self.expect("INT")
+                w = int(tokens[at + 3])
+                dim = int(tokens[at + 5])
+                self.pos = at + 6
                 generators += dim
                 if generators > MAX_GENERATORS:
                     raise self.error(f"the declarations name {generators} generators, "
@@ -238,12 +265,16 @@ class _Parser:
                 declarations.append(Declaration(ident, _KIND_FOR[tok], w, dim,
                                                 Span(self.text, at)))
             elif tok == "d":
-                ident = self.expect("IDENT")
-                self.expect("[")
-                idx = int(self.expect("INT"))
-                self.expect("]")
-                self.expect("=")
-                raw_assignments.append(((ident, idx), at + 1, self.pos))
+                if not (_is_name(tokens[at + 1]) and tokens[at + 2] == "["
+                        and tokens[at + 3].isdigit() and tokens[at + 4] == "]"
+                        and tokens[at + 5] == "="):
+                    self.expect("IDENT")
+                    self.expect("[")
+                    self.expect("INT")
+                    self.expect("]")
+                    self.expect("=")
+                self.pos = at + 6
+                raw_assignments.append(((tokens[at + 1], int(tokens[at + 3])), at + 1, self.pos))
                 self._skip_expr()
             else:
                 raise self.error(f"unexpected token {tok!r} "
@@ -283,63 +314,206 @@ class _Parser:
     def _skip_expr(self) -> None:
         """First pass: skip expression tokens (declarations may come later)."""
         tokens = self.tokens
+        pos = self.pos
         depth = 0
         while True:
-            tok = tokens[self.pos]
+            tok = tokens[pos]
             # 'd' may only start a statement; generator names are not reserved
             if not tok or (depth == 0 and tok in RESERVED):
+                self.pos = pos
                 return
             if tok == "(":
                 depth += 1
             elif tok == ")":
                 depth -= 1
             elif tok == "=":
-                raise self.error("unexpected '=' inside expression")
-            self.pos += 1
+                raise self.error("unexpected '=' inside expression", pos)
+            pos += 1
 
     # -- expressions ------------------------------------------------------
 
     def _expr(self, table: GeneratorTable) -> Element:
-        value = self._term(table)
-        while self.tokens[self.pos] in ("+", "-"):
-            op = self.tokens[self.pos]
+        """A sum: each term is added into one dict in place, a key whose
+        coefficients cancel deleted, so the terms come in the order
+        `Element.__add__` gives them and a sum of t terms costs O(t)."""
+        tokens = self.tokens
+        terms: dict = {}
+        self._term(table, terms, False)
+        while True:
+            tok = tokens[self.pos]
+            if tok != "+" and tok != "-":
+                return _element(table, terms)
             self.pos += 1
-            rhs = self._term(table)
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            self._term(table, terms, tok == "-")
 
-    def _term(self, table: GeneratorTable) -> Element:
-        value = self._factor(table)
-        while self.tokens[self.pos] == "*":
-            at = self.pos
-            self.pos += 1
-            rhs = self._factor(table)
-            bound = len(value.terms) * len(rhs.terms)
-            if bound > MAX_TERMS:
-                raise self.error(f"a product of {len(value.terms)} and {len(rhs.terms)} "
-                                 f"terms may have {bound} terms, above the limit of "
-                                 f"{MAX_TERMS}", at)
-            value = value * rhs
-        return value
+    def _term(self, table: GeneratorTable, acc: dict, negate: bool) -> None:
+        """Read a product of factors and add it, negated when `negate`,
+        into `acc`, a dict of keys to nonzero coefficients.
 
-    def _factor(self, table: GeneratorTable) -> Element:
-        """A signed factor, or a primary with an optional '^' INT."""
-        at = self.pos
+        An atom, name[INT] or INT or INT/INT with an optional '^' INT,
+        multiplies into one running monomial: a coefficient, an even part
+        and an odd mask.  An odd factor already in the mask makes it zero;
+        otherwise it takes the Koszul sign `_mul_into` takes, the parity of
+        the factors above it.  A unary sign flips the factor it stands
+        before.  A parenthesised group is an Element (`_group`); from the
+        first one on, the product is an Element too, and each later factor
+        multiplies it by Element `*`, its term-count bound checked at the
+        '*'."""
+        tokens = self.tokens
+        by_name = table._by_name
+        pos = self.pos
+        # the running monomial: coefficient, even part, odd mask and the
+        # parity of its signs
+        coeff: Scalar = 1
+        even: EvenPart = ()
+        mask = 0
+        sign = 0
+        value: Optional[Element] = None   # the product, once a group is read
+        star = -1      # token index of the '*' before this factor
+        while True:
+            tok = tokens[pos]
+            signs = 0
+            negative = False
+            while tok == "+" or tok == "-":
+                self.enter(pos)
+                signs += 1
+                negative ^= tok == "-"
+                pos += 1
+                tok = tokens[pos]
+            if tok == "(":
+                self.pos = pos
+                factor = self._group(table)
+                pos = self.pos
+                if negative:
+                    factor = -factor
+                if star < 0:
+                    value = factor
+                else:
+                    if value is None:
+                        value = _monomial(table, coeff, even, mask, sign)
+                    value = self._product(value, factor, star)
+                coeff, even, mask, sign = 1, (), 0, 0
+            else:
+                at = pos
+                g = None
+                if tok.isdigit():
+                    c: Scalar = int(tok)
+                    pos += 1
+                    if tokens[pos] == "/":
+                        pos += 1
+                        if not tokens[pos].isdigit():
+                            self.pos = pos
+                            self.expect("INT")
+                        den = int(tokens[pos])
+                        if den == 0:
+                            raise self.error("zero denominator", at)
+                        c = _coefficient(Fraction(c, den))
+                        pos += 1
+                elif (_is_name(tok) and tok not in RESERVED
+                      and tokens[pos + 1] == "[" and tokens[pos + 2].isdigit()
+                      and tokens[pos + 3] == "]"
+                      and (g := by_name.get((tok, int(tokens[pos + 2])))) is not None):
+                    pos += 4
+                else:
+                    raise self._atom_error(at)
+                k = 1
+                if tokens[pos] == "^":
+                    self.pos = pos
+                    k = self._exponent()
+                    pos = self.pos
+                if g is None:
+                    c = c ** k if k else 1
+                    # 1 * c is c, of c's type: the product is skipped
+                    coeff = c if coeff == 1 and type(coeff) is int else coeff * c
+                elif not k:
+                    pass        # g^0 is 1
+                elif not g.form_degree:
+                    even = _merge_even(even, ((g.position, k),))
+                elif k > 1 or mask >> g.position & 1:
+                    coeff = 0
+                else:
+                    p = g.position
+                    sign ^= (mask >> (p + 1)).bit_count() & 1
+                    mask |= 1 << p
+                if negative:
+                    sign ^= 1
+                if value is not None:
+                    value = self._product(value, _monomial(table, coeff, even, mask, sign),
+                                          star)
+                    coeff, even, mask, sign = 1, (), 0, 0
+            if signs:
+                self.depth -= signs
+            if tokens[pos] != "*":
+                break
+            star = pos
+            pos += 1
+        self.pos = pos
+        if value is not None:
+            items = value.terms.items()
+        elif coeff:
+            items = (((even, mask), -coeff if sign else coeff),)
+        else:
+            return
+        for key, c in items:
+            if negate:
+                c = -c
+            old = acc.get(key)
+            if old is None:
+                acc[key] = c
+            else:
+                c += old
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
+
+    def _atom_error(self, at: int) -> DslError:
+        """The error of token `at`, where an atom was expected and none
+        could be read: the first token at fault, in reading order."""
         tok = self.tokens[at]
-        if tok == "+" or tok == "-":
-            self.pos += 1
-            self.enter(at)
-            value = self._factor(table)
-            self.depth -= 1
-            return value if tok == "+" else -value
-        value = self._primary(table)
+        if not _is_name(tok):
+            return self.error(f"expected an expression, found {tok or 'end of input'!r}", at)
+        if tok in RESERVED:
+            return self.error(f"unexpected keyword {tok!r} in expression", at)
+        self.pos = at + 1
+        self.expect("[")
+        idx = int(self.expect("INT"))
+        self.expect("]")
+        return self.error(f"undeclared identifier {tok}[{idx}]", at)
+
+    def _product(self, value: Element, factor: Element, star: int) -> Element:
+        """value * factor, refused at the '*' (token `star`) when the term
+        counts bound the product above MAX_TERMS."""
+        bound = len(value.terms) * len(factor.terms)
+        if bound > MAX_TERMS:
+            raise self.error(f"a product of {len(value.terms)} and {len(factor.terms)} "
+                             f"terms may have {bound} terms, above the limit of "
+                             f"{MAX_TERMS}", star)
+        return value * factor
+
+    def _exponent(self) -> int:
+        """Read '^' INT at the current token: the exponent, refused above
+        MAX_EXPONENT."""
+        self.pos += 1
+        exponent = int(self.expect("INT"))
+        if exponent > MAX_EXPONENT:
+            raise self.error(f"exponent {exponent} is above the limit of {MAX_EXPONENT}",
+                             self.pos - 1)
+        return exponent
+
+    def _group(self, table: GeneratorTable) -> Element:
+        """'(' expr ')' with an optional '^' INT, by Element arithmetic: a
+        power is refused before it is computed when the term count bounds
+        it above MAX_TERMS."""
+        at = self.pos
+        self.pos += 1
+        self.enter(at)
+        value = self._expr(table)
+        self.expect(")")
+        self.depth -= 1
         if self.tokens[self.pos] == "^":
             at = self.pos
-            self.pos += 1
-            exponent = int(self.expect("INT"))
-            if exponent > MAX_EXPONENT:
-                raise self.error(f"exponent {exponent} is above the limit of {MAX_EXPONENT}",
-                                 self.pos - 1)
+            exponent = self._exponent()
             t = len(value.terms)
             bound = comb(t + exponent - 1, exponent) if t else 1
             if bound > MAX_TERMS:
@@ -348,37 +522,14 @@ class _Parser:
             value = value ** exponent
         return value
 
-    def _primary(self, table: GeneratorTable) -> Element:
-        at = self.pos
-        tok = self.tokens[at]
-        if tok.isdigit():
-            self.pos += 1
-            if self.tokens[self.pos] != "/":
-                return table.scalar(int(tok))
-            self.pos += 1
-            den = int(self.expect("INT"))
-            if den == 0:
-                raise self.error("zero denominator", at)
-            return table.scalar(Fraction(int(tok), den))
-        if tok == "(":
-            self.pos += 1
-            self.enter(at)
-            value = self._expr(table)
-            self.expect(")")
-            self.depth -= 1
-            return value
-        if not _is_name(tok):
-            raise self.error(f"expected an expression, found {tok or 'end of input'!r}")
-        if tok in RESERVED:
-            raise self.error(f"unexpected keyword {tok!r} in expression")
-        self.pos += 1
-        self.expect("[")
-        idx = int(self.expect("INT"))
-        self.expect("]")
-        try:
-            return table.gen(tok, idx)
-        except AlgebraError:
-            raise self.error(f"undeclared identifier {tok}[{idx}]", at) from None
+
+def _monomial(table: GeneratorTable, coeff: Scalar, even: EvenPart, odd: int,
+              sign: int) -> Element:
+    """The Element of one monomial read by `_Parser._term`: `coeff`, negated
+    when `sign` is odd, times the key (even, odd); zero when `coeff` is."""
+    if not coeff:
+        return _element(table, {})
+    return _element(table, {(even, odd): -coeff if sign else coeff})
 
 
 def parse(text: str) -> SpecDocument:

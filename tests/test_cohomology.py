@@ -278,10 +278,34 @@ def test_betti_reads_no_spec_scan(monkeypatch):
 
 def test_betti_aff1_full_complex_is_not_mirrored():
     """aff(1) is not unimodular: d_1 is not zero, and its Betti numbers are
-    not the mirror image of its dimensions."""
+    not the mirror image of its dimensions.  They break Poincare duality,
+    which `test_betti_numbers_satisfy_poincare_duality` checks on the
+    unimodular cases."""
     c = full_complex(aff1(), 0)
     assert c.dims == [1, 2, 1]
-    assert betti(c) == [1, 1, 0]
+    b = betti(c)
+    assert b == [1, 1, 0] and b != b[::-1]
+
+
+UNIMODULAR = {
+    "gl3": lambda: gl_spec(3),
+    "sl3": lambda: matrix_lie_algebra(sl_basis(3)),
+    "sp4": lambda: matrix_lie_algebra(sp_basis(2)),
+    "h7": lambda: heisenberg_spec(3),
+    "n4": lambda: upper_nilpotent_spec(4),
+    "gl3-twist": lambda: unipotent_twist(random.Random(10), gl_spec(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIMODULAR))
+def test_betti_numbers_satisfy_poincare_duality(name):
+    """Poincare duality, b_j = b_(n-j), on unimodular Lie algebras over a
+    point: a complex made without its traces takes every rank, so the
+    Betti numbers of its top half are computed, not mirrored."""
+    c = full_complex(UNIMODULAR[name](), 0)
+    assert not _mirrors(c, c.dims)
+    b = betti(c)
+    assert b == b[::-1]
 
 
 def test_betti_over_a_base_matches_building_every_column():

@@ -1,11 +1,14 @@
+import collections
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie import dsl
+from gradedlie.algebra import Element
 from gradedlie.cli import run
 from gradedlie.constructions import EXAMPLES
 from gradedlie.derivations import is_homological
@@ -13,7 +16,7 @@ from gradedlie.dsl import (DslError, Span, document_from_spec, parse, parse_expr
                            print_document, to_algebroid_spec, tokenize)
 from gradedlie.weight_modules import Monomials
 
-from conftest import gl_spec, tokenize_by_loop
+from conftest import gl_spec, tokenize_by_loop, unipotent_twist
 
 DATA = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -74,6 +77,32 @@ def test_parsing_resolves_no_span(monkeypatch):
         to_algebroid_spec(parse(text))
     with pytest.raises(AssertionError):
         parse(texts[0] + "@")
+
+
+def test_parsing_multiplies_and_adds_no_elements(monkeypatch):
+    """A term's atoms are read into one monomial and a sum is added in
+    place: parsing and converting printed gl(4) and a twisted gl(3), whose
+    coefficients are rationals, calls neither `Element.__mul__` nor
+    `Element.__add__` (the work is counted, not timed)."""
+    texts = [print_document(document_from_spec("gl4", gl_spec(4))),
+             print_document(document_from_spec(
+                 "gl3", unipotent_twist(random.Random(29), gl_spec(3))))]
+    assert "/" in texts[1]
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(Element, name)
+
+        def wrapper(self, other):
+            calls[name] += 1
+            return method(self, other)
+        return wrapper
+
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(Element, name, counted(name))
+    for text in texts:
+        to_algebroid_spec(parse(text))
+        assert calls == {}, text.splitlines()[0]
 
 
 def test_golden_files_parse_and_round_trip():
@@ -158,7 +187,7 @@ def test_assignment_error_names_its_own_line():
     with pytest.raises(DslError) as err:
         to_algebroid_spec(parse(text))
     assert str(err.value) == ("value for xi[3] must be bi-homogeneous of bi-weight (0, 2), "
-                              "got weights [BiWeight(h_weight=0, form_degree=1)] "
+                              "got weights (0, 1) "
                               "(line 6, column 3)")
     with pytest.raises(DslError) as err:
         to_algebroid_spec(parse(text.replace("d xi[2] = xi[3]*xi[1]", "d xi[2] = 1")))

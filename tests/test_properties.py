@@ -1,4 +1,5 @@
-"""Property tests: the DSL print/parse round trip, the structure equations
+"""Property tests: the DSL print/parse round trip, the parser against
+Element arithmetic on expression trees, the structure equations
 against d^2 = 0 and the table oracle on twisted specs, the Leibniz kernel
 (apply and partial derivatives against the factor-by-factor oracle), the
 product (associativity and graded commutativity), the order of keys
@@ -8,12 +9,13 @@ Derandomized and bounded, so every run draws the same examples."""
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedlie.algebra import Element, odd_positions
+from gradedlie.algebra import Element, GeneratorTable, odd_positions
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.cohomology import betti, build_complex
 from gradedlie.constructions import (EXAMPLES, action_aff1_line, adjoint_instance, aff1,
@@ -40,6 +42,105 @@ def test_element_print_parse_round_trip(rng):
     table = e3_chart()
     e = random_element(rng, table, terms=rng.randint(0, 5), max_exp=3)
     assert parse_expression(table, str(e)) == e
+
+
+# Expression trees over a chart with base, even and odd generators.  A tree
+# is a sum (first term, [(op, term), ...]); a term a list of factors; a
+# factor (unary signs, primary); a primary an atom or a parenthesised tree,
+# with an optional power.
+EXPRESSION_CHART = GeneratorTable([("x", "base", 0, 2), ("z", "even_fiber", 1, 2),
+                                   ("xi", "odd_fiber", 0, 2), ("p", "odd_fiber", 1, 1)])
+ATOM_NAMES = [("x", 1), ("x", 2), ("z", 1), ("z", 2), ("xi", 1), ("xi", 2), ("p", 1)]
+
+
+def random_tree(rng, groups=None):
+    """An expression tree: few generators, so odd factors repeat and sums
+    cancel; atom powers up to 3, p/q literals and zero, up to two unary
+    signs per factor, and at most two groups, with powers up to 2, so
+    that the tree stays small."""
+    groups = [2] if groups is None else groups
+
+    def primary():
+        roll = rng.random()
+        if groups[0] and roll < 0.2:
+            groups[0] -= 1
+            return ("group", random_tree(rng, groups), rng.choice([None, None, 0, 1, 2]))
+        power = rng.choice([None, None, 0, 1, 2, 3])
+        if roll < 0.65:
+            return ("gen", rng.choice(ATOM_NAMES), power)
+        return ("num", (rng.randint(0, 4), rng.choice([None, None, 1, 2, 3])), power)
+
+    def term():
+        return [(rng.choices("+-", k=rng.choice([0, 0, 0, 1, 2])), primary())
+                for _ in range(rng.randint(1, 3))]
+
+    return term(), [(rng.choice("+-"), term()) for _ in range(rng.randint(0, 3))]
+
+
+def render(tree):
+    """The DSL text of an expression tree."""
+    def primary(node):
+        kind, body, power = node
+        if kind == "gen":
+            text = "{}[{}]".format(*body)
+        elif kind == "num":
+            text = str(body[0]) if body[1] is None else "{}/{}".format(*body)
+        else:
+            text = f"({render(body)})"
+        return text if power is None else f"{text}^{power}"
+
+    def term(factors):
+        return "*".join("".join(signs) + primary(node) for signs, node in factors)
+
+    first, rest = tree
+    return " ".join([term(first)] + [f"{op} {term(t)}" for op, t in rest])
+
+
+def evaluate(table, tree):
+    """The Element of an expression tree, folded by Element + - * ** in the
+    order the text reads: no text is parsed."""
+    def primary(node):
+        kind, body, power = node
+        if kind == "gen":
+            value = table.gen(*body)
+        elif kind == "num":
+            value = table.scalar(body[0] if body[1] is None else Fraction(*body))
+        else:
+            value = evaluate(table, body)
+        return value if power is None else value ** power
+
+    def factor(signs, node):
+        value = primary(node)
+        for sign in reversed(signs):
+            value = -value if sign == "-" else value
+        return value
+
+    def term(factors):
+        value = factor(*factors[0])
+        for f in factors[1:]:
+            value = value * factor(*f)
+        return value
+
+    first, rest = tree
+    value = term(first)
+    for op, t in rest:
+        value = value + term(t) if op == "+" else value - term(t)
+    return value
+
+
+@settings(BOUNDED, max_examples=150)
+@given(RANDOMS)
+def test_parse_expression_agrees_with_element_arithmetic(rng):
+    """Parsing an expression gives the Element its tree folds to by Element
+    arithmetic, term order included: atoms with powers (odd squares
+    vanish), p/q literals and zero, unary signs, parentheses, and sums
+    that cancel."""
+    tree = random_tree(rng)
+    text = render(tree)
+    want = evaluate(EXPRESSION_CHART, tree)
+    got = parse_expression(EXPRESSION_CHART, text)
+    assert got == want, text
+    assert list(got.terms) == list(want.terms), text
 
 
 @settings(BOUNDED, max_examples=30)
