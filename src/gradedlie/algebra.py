@@ -305,8 +305,8 @@ def _leibniz_into(acc: dict, coeff: Scalar, key: MonomialKey,
     generator at position p is terms[p], absent when zero, listed by even
     part: one (even part e, [(odd part t, `_parity(t)`, coefficient), ...])
     per e.  This is the graded Leibniz rule, the one implementation of it
-    (`derivations.apply`, `cohomology.FiniteComplex.columns`,
-    `Element.partial_derivative`).
+    (`derivations.apply`, `derivations.is_homological`,
+    `cohomology.FiniteComplex.columns`, `Element.partial_derivative`).
 
     D(key) is the sum over the factors g of key of D(g) times key with g
     removed, D(g) first, even factors before odd ones.  An even factor g^n

@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import constructions
 from .algebra import CoefficientSizeError, Element, monomial_str
@@ -216,9 +216,9 @@ def _cmd_example(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no state
-    between calls."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built
+    once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact symbolic checks for weighted Lie algebroid specs.")
@@ -257,13 +257,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_example)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one command line (default: sys.argv[1:]) and return its exit code.
+
+    When the first argument names a subcommand, the rest go straight to
+    that subcommand's parser, as the top parser would hand them on; words
+    it does not take are refused by the top parser, as in one parse.  Any
+    other argv, none, -h or an unknown word, goes to the top parser.
+    Help, usage and errors read the same either way."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     if not getattr(args, "command", None):

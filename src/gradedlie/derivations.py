@@ -132,9 +132,17 @@ def is_homological(D: Derivation) -> HomologicalReport:
     if D.bi_degree[1] % 2 == 0:
         raise DerivationError(
             "D^2 = 0 is the homological condition only for odd form-degree shift")
+    # apply(D, D.value(g)) for each g with a value, without an Element
+    # for a residual that is zero
+    terms = D.leibniz_terms
     residuals = {}
     for g in D.table.gens:
-        r = apply(D, D.value(g))
-        if not r.is_zero():
-            residuals[str(g)] = r
+        if g.position not in terms:
+            continue
+        v = D.action[g.position]
+        acc: dict = {}
+        for key, c in v.terms.items():
+            _leibniz_into(acc, c, key, terms)
+        if any(any(odds.values()) for odds in acc.values()):
+            residuals[str(g)] = _leibniz_element(v.table, acc)
     return HomologicalReport(not residuals, residuals)

@@ -18,20 +18,29 @@ and newlines, and drops '#' comments.  A token is an INT (ASCII digits
 only), an IDENT (a letter or '_', then letters, digits and '_' in the
 sense of str.isalnum) or one of the symbols + - * ^ / ( ) [ ] =; any
 other character where a token starts is an error, and so is an INT of
-more than MAX_INT_DIGITS digits.  The parser works on the token strings
-and reads a token's kind off its first character.  It refuses a '^'
-exponent above MAX_EXPONENT before computing the power.
+more than MAX_INT_DIGITS digits.  An atom name[INT] written without a
+blank or comment inside, whose name is not a reserved word and whose
+index has at most 9 digits, is one token, a whole atom.  Any other
+spelling, such as `xi [ 1 ]`, gives four tokens, read the same.  A
+message prints a whole atom by its name part, and one that points at
+its '[' names the column the split spelling gives.  `Span` counts tokens
+with the same scan.  The parser works on the token strings and reads a
+token's kind off its first character (a whole atom also ends in ']').
+It refuses a '^' exponent above MAX_EXPONENT before computing the power.
 
 Terms: a term is read in one pass of token compares.  Its atoms, name[INT]
 or INT or INT/INT with an optional '^' INT, multiply into one running
 monomial (a coefficient, an even part and an odd mask, with the Koszul
-sign of each odd factor), so no Element is built per factor.  Only a
+sign of each odd factor), so no Element is built per factor.  A whole
+atom is looked up in a map of token texts to generators that each parse
+fills as it reads, so `int` reads each distinct atom's index once.  Only a
 parenthesised group is an Element, combined by Element '*' and '**'.  A sum
 adds each term into one dict in place, so a sum of t terms costs O(t), and
 its terms come in the order `Element.__add__` would give them.  The
 budgets and the nesting limit below count atoms and unary signs as they
 count groups, and each error names the token it would name if every
-factor were an Element.
+factor were an Element.  An assignment's expression must end where the
+statement does: a token left after a complete expression is refused.
 
 Budgets: the declarations may name at most MAX_GENERATORS generators in
 all, counted while they are read, before the chart is built.  Before a
@@ -41,10 +50,11 @@ at most C(t + n - 1, n), the number of multisets of n of them.  A bound
 above MAX_TERMS is refused at the operator.
 
 Positions: a message names the line and column (from 1) where its token
-starts.  A `Span` holds the text and the token's index and finds its line
-and column by scanning the text again, only when read, so a spec that
-parses reads no position.  The end of input sits after the last
-character, or at the start of a trailing comment that has no newline.
+starts.  A `Span` holds the text, the token's index and an offset into
+the token, and finds its line and column by scanning the text again,
+only when read, so a spec that parses reads no position.  The end of
+input sits after the last character, or at the start of a trailing
+comment that has no newline.
 """
 
 from __future__ import annotations
@@ -55,8 +65,8 @@ from math import comb
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import (AlgebraError, Element, EvenPart, GeneratorTable, Scalar, _coefficient,
-                      _element, _merge_even)
+from .algebra import (AlgebraError, Element, EvenPart, Generator, GeneratorTable, Scalar,
+                      _coefficient, _element, _merge_even)
 from .algebroid import AlgebroidSpec
 from .derivations import Derivation, DerivationError, make_derivation
 
@@ -66,11 +76,20 @@ RESERVED = {"algebroid", "degree", "base", "even", "odd", "weight", "dim", "d"}
 _KIND_FOR = {"base": "base", "even": "even_fiber", "odd": "odd_fiber"}
 _WORD_FOR = {v: k for k, v in _KIND_FOR.items()}
 
-# A comment matches with an empty group and is dropped; every other
-# non-blank character starts a token.  The alternatives start with disjoint
-# characters, the symbols first as the most common tokens, and no
-# quantifier is nested, so the scan cannot backtrack.
-_TOKEN = re.compile(r"([-+*^/()\[\]=]|[0-9]+|\w+|[^ \t\r\n#])|#[^\n]*")
+# A match takes the blanks before it and then a token in group 1, a
+# comment or the end of the text; a comment and the end match with an
+# empty group and are dropped.  One of the three follows any run of
+# blanks, so the scan never backtracks over blanks, each match starts
+# where the last one ended, and a run of blanks is read once.  Every
+# non-blank character but '#' starts a token.  After the symbols, the most
+# common tokens, comes a whole atom: name[INT] with no blank inside, a name
+# that is not a reserved word and an index of at most 9 ASCII digits.  Any
+# other atom falls through to its name, '[', INT and ']' tokens.  The other
+# alternatives start with disjoint characters, and no quantifier is nested,
+# so the scan backtracks at most over the name of an atom it cannot take
+# whole.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:([-+*^/()\[\]=]|(?!(?:{})\[)[^\W\d]\w*\[[0-9]{{1,9}}\]"
+                    r"|[0-9]+|\w+|[^ \t\r\n#])|#[^\n]*|\Z)".format("|".join(sorted(RESERVED))))
 _SYMBOLS = "+-*^/()[]="
 # besides letters, what a token may start with: \w also matches "²", "٣"
 # and "½", which int() refuses or reads as a digit
@@ -99,7 +118,7 @@ def _locate(text: str, index: int) -> Tuple[int, int]:
     for match in _TOKEN.finditer(text):
         if match.group(1):
             if count == index:
-                start = match.start()
+                start = match.start(1)
                 break
             count += 1
     else:
@@ -110,10 +129,12 @@ def _locate(text: str, index: int) -> Tuple[int, int]:
 
 
 class Span(NamedTuple):
-    """Where token `index` of `text` starts: `line` and `column`, found by
-    scanning `text` again when read."""
+    """Where `offset` characters into token `index` of `text` is: `line`
+    and `column`, found by scanning `text` again when read.  A token holds
+    no newline, so the offset moves the column only."""
     text: str
     index: int
+    offset: int = 0
 
     @property
     def line(self) -> int:
@@ -121,10 +142,11 @@ class Span(NamedTuple):
 
     @property
     def column(self) -> int:
-        return _locate(self.text, self.index)[1]
+        return _locate(self.text, self.index)[1] + self.offset
 
     def __str__(self) -> str:
-        return "line {}, column {}".format(*_locate(*self))
+        line, column = _locate(self.text, self.index)
+        return f"line {line}, column {column + self.offset}"
 
 
 class DslError(ValueError):
@@ -135,9 +157,7 @@ class DslError(ValueError):
 
 def tokenize(text: str) -> List[str]:
     """The tokens of `text`, then "" for the end of input."""
-    tokens = _TOKEN.findall(text)
-    if "#" in text:
-        tokens = list(filter(None, tokens))
+    tokens = list(filter(None, _TOKEN.findall(text)))
     # the distinct first characters are checked at once; the tokens are
     # walked one by one only to find the first bad one
     if any(not ch.isalpha() for ch in set(map(itemgetter(0), tokens)) - _STARTS):
@@ -155,6 +175,19 @@ def tokenize(text: str) -> List[str]:
 
 def _is_name(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _is_atom(tok: str) -> bool:
+    """Whether `tok` is a whole atom, name[INT] read as one token."""
+    return tok[-1:] == "]" and tok != "]"
+
+
+def _shown(tok: str) -> str:
+    """A token as messages print it: the name part of a whole atom, whose
+    '[' starts the next token of the split spelling."""
+    if not tok:
+        return "end of input"
+    return tok[:tok.index("[")] if _is_atom(tok) else tok
 
 
 class Declaration(NamedTuple):
@@ -196,6 +229,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # whole-atom token text -> its generator, filled as atoms are read
+        self.atoms: Dict[str, Generator] = {}
 
     def error(self, message: str, at: Optional[int] = None) -> DslError:
         """An error at token `at`, by default the next one."""
@@ -207,9 +242,16 @@ class _Parser:
         tok = self.tokens[self.pos]
         if not (_is_name(tok) if want == "IDENT" else tok.isdigit() if want == "INT"
                 else tok == want):
-            raise self.error(f"expected {want!r}, found {tok or 'end of input'!r}")
+            raise self.error(f"expected {want!r}, found {_shown(tok)!r}")
         self.pos += 1
         return tok
+
+    def bracket_error(self, at: int, want: str) -> DslError:
+        """The error of a whole atom at token `at` where a plain name
+        followed by `want` belongs: at its '[', as the split spelling
+        gives it."""
+        return DslError(f"expected {want!r}, found '['",
+                        Span(self.text, at, self.tokens[at].index("[")))
 
     def enter(self, at: int) -> None:
         """Go one nesting level deeper at token `at`; `depth` is decremented
@@ -228,14 +270,17 @@ class _Parser:
         name = self.expect("IDENT")
         if name in RESERVED:
             raise self.error(f"{name!r} is a reserved word", self.pos - 1)
+        if _is_atom(name):
+            raise self.bracket_error(self.pos - 1, "degree")
         self.expect("degree")
         degree_at = self.pos
         degree = int(self.expect("INT"))
 
         declarations: List[Declaration] = []
         generators = 0
-        # (target, token index of its name, token index of its expression)
-        raw_assignments: List[Tuple[Tuple[str, int], int, int]] = []
+        # (target, token index of its name, token indices of the start and
+        # the end of its expression)
+        raw_assignments: List[Tuple[Tuple[str, int], int, int, int]] = []
         while tokens[self.pos]:
             at = self.pos
             tok = tokens[at]
@@ -246,11 +291,13 @@ class _Parser:
             # it again only to raise the error of the first token at fault
             if tok in _KIND_FOR:
                 ident = tokens[at + 1]
-                if not (_is_name(ident) and ident not in RESERVED
+                if not (_is_name(ident) and ident not in RESERVED and not _is_atom(ident)
                         and tokens[at + 2] == "weight" and tokens[at + 3].isdigit()
                         and tokens[at + 4] == "dim" and tokens[at + 5].isdigit()):
                     if self.expect("IDENT") in RESERVED:
                         raise self.error(f"{ident!r} is a reserved word", at + 1)
+                    if _is_atom(ident):
+                        raise self.bracket_error(at + 1, "weight")
                     self.expect("weight")
                     self.expect("INT")
                     self.expect("dim")
@@ -265,19 +312,23 @@ class _Parser:
                 declarations.append(Declaration(ident, _KIND_FOR[tok], w, dim,
                                                 Span(self.text, at)))
             elif tok == "d":
-                if not (_is_name(tokens[at + 1]) and tokens[at + 2] == "["
-                        and tokens[at + 3].isdigit() and tokens[at + 4] == "]"
-                        and tokens[at + 5] == "="):
-                    self.expect("IDENT")
+                # a target written without blanks is one token; the split
+                # spelling is read token by token
+                target = tokens[at + 1]
+                if _is_atom(target):
+                    ident, _, index = target[:-1].partition("[")
+                    self.pos = at + 2
+                else:
+                    ident = self.expect("IDENT")
                     self.expect("[")
-                    self.expect("INT")
+                    index = self.expect("INT")
                     self.expect("]")
-                    self.expect("=")
-                self.pos = at + 6
-                raw_assignments.append(((tokens[at + 1], int(tokens[at + 3])), at + 1, self.pos))
+                self.expect("=")
+                start = self.pos
                 self._skip_expr()
+                raw_assignments.append(((ident, int(index)), at + 1, start, self.pos))
             else:
-                raise self.error(f"unexpected token {tok!r} "
+                raise self.error(f"unexpected token {_shown(tok)!r} "
                                  "(expected 'base', 'even', 'odd' or 'd')", at)
 
         chart = [(d.name, d.kind, d.h_weight, d.dim) for d in declarations]
@@ -299,7 +350,7 @@ class _Parser:
 
         assignments: List[Assignment] = []
         declared = {d.name for d in declarations}
-        for (target, at, start) in raw_assignments:
+        for (target, at, start, end) in raw_assignments:
             if target[0] not in declared:
                 raise self.error(f"assignment target {target[0]!r} is not declared", at)
             try:
@@ -307,7 +358,11 @@ class _Parser:
             except AlgebraError as exc:
                 raise self.error(str(exc), at) from exc
             self.pos = start
-            assignments.append(Assignment(target, self._expr(table), Span(self.text, at)))
+            value = self._expr(table)
+            if self.pos != end:
+                raise self.error("expected '+', '-', '*' or a statement, "
+                                 f"found {_shown(tokens[self.pos])!r}")
+            assignments.append(Assignment(target, value, Span(self.text, at)))
 
         return SpecDocument(name, degree, declarations, assignments, table)
 
@@ -361,6 +416,7 @@ class _Parser:
         '*'."""
         tokens = self.tokens
         by_name = table._by_name
+        atoms = self.atoms
         pos = self.pos
         # the running monomial: coefficient, even part, odd mask and the
         # parity of its signs
@@ -395,8 +451,10 @@ class _Parser:
                 coeff, even, mask, sign = 1, (), 0, 0
             else:
                 at = pos
-                g = None
-                if tok.isdigit():
+                g = atoms.get(tok)
+                if g is not None:
+                    pos += 1
+                elif tok.isdigit():
                     c: Scalar = int(tok)
                     pos += 1
                     if tokens[pos] == "/":
@@ -409,6 +467,15 @@ class _Parser:
                             raise self.error("zero denominator", at)
                         c = _coefficient(Fraction(c, den))
                         pos += 1
+                elif _is_atom(tok):
+                    # first read of this whole atom: `int` reads its index,
+                    # so xi[01] names xi[1]
+                    name, _, index = tok[:-1].partition("[")
+                    g = by_name.get((name, int(index)))
+                    if g is None:
+                        raise self._atom_error(at)
+                    atoms[tok] = g
+                    pos += 1
                 elif (_is_name(tok) and tok not in RESERVED
                       and tokens[pos + 1] == "[" and tokens[pos + 2].isdigit()
                       and tokens[pos + 3] == "]"
@@ -472,9 +539,12 @@ class _Parser:
         could be read: the first token at fault, in reading order."""
         tok = self.tokens[at]
         if not _is_name(tok):
-            return self.error(f"expected an expression, found {tok or 'end of input'!r}", at)
+            return self.error(f"expected an expression, found {_shown(tok)!r}", at)
         if tok in RESERVED:
             return self.error(f"unexpected keyword {tok!r} in expression", at)
+        if _is_atom(tok):
+            name, _, index = tok[:-1].partition("[")
+            return self.error(f"undeclared identifier {name}[{int(index)}]", at)
         self.pos = at + 1
         self.expect("[")
         idx = int(self.expect("INT"))
@@ -577,5 +647,5 @@ def parse_expression(table: GeneratorTable, text: str) -> Element:
     parser = _Parser(text, tokenize(text))
     value = parser._expr(table)
     if parser.tokens[parser.pos]:
-        raise parser.error(f"expected end of input, found {parser.tokens[parser.pos]!r}")
+        raise parser.error(f"expected end of input, found {_shown(parser.tokens[parser.pos])!r}")
     return value

@@ -46,7 +46,8 @@ def _refusals() -> Dict[str, str]:
     limit (gl(6)) and the state budget (gl(8)), d^2 != 0 under a weight-1
     module whose flatness cascade passes, a weight-0 complex that the
     default cap does not close (d x = x^2 y raises the base degree by one),
-    and DSL errors whose positions are easy to get wrong (`dsl_*`)."""
+    and DSL errors whose positions are easy to get wrong (`dsl_*`), among
+    them tokens after a complete expression."""
     d_lines = [line for line in (SPECS / "broken.spec").read_text().splitlines()
                if line.startswith("d ")]
     head = "algebroid dsl degree 0\nodd xi weight 0 dim 2\n"
@@ -74,6 +75,9 @@ def _refusals() -> Dict[str, str]:
         "dsl_zero_denominator.spec": head + "d xi[2] = 1/0*xi[1]*xi[2]\n",
         "dsl_undeclared.spec": head + "d xi[2] = eta[1]*xi[2]\n",
         "dsl_reserved.spec": "algebroid dsl degree 0\nodd weight weight 0 dim 2\n",
+        # tokens after a complete expression, once dropped without an error
+        "dsl_trailing.spec": head + "d xi[2] = xi[1]*xi[2] xi[1]\n",
+        "dsl_paren.spec": head + "d xi[2] = 2 (xi[1]*xi[2])\n",
     }
 
 
@@ -92,7 +96,7 @@ REFUSED = [
     ["cohomology", "refusals/square_anchor.spec", "--weight", "0", "--cap", "0"],
 ] + [["check", f"refusals/dsl_{name}.spec"]
      for name in ("comment_eof", "tab", "half", "formfeed", "equals", "bracket_eof",
-                  "zero_denominator", "undeclared", "reserved")]
+                  "zero_denominator", "undeclared", "reserved", "trailing", "paren")]
 
 
 # adjoint.spec with x[1]*y[2]*p[1] added to d p[1]: both the anchor and the

@@ -9,6 +9,7 @@ from gradedlie.algebra import Element, GeneratorTable
 from gradedlie.algebroid import AlgebroidSpec, check_structure_equations
 from gradedlie.cohomology import FiniteComplex, _pivots
 from gradedlie.derivations import HomologicalReport, make_derivation
+from gradedlie.dsl import RESERVED
 from gradedlie.weight_modules import Monomials
 
 
@@ -128,7 +129,9 @@ def tokenize_by_loop(text):
     line, column), the end of input as ("", line, column), and the message
     of the first unexpected character with its position, or None.  A
     comment does not advance the column, so an end of input after a
-    trailing comment with no newline sits where the comment starts."""
+    trailing comment with no newline sits where the comment starts.  A
+    name that is not a reserved word, followed at once by '[', 1 to 9 ASCII
+    digits and ']', is one token with them."""
     tokens = []
     line, col = 1, 1
     n = 0
@@ -154,6 +157,12 @@ def tokenize_by_loop(text):
         elif ch.isalpha() or ch == "_":
             while m < len(text) and (text[m].isalnum() or text[m] == "_"):
                 m += 1
+            k = m + 1
+            while k < len(text) and text[k] in "0123456789":
+                k += 1
+            if (text[n:m] not in RESERVED and text[m:m + 1] == "[" and 1 < k - m <= 10
+                    and text[k:k + 1] == "]"):
+                m = k + 1
         elif ch not in "+-*^/()[]=":
             return tokens, f"unexpected character {ch!r} (line {line}, column {col})"
         tokens.append((text[n:m], line, col))

@@ -5,9 +5,11 @@ import pytest
 from gradedlie.algebra import GeneratorTable
 from gradedlie.derivations import (DerivationError, apply, graded_commutator,
                                    is_homological, make_derivation)
-from gradedlie.constructions import aff1, e7_instance, sl2
+from gradedlie.constructions import EXAMPLES, aff1, e7_instance, sl2
+from gradedlie.dsl import parse, to_algebroid_spec
 
-from conftest import random_element
+from cli_corpus import MUTANTS, SPECS
+from conftest import gl_spec, random_chart, random_derivation, random_element, unipotent_twist
 
 
 @pytest.fixture
@@ -107,3 +109,38 @@ def test_equality_agrees_with_hash(chart):
     c = make_derivation(chart, (0, 1), {("x", 1): chart.gen("y")})
     same = make_derivation(chart, (0, 1), {("x", 1): chart.gen("y"), ("z", 1): chart.zero()})
     assert c == same and len({c, same}) == 1
+
+
+def _d_squared_by_apply(D):
+    """The d^2 report by `apply` on Elements: apply(D, D(g)) for every
+    generator, in table order, kept when nonzero."""
+    residuals = {}
+    for g in D.table.gens:
+        r = apply(D, D.value(g))
+        if not r.is_zero():
+            residuals[str(g)] = r
+    return residuals
+
+
+def test_d_squared_report_matches_apply():
+    """`is_homological` reports the residuals `apply` gives, with the same
+    labels, key order and term order, on random derivations, the shipped
+    and example specs (homological), their twists, the corpus mutant and
+    broken.spec."""
+    rng = random.Random(30)
+    derivations = [random_derivation(rng, random_chart(rng), (0, 1)) for _ in range(60)]
+    derivations += [maker().d for _name, maker in sorted(EXAMPLES.items())]
+    derivations += [unipotent_twist(rng, gl_spec(3)).d for _ in range(3)]
+    texts = [(SPECS / "broken.spec").read_text()] + list(MUTANTS.values())
+    derivations += [to_algebroid_spec(parse(text)).d for text in texts]
+    verdicts = set()
+    for D in derivations:
+        report = is_homological(D)
+        want = _d_squared_by_apply(D)
+        assert list(report.residuals) == list(want)
+        for label, r in want.items():
+            assert report.residuals[label] == r
+            assert list(report.residuals[label].terms) == list(r.terms)
+        assert report.ok == (not want)
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}

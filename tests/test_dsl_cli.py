@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import dsl
+from gradedlie import cli, dsl
 from gradedlie.algebra import Element
 from gradedlie.cli import run
 from gradedlie.constructions import EXAMPLES
@@ -33,7 +33,7 @@ def spec_text(name):
 _ALPHABET = " \t\r\n#0123459axyzd_+-*^/()[]=²٣½é\x0c\u00a0"
 # pieces of spec text, so that long runs of valid tokens are drawn too
 _PIECES = ["d", " ", "\t", "\n", "\r", "xi", "[", "12", "]", "=", "*", "+", "(", ")", "^", "/",
-           "_y0", "é", "#c", "²", "½", "\x0c"]
+           "_y0", "é", "#c", "²", "½", "\x0c", "xi[3]", "[0123456789]", "weight"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
@@ -43,9 +43,10 @@ _PIECES = ["d", " ", "\t", "\n", "\r", "xi", "[", "12", "]", "=", "*", "+", "(",
        st.sampled_from(["", "\n"]))
 def test_tokenize_matches_character_loop(body, comment, end):
     """`tokenize` splits text as the character loop of `tokenize_by_loop`
-    does: the same token texts, every token's and the end marker's line
-    and column, and the same first error with its position.  Inputs may end
-    in a comment, with or without a newline after it."""
+    does: the same token texts, whole atoms name[INT] included, every
+    token's and the end marker's line and column, and the same first error
+    with its position.  Inputs may end in a comment, with or without a
+    newline after it."""
     text = body + comment + end
     want, error = tokenize_by_loop(text)
     if error is not None:
@@ -148,6 +149,77 @@ def test_expression_trailing_token_error():
     with pytest.raises(DslError) as err:
         parse_expression(table, "xi[1] xi[2]")
     assert str(err.value) == "expected end of input, found 'xi' (line 1, column 7)"
+
+
+# each statement below is refused at the first token after a complete
+# expression, which was dropped before without an error
+_TRAILING = [
+    ("d xi[1] = xi[2]*xi[3] xi[1]",
+     "expected '+', '-', '*' or a statement, found 'xi' (line 3, column 23)"),
+    ("d xi[2] = 2 (xi[1]*xi[3])",
+     "expected '+', '-', '*' or a statement, found '(' (line 3, column 13)"),
+    ("d xi[1] = xi[2]*xi[3] )",
+     "expected '+', '-', '*' or a statement, found ')' (line 3, column 23)"),
+    ("d xi[2] = 2xi[1]",
+     "expected '+', '-', '*' or a statement, found 'xi' (line 3, column 12)"),
+]
+
+
+@pytest.mark.parametrize("statement, message", _TRAILING)
+def test_tokens_after_a_complete_expression_are_refused(statement, message):
+    head = "algebroid a degree 0\nodd xi weight 0 dim 3\n"
+    with pytest.raises(DslError) as err:
+        parse(head + statement + "\n")
+    assert str(err.value) == message
+
+
+_HEAD = "algebroid dsl degree 0\nodd xi weight 0 dim 3\n"
+# Messages that print a token of an atom or point into one, with the text
+# and position the split spelling name [ INT ] gives them: an atom written
+# without blanks is one token, and a message prints its name part.
+_ATOM_MESSAGES = [
+    (_HEAD + "xi[1] = xi[2]\n",
+     "unexpected token 'xi' (expected 'base', 'even', 'odd' or 'd') (line 3, column 1)"),
+    (_HEAD + "xi [1] = xi[2]\n",
+     "unexpected token 'xi' (expected 'base', 'even', 'odd' or 'd') (line 3, column 1)"),
+    ("xi[1] xi[2]", "expected end of input, found 'xi' (line 1, column 7)"),
+    ("xi[1]*xi[1234567890]", "undeclared identifier xi[1234567890] (line 1, column 7)"),
+    ("algebroid dsl degree 0\nodd xi[1] weight 0 dim 2\n",
+     "expected 'weight', found '[' (line 2, column 7)"),
+    ("algebroid a[1] degree 0\nodd xi weight 0 dim 2\n",
+     "expected 'degree', found '[' (line 1, column 12)"),
+    (_HEAD + "d xi[2] = eta[1]*xi[2]\n", "undeclared identifier eta[1] (line 3, column 11)"),
+    (_HEAD + "d xi[2] = xi[1]*xi[4]\n", "undeclared identifier xi[4] (line 3, column 17)"),
+    (_HEAD + "d xi[2] = weight[1]\n",
+     "unexpected token 'weight' (expected 'base', 'even', 'odd' or 'd') (line 3, column 11)"),
+    (_HEAD + "d xi[2] = (weight[1])\n",
+     "unexpected keyword 'weight' in expression (line 3, column 12)"),
+    (_HEAD + "d xi[2] = xi[1234567890]*xi[1]\n",
+     "undeclared identifier xi[1234567890] (line 3, column 11)"),
+    (_HEAD + "d xi[1] = xi[²]\n", "unexpected character '²' (line 3, column 14)"),
+    ("algebroid a degree xi[1]\n", "expected 'INT', found 'xi' (line 1, column 20)"),
+    ("algebroid dsl degree 0\nodd xi weight xi[1] dim 2\n",
+     "expected 'INT', found 'xi' (line 2, column 15)"),
+    ("algebroid dsl degree 0\nodd xi weight 0 dim xi[1]\n",
+     "expected 'INT', found 'xi' (line 2, column 21)"),
+    (_HEAD + "d xi[1] xi[2] = xi[3]\n", "expected '=', found 'xi' (line 3, column 9)"),
+    (_HEAD + "d xi[1][2] = xi[3]\n", "expected '=', found '[' (line 3, column 8)"),
+    (_HEAD + "d xi[1] = (xi[2] xi[3])\n", "expected ')', found 'xi' (line 3, column 18)"),
+    (_HEAD + "d xi[1] = xi[2]^xi[3]\n", "expected 'INT', found 'xi' (line 3, column 17)"),
+    (_HEAD + "d xi[1] = 1/xi[3]\n", "expected 'INT', found 'xi' (line 3, column 13)"),
+    (_HEAD + "d xi[1] = xi[xi[2]]\n", "expected 'INT', found 'xi' (line 3, column 14)"),
+]
+
+
+@pytest.mark.parametrize("text, message", _ATOM_MESSAGES)
+def test_atom_messages(text, message):
+    """A standalone expression is read over the chart of `_HEAD`."""
+    with pytest.raises(DslError) as err:
+        if text.startswith("algebroid"):
+            to_algebroid_spec(parse(text))
+        else:
+            parse_expression(parse(_HEAD).table, text)
+    assert str(err.value) == message
 
 
 def test_undeclared_identifier_error():
@@ -508,6 +580,73 @@ def test_cli_non_utf8_file_exit_2(tmp_path, capsys):
 def test_cli_usage_error_exit_2(capsys):
     assert run([]) == 2
     assert run(["decompose", str(DATA / "e7.spec")]) == 2  # missing --weight
+
+
+_USAGE = "usage: gradedlie [-h] {check,decompose,rep,cohomology,example} ...\n"
+_CHECK_HELP = """usage: gradedlie check [-h] [--format {text,json}] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+"""
+_HELP = _USAGE + """
+Exact symbolic checks for weighted Lie algebroid specs.
+
+positional arguments:
+  {check,decompose,rep,cohomology,example}
+    check               structure equations and d^2 = 0
+    decompose           weight-module bases and dimensions
+    rep                 superconnection components and flatness
+    cohomology          Betti numbers of a weight sector
+    example             emit a shipped example spec file
+
+options:
+  -h, --help            show this help message and exit
+"""
+# exit code, stdout and stderr of each command line, as the top parser
+# alone gives them
+_DISPATCH = [
+    (["check", "--help"], 0, _CHECK_HELP, ""),
+    (["decompose", "SPEC"], 2, "",
+     "usage: gradedlie decompose [-h] --weight WEIGHT [--format {text,json}] file\n"
+     "gradedlie decompose: error: the following arguments are required: --weight\n"),
+    (["cohomology", "SPEC", "--weight", "x"], 2, "",
+     "usage: gradedlie cohomology [-h] --weight WEIGHT [--cap CAP]\n"
+     "                            [--format {text,json}]\n"
+     "                            file\n"
+     "gradedlie cohomology: error: argument --weight: invalid int value: 'x'\n"),
+    (["check", "SPEC", "--bogus"], 2, "",
+     _USAGE + "gradedlie: error: unrecognized arguments: --bogus\n"),
+    ([], 2, "", _USAGE),
+    (["--help"], 0, _HELP, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _DISPATCH)
+def test_cli_dispatch_keeps_argparse_behaviour(capsys, monkeypatch, argv, code, out, err):
+    """argv that names a subcommand goes straight to its parser: help,
+    usage errors and words it does not take read as one parse by the top
+    parser gives them (help is wrapped at 80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [str(DATA / "sl2.spec") if a == "SPEC" else a for a in argv]
+    assert _run(capsys, *argv) == (code, out, err)
+
+
+def test_cli_unknown_command_goes_to_the_top_parser(capsys, monkeypatch):
+    """An unknown first word gets the top parser's own refusal, whose list
+    of choices is worded by the Python version."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _commands = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["nosuch"])
+    want = capsys.readouterr()
+    assert exc.value.code == 2
+    assert want.err.startswith(_USAGE + "gradedlie: error: argument command: invalid choice: "
+                               "'nosuch' (choose from ")
+    assert _run(capsys, "nosuch") == (2, want.out, want.err)
 
 
 def test_cli_closed_stdout_exits_1_without_traceback():

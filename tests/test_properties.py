@@ -77,16 +77,32 @@ def random_tree(rng, groups=None):
     return term(), [(rng.choice("+-"), term()) for _ in range(rng.randint(0, 3))]
 
 
-def render(tree):
-    """The DSL text of an expression tree."""
+# what may stand between the name, '[', INT and ']' of an atom spelled
+# split: blanks, a newline, or a comment and the newline that ends it
+ATOM_GAPS = [" ", "  ", "\t", "\n", " # c\n", "#[1]\n", ""]
+
+
+def spell_atom(rng, name, index):
+    """name[index] spelled whole, one token, or split into four, and
+    sometimes with leading zeros in the index."""
+    digits = "0" * rng.choice([0, 0, 0, 1, 2]) + str(index)
+    if rng.random() < 0.5:
+        return f"{name}[{digits}]"
+    a, b, c = (rng.choice(ATOM_GAPS) for _ in range(3))
+    return f"{name}{a}[{b}{digits}{c}]"
+
+
+def render(tree, rng):
+    """The DSL text of an expression tree, each atom spelled by
+    `spell_atom`."""
     def primary(node):
         kind, body, power = node
         if kind == "gen":
-            text = "{}[{}]".format(*body)
+            text = spell_atom(rng, *body)
         elif kind == "num":
             text = str(body[0]) if body[1] is None else "{}/{}".format(*body)
         else:
-            text = f"({render(body)})"
+            text = f"({render(body, rng)})"
         return text if power is None else f"{text}^{power}"
 
     def term(factors):
@@ -133,10 +149,11 @@ def evaluate(table, tree):
 def test_parse_expression_agrees_with_element_arithmetic(rng):
     """Parsing an expression gives the Element its tree folds to by Element
     arithmetic, term order included: atoms with powers (odd squares
-    vanish), p/q literals and zero, unary signs, parentheses, and sums
-    that cancel."""
+    vanish), spelled whole or split, with blanks, newlines or comments
+    inside and leading zeros in the index, p/q literals and zero, unary
+    signs, parentheses, and sums that cancel."""
     tree = random_tree(rng)
-    text = render(tree)
+    text = render(tree, rng)
     want = evaluate(EXPRESSION_CHART, tree)
     got = parse_expression(EXPRESSION_CHART, text)
     assert got == want, text
